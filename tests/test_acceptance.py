@@ -313,6 +313,18 @@ def test_criterion_12_fundamental_class():
     budget.finish()
 
 
+def test_fundamental_class_s4_norms_up_to_3():
+    budget = Budget("S_4 fundamental class free of rank 1, norms <= 3", 60)
+    q = sym_geodesic_pmq(4)
+    comp = Completion(q)
+    for b in comp.classes_up_to(3):
+        if b.is_unit:
+            continue
+        h = homology(build_relative_complex(q, b))
+        assert h[2 * b.norm] == {"rank": 1, "torsion": []}, (b.labels(), h)
+    budget.finish()
+
+
 def test_criterion_13_structural_suites():
     budget = Budget("13 structural suites: identities, gradings, squares", 60)
     from pmq.barhur import BisimplexArray, induced_faces_commute

@@ -270,3 +270,29 @@ def test_functoriality_of_inclusion():
     # ... but not where a product undefined in the source becomes defined in
     # the target: there the map of pairs does not exist
     assert not chain_map_commutes(qa, qb, mapping, comp_a.of_labels(["1", "1"]))
+
+
+def test_universal_coefficients_link_integer_and_mod_p_homology(comp3):
+    # dim H_n(F_p) = rank H_n + #{p | tors H_n} + #{p | tors H_(n-1)} ties the
+    # Smith form over Z to the rank mod p on the same complexes
+    q = comp3.pmq
+    gradings = [b for b in comp3.classes_up_to(3) if not b.is_unit]
+    # t^4 for each transposition t: 196 cells, H_5 = Z/2
+    fourth_powers = [comp3.of_labels([t] * 4) for t in ("213", "132", "321")]
+    for b in gradings + fourth_powers:
+        cx = build_relative_complex(q, b)
+        h = homology(cx)
+        if b in fourth_powers:
+            assert sum(cx.dims().values()) == 196
+            assert h[5] == {"rank": 0, "torsion": [2]}, (b.labels(), h)
+        for p in (2, 3):
+            hp = homology(build_relative_complex(q, b, mod=p))
+            assert sorted(hp) == sorted(h)
+            for n in h:
+                below = h.get(n - 1, {"torsion": []})["torsion"]
+                want = (
+                    h[n]["rank"]
+                    + sum(1 for t in h[n]["torsion"] if t % p == 0)
+                    + sum(1 for t in below if t % p == 0)
+                )
+                assert hp[n]["rank"] == want, (b.labels(), p, n, h, hp)

@@ -143,6 +143,13 @@ def test_homology_mod(files, capsys):
     assert doc["H"]["4"]["rank"] == 2
 
 
+@pytest.mark.parametrize("mod", ["4", "1", "-5"])
+def test_homology_mod_must_be_prime(files, capsys, mod):
+    code, out = run(capsys, "homology", files["segre"], "--grading", "c", "--mod", mod)
+    assert code == 3
+    assert json.loads(out)["failed"] == "prime"
+
+
 def test_rack_core(files, capsys):
     code, out = run(capsys, "rack-core", files["rack3"])
     assert code == 0

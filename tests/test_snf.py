@@ -25,6 +25,66 @@ def dense_rank_oracle(entries, nrows, ncols) -> int:
     return rank
 
 
+def dense_rank_mod_p_oracle(entries, nrows, ncols, p) -> int:
+    mat = [[entries.get((r, c), 0) % p for c in range(ncols)] for r in range(nrows)]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if mat[r][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        for r in range(nrows):
+            if r != rank and mat[r][c]:
+                f = mat[r][c] * inv
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def dense_smith_oracle(entries, nrows, ncols) -> list[int]:
+    """Textbook Smith reduction of the dense matrix: move the smallest entry
+    to the corner, divide it out of its row and column, and when it fails to
+    divide the rest, add the offending row to the pivot row and repeat."""
+    a = [[entries.get((r, c), 0) for c in range(ncols)] for r in range(nrows)]
+    divisors = []
+    for t in range(min(nrows, ncols)):
+        while True:
+            nonzero = [
+                (abs(a[r][c]), r, c)
+                for r in range(t, nrows)
+                for c in range(t, ncols)
+                if a[r][c]
+            ]
+            if not nonzero:
+                return divisors
+            _, r0, c0 = min(nonzero)
+            a[t], a[r0] = a[r0], a[t]
+            for row in a:
+                row[t], row[c0] = row[c0], row[t]
+            pivot = a[t][t]
+            for r in range(t + 1, nrows):
+                f = a[r][t] // pivot
+                a[r] = [x - f * y for x, y in zip(a[r], a[t])]
+            for c in range(t + 1, ncols):
+                f = a[t][c] // pivot
+                for row in a:
+                    row[c] -= f * row[t]
+            if any(a[r][t] for r in range(t + 1, nrows)) or any(
+                a[t][c] for c in range(t + 1, ncols)
+            ):
+                continue  # a remainder is now the smallest entry
+            bad = next(
+                (r for r in range(t + 1, nrows) for c in range(t + 1, ncols) if a[r][c] % pivot),
+                None,
+            )
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+        divisors.append(abs(a[t][t]))
+    return divisors
+
+
 def det_oracle(entries, n) -> int:
     total = 0
     for perm in itertools.permutations(range(n)):
@@ -64,6 +124,34 @@ def test_rank_matches_dense_oracle(entries):
     ncols = 1 + max((c for _, c in entries), default=0)
     assert integer_rank(entries) == dense_rank_oracle(entries, nrows, ncols)
     assert rank_mod_p(entries, 1_000_003) <= dense_rank_oracle(entries, nrows, ncols)
+
+
+# mostly +-1, as in boundary matrices, so that the unit pivots and the
+# Smith reduction of the residue both run
+unit_weighted_strategy = st.builds(
+    lambda cells: {k: v for k, v in cells.items() if v},
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        st.sampled_from([1, -1, 1, -1, 1, -1, 2, -2, 3, -4, 6]),
+        max_size=40,
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(matrix_strategy, unit_weighted_strategy), st.sampled_from([2, 3, 5]))
+def test_rank_mod_p_matches_dense_oracle(entries, p):
+    nrows = 1 + max((r for r, _ in entries), default=0)
+    ncols = 1 + max((c for _, c in entries), default=0)
+    assert rank_mod_p(entries, p) == dense_rank_mod_p_oracle(entries, nrows, ncols, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_weighted_strategy)
+def test_smith_form_matches_dense_oracle(entries):
+    nrows = 1 + max((r for r, _ in entries), default=0)
+    ncols = 1 + max((c for _, c in entries), default=0)
+    assert smith_normal_form(entries) == dense_smith_oracle(entries, nrows, ncols)
 
 
 @settings(max_examples=80, deadline=None)
