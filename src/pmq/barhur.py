@@ -31,13 +31,13 @@ from typing import Mapping, Optional, Sequence
 
 from .completion import Completion, HatElem
 from .core import FinitePmq
-from .errors import StructureError
+from .errors import PreconditionError, StructureError
 from .properties import (
     intrinsic_pseudonorm,
     is_coconnected,
     is_maximally_decomposable,
 )
-from .snf import homology_groups
+from .snf import homology_groups, is_prime
 
 Grid = tuple[tuple[int, ...], ...]   # inner columns, each a tuple of entries
 
@@ -362,7 +362,10 @@ def _grid_degenerate(q: FinitePmq, grid: Grid) -> bool:
 
 
 def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComplex:
-    """The chain complex of admissible non-degenerate arrays of grading b."""
+    """The chain complex of admissible non-degenerate arrays of grading b,
+    over Z for ``mod`` 0 and over F_p for a prime ``mod``."""
+    if mod and not is_prime(mod):
+        raise PreconditionError(f"modulus {mod} is not a prime", failed="prime")
     comp = b.completion
     by_bidegree = _grids_of_grading(q, comp, b)
     basis: dict[int, list[tuple[int, int, Grid]]] = {}

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isqrt
 
 from .completion import Completion
 from .core import validate
@@ -192,9 +191,10 @@ def cmd_symgeo(args) -> int:
 
 def cmd_homology(args) -> int:
     from .barhur import build_relative_complex, homology
+    from .snf import is_prime
 
     p = args.mod
-    if p and (p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1))):
+    if p and not is_prime(p):
         raise PreconditionError(f"--mod {p} is not a prime", failed="prime")
     q, _ = _load_valid(args.file)
     comp = Completion(q)

@@ -10,9 +10,12 @@ relations
     <a><b> = 0               whenever ab is undefined,
 
 and the graded dimensions of the quadratic quotient equal the number of
-elements of each norm.  The dimension check is run over the rationals by
-exact elimination and is reported rather than assumed, so near-misses
-(structures lacking one of the hypotheses) can be inspected honestly.
+elements of each norm.  The dimension check is run over the rationals and
+is reported rather than assumed, so near-misses (structures lacking one of
+the hypotheses) can be inspected honestly.  Each degree's relations are kept
+in the sparse reduced echelon form of ``pmq.snf``, and the normal forms of
+the monomials of that degree are read off its pivot rows; ranks of integer
+matrices come from the same module.
 
 The dual presentation has one generator per norm-one element and one
 relation per norm-two element c: the sum of <a>'<b>' over the pairs with
@@ -33,6 +36,7 @@ from typing import Optional, Sequence
 from .core import FinitePmq, conjugacy_classes
 from .errors import PreconditionError
 from .properties import is_coconnected, is_maximally_decomposable, is_pairwise_determined
+from .snf import integer_rank, reduced_echelon
 from .symgeo import all_transpositions, height, identity, perm_mul, perm_norm
 
 RingElem = dict[int, int]   # element index -> coefficient
@@ -128,40 +132,17 @@ def invariant_basis_is_class_sums(q: FinitePmq) -> bool:
     conjugacy class; the solution space must be exactly the class-sum span.
     """
     n = len(q)
-    classes = conjugacy_classes(q)
-    # constraints: coeff[a] - coeff[a^b] = 0
-    pivots: dict[int, list[Fraction]] = {}
-    rows = []
+    # constraints: coeff[a] - coeff[a^b] = 0, one row each
+    entries: dict[tuple[int, int], int] = {}
+    r = 0
     for a in range(n):
         for b in range(n):
             img = q.conj[a][b]
             if img != a:
-                row = [Fraction(0)] * n
-                row[a] += 1
-                row[img] -= 1
-                rows.append(row)
-    rank = _rank(rows, n)
-    return n - rank == len(classes)
-
-
-def _rank(rows: list[list[Fraction]], width: int) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    col = 0
-    while col < width and rank < len(mat):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col] / pv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+                entries[r, a] = 1
+                entries[r, img] = -1
+                r += 1
+    return n - integer_rank(entries) == len(conjugacy_classes(q))
 
 
 # ---------------------------------------------------------------------------
@@ -250,84 +231,48 @@ def quadratic_quotient_dimensions(
     degrees 0..max_degree.  The quotient dimensions are computed over the
     rationals, degree by degree: the degree-n part is the quotient of
     (degree n-1 part) tensor (generators) by the image of the relators
-    multiplied in on the right.
+    multiplied in on the right.  Its relations are kept in sparse reduced
+    echelon form; the non-pivot columns are the new basis, and the normal
+    form of a degree-n monomial is read off the pivot rows (a pivot column
+    maps to minus the rest of its row, a free column to itself).
     """
+    if max_degree < 0:
+        raise PreconditionError(f"degree {max_degree} is negative", failed="degree")
     norm = q.require_norm()
     pres = presentation or quadratic_presentation(q, require_tame=False)
-    gens = list(range(len(pres.generators)))
+    k = len(pres.generators)
     relators = pres.relator_vectors()
     census = [sum(1 for a in range(len(q)) if norm[a] == d) for d in range(max_degree + 1)]
 
     out = [(0, 1, census[0])]
     if max_degree == 0:
         return out
-    # degree-1 basis: the generators themselves
-    basis: list[tuple[int, ...]] = [(g,) for g in gens]
-    red: dict[tuple[int, ...], list[Fraction]] = {
-        (g,): [Fraction(i == g) for i in gens] for g in gens
-    }
+    # normal forms of the monomials u + (y,), u in the previous basis, as
+    # sparse vectors over the current basis
+    basis: list[tuple[int, ...]] = [(g,) for g in range(k)]
+    red: dict[tuple[int, ...], dict[int, int | Fraction]] = {(g,): {g: 1} for g in range(k)}
     prev_basis: list[tuple[int, ...]] = [()]
-    out.append((1, len(basis), census[1]))
+    out.append((1, k, census[1]))
     for degree in range(2, max_degree + 1):
-        # relation vectors inside (span of basis) tensor (generators)
-        dim_prev = len(basis)
-        width = dim_prev * len(gens)
-        rows: list[list[Fraction]] = []
+        # relation rows inside (span of basis) tensor (generators); column
+        # i * k + y stands for basis[i] + (y,)
+        rows = []
         for u in prev_basis:
             for rel in relators:
-                row = [Fraction(0)] * width
+                row: dict[int, int | Fraction] = {}
                 for (x, y), coeff in rel.items():
-                    vec = red[u + (x,)]
-                    for i, c in enumerate(vec):
-                        if c:
-                            row[i * len(gens) + y] += coeff * c
+                    for i, c in red[u + (x,)].items():
+                        col = i * k + y
+                        row[col] = row.get(col, 0) + coeff * c
                 rows.append(row)
-        echelon, pivot_cols = _reduced_echelon(rows, width)
-        free_cols = [c for c in range(width) if c not in pivot_cols]
-        new_basis = [basis[c // len(gens)] + (c % len(gens),) for c in free_cols]
+        echelon = reduced_echelon(rows)
+        free_cols = [c for c in range(len(basis) * k) if c not in echelon]
         col_of = {c: i for i, c in enumerate(free_cols)}
-        new_red: dict[tuple[int, ...], list[Fraction]] = {}
-        for i, u in enumerate(basis):
-            vec_u = [Fraction(0)] * len(basis)
-            vec_u[i] = Fraction(1)
-            for y in gens:
-                coords = [Fraction(0)] * width
-                coords[i * len(gens) + y] = Fraction(1)
-                coords = _reduce_by(echelon, pivot_cols, coords)
-                new_red[u + (y,)] = [coords[c] for c in free_cols]
-        prev_basis, basis, red = basis, new_basis, new_red
+        red = {basis[c // k] + (c % k,): {i: 1} for c, i in col_of.items()}
+        for c, row in echelon.items():
+            red[basis[c // k] + (c % k,)] = {col_of[c2]: -v for c2, v in row.items() if c2 != c}
+        prev_basis, basis = basis, [basis[c // k] + (c % k,) for c in free_cols]
         out.append((degree, len(basis), census[degree]))
-    return out
-
-
-def _reduced_echelon(rows: list[list[Fraction]], width: int):
-    mat = [row[:] for row in rows if any(row)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return mat[:rank], pivots
-
-
-def _reduce_by(echelon: list[list[Fraction]], pivot_cols: list[int], vec: list[Fraction]):
-    out = vec[:]
-    for row, col in zip(echelon, pivot_cols):
-        f = out[col]
-        if f:
-            out = [x - f * y for x, y in zip(out, row)]
     return out
 
 
@@ -355,14 +300,9 @@ def degree2_kernel(q: FinitePmq) -> list[dict[tuple[int, int], int]]:
 
 
 def relator_span_dimension(vectors: list[dict[tuple[int, int], int]], ngens: int) -> int:
-    width = ngens * ngens
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * width
-        for (x, y), c in v.items():
-            row[x * ngens + y] += c
-        rows.append(row)
-    return _rank(rows, width)
+    return integer_rank(
+        {(r, x * ngens + y): c for r, v in enumerate(vectors) for (x, y), c in v.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from pmq.catalog import (
     transposition_quandle,
 )
 from pmq.completion import Completion
+from pmq.errors import PreconditionError
 
 
 def random_array(comp, rng, p, q, support=3, max_entry_norm=2):
@@ -209,6 +210,13 @@ def test_homology_mod_p_dimensions():
     cx = build_relative_complex(q, comp.of_labels(["c"]), mod=5)
     h = homology(cx)
     assert h[4]["rank"] == 2
+
+
+def test_relative_complex_refuses_composite_modulus(comp3):
+    b = comp3.of_labels(["213"] * 4)
+    with pytest.raises(PreconditionError) as err:
+        build_relative_complex(comp3.pmq, b, mod=4)
+    assert err.value.failed == "prime"
 
 
 def test_hurwitz_cover_ranks():

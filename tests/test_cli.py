@@ -104,6 +104,12 @@ def test_ring_hilbert(files, capsys):
     assert doc["match"] is True
 
 
+def test_ring_hilbert_negative_degree_exit_3(files, capsys):
+    code, out = run(capsys, "ring", files["s3geo"], "--hilbert", "-1")
+    assert code == 3
+    assert json.loads(out)["failed"] == "degree"
+
+
 def test_symgeo_census(files, capsys):
     code, out = run(capsys, "symgeo", "--d", "3", "--triples", "4")
     assert code == 0

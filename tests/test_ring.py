@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +132,70 @@ def test_quadratic_dimensions_sdgeo():
     dims4 = quadratic_quotient_dimensions(sym_geodesic_pmq(4), 4)
     assert all(a == c for _, a, c in dims4)
     assert [a for _, a, _ in dims4] == [1, 6, 11, 6, 0]
+
+
+def dense_rank(rows: list[list[Fraction]]) -> int:
+    mat = [row[:] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        nonzero = [(j, v / mat[rank][col]) for j, v in enumerate(mat[rank]) if v]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            if f:
+                for j, v in nonzero:
+                    mat[r][j] -= f * v
+        rank += 1
+    return rank
+
+
+def tensor_quotient_dims_oracle(q, max_degree: int) -> list[int]:
+    """dim A_n = k^n - rank_Q(sum_i V^i (x) R (x) V^(n-2-i)), by dense
+    elimination on the whole tensor space: no normal forms of lower degrees."""
+    pres = quadratic_presentation(q, require_tame=False)
+    k = len(pres.generators)
+    relators = pres.relator_vectors()
+    dims = []
+    for n in range(max_degree + 1):
+        words = {w: i for i, w in enumerate(itertools.product(range(k), repeat=n))}
+        rows = []
+        for i in range(n - 1):
+            for pre in itertools.product(range(k), repeat=i):
+                for post in itertools.product(range(k), repeat=n - 2 - i):
+                    for rel in relators:
+                        row = [Fraction(0)] * len(words)
+                        for pair, c in rel.items():
+                            row[words[pre + pair + post]] += c
+                        rows.append(row)
+        dims.append(len(words) - dense_rank(rows))
+    return dims
+
+
+@pytest.mark.parametrize(
+    "q,max_degree",
+    [
+        (sym_geodesic_pmq(3), 4),
+        (sym_geodesic_pmq(4), 3),
+        (natural_truncation(1), 4),
+        (natural_truncation(2), 4),
+        (natural_truncation(3), 4),
+        (segre_pmq(), 3),
+    ],
+    ids=["S3", "S4", "trunc1", "trunc2", "trunc3", "segre"],
+)
+def test_quadratic_dimensions_match_tensor_space_oracle(q, max_degree):
+    dims = quadratic_quotient_dimensions(q, max_degree)
+    assert [d for d, _, _ in dims] == list(range(max_degree + 1))
+    assert [a for _, a, _ in dims] == tensor_quotient_dims_oracle(q, max_degree)
+
+
+def test_quadratic_dimensions_s5_to_degree_5():
+    dims = quadratic_quotient_dimensions(sym_geodesic_pmq(5), 5)
+    assert [a for _, a, _ in dims] == [1, 10, 35, 50, 24, 0]
+    assert all(a == c for _, a, c in dims)
 
 
 def test_quadratic_dimensions_x_squared():
