@@ -8,8 +8,9 @@ Usage: python scripts/braid_normalisation_demo.py [r] [moves] [trials]
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pmq.free import braid_act_word, fq_decompose, fq_element, normalize_decomposition
 

@@ -9,8 +9,9 @@ Usage: python scripts/homology_tables.py [budget]
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pmq.barhur import build_relative_complex, homology
 from pmq.catalog import (

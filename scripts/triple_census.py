@@ -10,8 +10,9 @@ Usage: python scripts/triple_census.py [d] [max_norm]
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pmq.catalog import sym_geodesic_pmq
 from pmq.completion import Completion

@@ -91,13 +91,31 @@ class FiniteGroup:
                     break
             if inv[a] is None:
                 raise AxiomError(f"element {labels[a]!r} has no inverse")
+        # Light's test: the g with (x g) y = x (g y) for all x, y are closed
+        # under the product, so checking a generating set suffices.  The
+        # greedy set below generates every element as a left-nested product.
+        gens: list[int] = []
+        seen = {unit}
         for a in range(n):
-            for b in range(n):
-                ab = rows[a][b]
-                for c in range(n):
-                    if rows[ab][c] != rows[a][rows[b][c]]:
+            if a in seen:
+                continue
+            gens.append(a)
+            todo = list(seen)
+            while todo:
+                x = todo.pop()
+                for g in gens:
+                    y = rows[x][g]
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+        for g in gens:
+            row_g = rows[g]
+            for x in range(n):
+                row_x, row_xg = rows[x], rows[rows[x][g]]
+                for y in range(n):
+                    if row_xg[y] != row_x[row_g[y]]:
                         raise AxiomError(
-                            f"associativity fails at ({labels[a]}, {labels[b]}, {labels[c]})"
+                            f"associativity fails at ({labels[x]}, {labels[g]}, {labels[y]})"
                         )
         return FiniteGroup(tuple(labels), rows, unit, tuple(inv))
 

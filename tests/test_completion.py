@@ -8,6 +8,7 @@ from pmq.catalog import (
     natural_truncation,
     natural_with_double_one,
     norm_one_truncation,
+    pointed_set_pmq,
     sym_geodesic_pmq,
     transposition_quandle,
     unit_pmq,
@@ -122,6 +123,78 @@ def test_non_coconnected_comparison_fails():
 def test_classes_counts_sdgeo3():
     c = Completion(sym_geodesic_pmq(3))
     assert [len(c.classes_of_norm(n)) for n in range(5)] == [1, 3, 5, 6, 6]
+
+
+def _length_lex(words):
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+@pytest.mark.parametrize(
+    "q, top",
+    [
+        (sym_geodesic_pmq(3), 4),
+        (sym_geodesic_pmq(4), 4),
+        (natural_truncation(3), 5),
+        (transposition_quandle(3), 4),   # trivial product: braid moves only
+        (natural_with_double_one(3), 5),
+        (pointed_set_pmq({"a": 1, "b": 2}), 5),   # b is no product of letters
+    ],
+)
+def test_classes_of_norm_match_generate_and_filter(q, top):
+    built = Completion(q)
+    oracle = Completion(q)
+    for n in range(top + 1):
+        expected = _length_lex({oracle.canonical(s) for s in oracle.sequences_of_norm(n)})
+        level = built.classes_of_norm(n)
+        assert [h.word for h in level] == expected
+        assert all(h.norm == n for h in level)
+
+
+def _reference_canonical(q, seqs):
+    """Length-lex minimum of each sequence's class, by breadth-first search
+    over int tuples with all three moves, contractions and expansions."""
+    splits = {}
+    for (a, b), c in q.prod.items():
+        if a != q.unit and b != q.unit:
+            splits.setdefault(c, []).append((a, b))
+
+    def moves(seq):
+        for j in range(len(seq) - 1):
+            a, b = seq[j], seq[j + 1]
+            head, tail = seq[:j], seq[j + 2 :]
+            if (a, b) in q.prod:
+                yield head + (q.prod[(a, b)],) + tail
+            yield head + (b, q.conj[a][b]) + tail
+            yield head + (q.conjugate_inv(b, a), a) + tail
+        for j, x in enumerate(seq):
+            for pair in splits.get(x, ()):
+                yield seq[:j] + pair + seq[j + 1 :]
+
+    canon = {}
+    for seq in seqs:
+        if seq in canon:
+            continue
+        seen, frontier = {seq}, [seq]
+        while frontier:
+            frontier = [t for s in frontier for t in moves(s) if t not in seen and not seen.add(t)]
+        best = min(seen, key=lambda s: (len(s), s))
+        canon.update(dict.fromkeys(seen, best))
+    return canon
+
+
+@pytest.mark.parametrize(
+    "q, top",
+    [(sym_geodesic_pmq(3), 4), (sym_geodesic_pmq(4), 3), (transposition_quandle(3), 3)],
+)
+def test_canonical_matches_bfs_with_inverse_moves(q, top):
+    c = Completion(q)
+    seqs = [s for n in range(top + 1) for s in c.sequences_of_norm(n)]
+    reference = _reference_canonical(q, seqs)
+    for s in seqs:
+        assert c.canonical(s) == reference[s]
+    # units are stripped before the search
+    with_units = (q.unit,) + seqs[-1] + (q.unit,)
+    assert c.canonical(with_units) == reference[seqs[-1]]
 
 
 _Q3 = sym_geodesic_pmq(3)

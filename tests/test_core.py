@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from pmq.core import (
     semidirect_pmq,
     validate,
 )
-from pmq.errors import PreconditionError, StructureError
+from pmq.errors import AxiomError, PreconditionError, StructureError
 from pmq.symgeo import sym_geodesic_pair, symmetric_group
 
 from helpers import axiom_holds_at, mutate_once
@@ -74,6 +75,32 @@ def test_semidirect_transitive_action_one_class():
     # report exactly that and nothing else
     report = validate(q)
     assert set(report.axioms()) == {"associativity"}
+
+
+def test_from_table_rejects_nonassociative_loop():
+    # a Latin square with unit 0 and self-inverse elements, not associative
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    labels = ["e", "a", "b", "c", "d"]
+    bad = [
+        (x, y, z)
+        for x in range(5)
+        for y in range(5)
+        for z in range(5)
+        if table[table[x][y]][z] != table[x][table[y][z]]
+    ]
+    assert len(bad) == 36
+    with pytest.raises(AxiomError) as info:
+        FiniteGroup.from_table(labels, table)
+    found = re.fullmatch(r"associativity fails at \((\w), (\w), (\w)\)", str(info.value))
+    assert found is not None
+    x, y, z = (labels.index(l) for l in found.groups())
+    assert table[table[x][y]][z] != table[x][table[y][z]]
+
+
+def test_from_table_accepts_groups():
+    for g in (cyclic_group(1), cyclic_group(6), symmetric_group(3), symmetric_group(4)):
+        again = FiniteGroup.from_table(g.labels, g.mult)
+        assert again == g
 
 
 def test_semidirect_validates_when_group_is_trivial():
