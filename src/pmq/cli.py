@@ -158,17 +158,25 @@ def cmd_ring(args) -> int:
     return 0
 
 
+def _pairs(text: str) -> list:
+    """A ``--connect`` argument: a JSON list of integer pairs [i, j]."""
+    try:
+        pairs = json.loads(text)
+    except json.JSONDecodeError:
+        pairs = None
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in pairs
+    ):
+        raise StructureError(f"--connect argument {text!r} is not a JSON list of pairs [i, j]")
+    return pairs
+
+
 def cmd_symgeo(args) -> int:
     from .completion import Completion as _C
-    from .symgeo import clebsch_connect, sym_geodesic_pmq, triples_of_weight
+    from .symgeo import clebsch_connect, sym_geodesic_pmq, transposition, triples_of_weight
 
     if args.connect:
-        s1 = [tuple(t) for t in json.loads(args.connect[0])]
-        s2 = [tuple(t) for t in json.loads(args.connect[1])]
-        from .symgeo import transposition
-
-        t1 = [transposition(args.d, i, j) for i, j in s1]
-        t2 = [transposition(args.d, i, j) for i, j in s2]
+        t1, t2 = ([transposition(args.d, i, j) for i, j in _pairs(text)] for text in args.connect)
         kind, payload = clebsch_connect(t1, t2, args.d)
         if kind == "log":
             _emit({"connected": True, "moves": payload})

@@ -30,11 +30,13 @@ concurrently on shared values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import AxiomError, NormRequiredError, PreconditionError, StructureError
 
 __all__ = [
+    "braid_act",
+    "apply_moves",
     "FiniteGroup",
     "FinitePmq",
     "ValidationReport",
@@ -48,6 +50,34 @@ __all__ = [
     "geodesic_pmq",
     "group_norm_report",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the standard move
+
+def braid_act(
+    seq: Sequence, i: int, sign: int, conj: Callable, conj_inv: Callable
+) -> tuple:
+    """Standard move at 1-based position i over any quandle-bearing carrier:
+    positive (.., a, b, ..) -> (.., b, a^b, ..), negative its inverse
+    (.., a, b, ..) -> (.., b^(a^-1), a, ..).  ``conj(a, b)`` is a^b and
+    ``conj_inv(a, b)`` is a^(b^-1)."""
+    if not (1 <= i <= len(seq) - 1):
+        raise IndexError(f"move position {i} out of range")
+    a, b = seq[i - 1], seq[i]
+    pair = (b, conj(a, b)) if sign > 0 else (conj_inv(b, a), a)
+    return tuple(seq[: i - 1]) + pair + tuple(seq[i + 1 :])
+
+
+def apply_moves(
+    seq: Sequence, moves: Iterable[int], conj: Callable, conj_inv: Callable
+) -> tuple:
+    """Apply a signed move log: +i is the positive move at position i, -i
+    the negative one."""
+    cur = tuple(seq)
+    for m in moves:
+        cur = braid_act(cur, abs(m), m, conj, conj_inv)
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +277,8 @@ class FinitePmq:
         return [a for a in range(len(self.labels)) if norm[a] == r]
 
     def braid_act(self, seq: Sequence[int], i: int, sign: int) -> tuple[int, ...]:
-        """Standard move at 1-based position i on a tuple of elements.
-
-        Positive: (.., a, b, ..) -> (.., b, a^b, ..); negative is its inverse
-        (.., a, b, ..) -> (.., b^(a^-1), a, ..).
-        """
-        if not (1 <= i <= len(seq) - 1):
-            raise IndexError(f"move position {i} out of range")
-        a, b = seq[i - 1], seq[i]
-        if sign > 0:
-            pair = (b, self.conj[a][b])
-        else:
-            pair = (self.conjugate_inv(b, a), a)
-        return tuple(seq[: i - 1]) + pair + tuple(seq[i + 1 :])
+        """``braid_act`` on a tuple of elements, through this PMQ's tables."""
+        return braid_act(seq, i, sign, self.conjugate, self.conjugate_inv)
 
     def to_labels(self, seq: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in seq)

@@ -16,14 +16,17 @@ across a neighbouring one and emit the corresponding standard moves, all
 other shapes leave the factor sequence unchanged.  Iterating until no shape
 matches terminates (the weight strictly drops) on the tree
 x_1 . x_2 . ... . x_r.
+
+The standard move itself is ``pmq.core.braid_act``, re-exported here;
+``braid_act_word`` is ``pmq.core.apply_moves`` with free-group conjugation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .core import PmqGroupPair
+from .core import PmqGroupPair, apply_moves, braid_act
 from .errors import PreconditionError, StructureError
 
 Word = tuple[int, ...]
@@ -527,21 +530,6 @@ def normalize_decomposition(
 # ---------------------------------------------------------------------------
 # braid moves
 
-def braid_act(
-    seq: Sequence, i: int, sign: int, conj: Callable, conj_inv: Callable
-) -> tuple:
-    """Standard move at 1-based position i over any quandle-bearing carrier:
-    positive (.., a, b, ..) -> (.., b, a^b, ..), negative its inverse."""
-    if not (1 <= i <= len(seq) - 1):
-        raise IndexError(f"move position {i} out of range")
-    a, b = seq[i - 1], seq[i]
-    pair = (b, conj(a, b)) if sign > 0 else (conj_inv(b, a), a)
-    return tuple(seq[: i - 1]) + pair + tuple(seq[i + 1 :])
-
-
 def braid_act_word(seq: Sequence[Word], moves: Iterable[int]) -> tuple[Word, ...]:
     """Apply a signed move log to a tuple of free-group elements."""
-    cur = tuple(seq)
-    for m in moves:
-        cur = braid_act(cur, abs(m), 1 if m > 0 else -1, word_conj, word_conj_inv)
-    return cur
+    return apply_moves(seq, moves, word_conj, word_conj_inv)

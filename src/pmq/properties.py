@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -114,34 +114,33 @@ def decompositions(q: FinitePmq, a: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _move_neighbours(q: FinitePmq, seq: tuple[int, ...]):
-    conj = q.conj
-    for j in range(len(seq) - 1):
-        a, b = seq[j], seq[j + 1]
-        yield seq[:j] + (b, conj[a][b]) + seq[j + 2 :]
-        yield seq[:j] + (q.conjugate_inv(b, a), a) + seq[j + 2 :]
+def _orbit(q: FinitePmq, start: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Standard-move orbit of a sequence.  Only positive moves are generated:
+    each permutes the finite set of sequences of a length, so its inverse is
+    one of its powers."""
+    orbit, frontier = {start}, [start]
+    while frontier:
+        cur = frontier.pop()
+        for i in range(1, len(cur)):
+            nxt = q.braid_act(cur, i, 1)
+            if nxt not in orbit:
+                orbit.add(nxt)
+                frontier.append(nxt)
+    return orbit
 
 
 def decomposition_classes(q: FinitePmq, a: int) -> list[list[tuple[int, ...]]]:
-    """Standard-move components of the norm-one decompositions of a,
-    explored breadth-first from the lexicographically least member."""
+    """Standard-move components of the norm-one decompositions of a, in the
+    order of their lexicographically least members."""
     todo = sorted(decompositions(q, a))
     all_set = set(todo)
-    target = q.product_word  # moves must preserve the ordered product
     classes: list[list[tuple[int, ...]]] = []
     seen: set[tuple[int, ...]] = set()
     for start in todo:
         if start in seen:
             continue
-        comp = {start}
-        frontier = deque([start])
-        while frontier:
-            cur = frontier.popleft()
-            for nxt in _move_neighbours(q, cur):
-                assert nxt in all_set and target(nxt) == a, "move broke the product"
-                if nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
+        comp = _orbit(q, start)
+        assert comp <= all_set, "move broke the product"
         seen |= comp
         classes.append(sorted(comp))
     return classes
@@ -202,24 +201,13 @@ def is_pairwise_determined(q: FinitePmq, r_max: Optional[int] = None):
     if r_max is None:
         r_max = max(norm) + 1
     ones = [x for x in range(len(q)) if norm[x] == 1]
-    import itertools
-
     for r in range(3, r_max + 1):
         seen: set[tuple[int, ...]] = set()
         for seq in itertools.product(ones, repeat=r):
             if seq in seen or q.product_word(seq) is not None:
                 continue
-            orbit = {seq}
-            frontier = deque([seq])
-            good = q.prod.get((seq[0], seq[1])) is None
-            while frontier:
-                cur = frontier.popleft()
-                for nxt in _move_neighbours(q, cur):
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-                        if q.prod.get((nxt[0], nxt[1])) is None:
-                            good = True
+            orbit = _orbit(q, seq)
+            good = any(q.prod.get((s[0], s[1])) is None for s in orbit)
             seen |= orbit
             if not good:
                 return False, r_max, q.to_labels(min(orbit))

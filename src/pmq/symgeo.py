@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import FiniteGroup, FinitePmq, PmqGroupPair, geodesic_pmq
+from .core import apply_moves as _apply_moves
 from .errors import StructureError
 
 Perm = tuple[int, ...]
@@ -401,22 +402,15 @@ def _perms_of(piece: list[int]):
 # ---------------------------------------------------------------------------
 # standard moves on transposition sequences
 
+def _perm_conj_inv(a: Perm, b: Perm) -> Perm:
+    """a^(b^-1) = b a b^-1."""
+    return perm_mul(perm_mul(b, a), perm_inv(b))
+
+
 def apply_moves(seq: Sequence[Perm], moves: Iterable[int]) -> tuple[Perm, ...]:
     """Apply a signed move log: +i swaps (a_i, a_{i+1}) -> (a_{i+1}, a_i^a_{i+1}),
     -i is the inverse move."""
-    cur = tuple(seq)
-    for m in moves:
-        i = abs(m)
-        if not 1 <= i <= len(cur) - 1:
-            raise IndexError(f"move position {i} out of range")
-        a, b = cur[i - 1], cur[i]
-        if m > 0:
-            pair = (b, perm_conj(a, b))
-        else:
-            # inverse: (a, b) -> (b^(a^-1), a); for permutations a^-1 acts as a
-            pair = (perm_mul(perm_mul(a, b), perm_inv(a)), a)
-        cur = cur[: i - 1] + pair + cur[i:][1:]
-    return cur
+    return _apply_moves(seq, moves, perm_conj, _perm_conj_inv)
 
 
 def _invert_moves(moves: Sequence[int]) -> list[int]:
@@ -436,7 +430,7 @@ def _monotone_normalise(seq: Sequence[Perm]) -> tuple[list[int], tuple[Perm, ...
     peeled off; heights of peeled factors strictly decrease leftwards, so the
     result is the monotone factorisation.
     """
-    cur = list(seq)
+    cur = tuple(seq)
     log: list[int] = []
     end = len(cur)
     while end > 0:
@@ -451,8 +445,7 @@ def _monotone_normalise(seq: Sequence[Perm]) -> tuple[list[int], tuple[Perm, ...
             for i in reversed(idx):
                 j = i
                 while j + 1 < end and height(cur[j + 1]) < h:
-                    a, b = cur[j], cur[j + 1]
-                    cur[j], cur[j + 1] = b, perm_conj(a, b)
+                    cur = apply_moves(cur, [j + 1])
                     log.append(j + 1)
                     j += 1
                     pushed = True
@@ -463,12 +456,11 @@ def _monotone_normalise(seq: Sequence[Perm]) -> tuple[list[int], tuple[Perm, ...
                 continue
             # maximal-height factors form a suffix block of size >= 2
             i = idx[0]
-            a, b = cur[i], cur[i + 1]
-            assert a != b, "equal adjacent factors in a minimal factorisation"
-            cur[i], cur[i + 1] = perm_mul(perm_mul(a, b), perm_inv(a)), a
+            assert cur[i] != cur[i + 1], "equal adjacent factors in a minimal factorisation"
+            cur = apply_moves(cur, [-(i + 1)])
             log.append(-(i + 1))
         end -= 1
-    return log, tuple(cur)
+    return log, cur
 
 
 def clebsch_connect(s1: Sequence[Perm], s2: Sequence[Perm], d: Optional[int] = None):
@@ -514,9 +506,8 @@ def clebsch_connect(s1: Sequence[Perm], s2: Sequence[Perm], d: Optional[int] = N
 
 def _neighbours(seq: tuple[Perm, ...]):
     for i in range(1, len(seq)):
-        a, b = seq[i - 1], seq[i]
-        yield i, seq[: i - 1] + (b, perm_conj(a, b)) + seq[i + 1 :]
-        yield -i, seq[: i - 1] + (perm_mul(perm_mul(a, b), perm_inv(a)), a) + seq[i + 1 :]
+        yield i, apply_moves(seq, [i])
+        yield -i, apply_moves(seq, [-i])
 
 
 def _bidirectional_bfs(s1: tuple[Perm, ...], s2: tuple[Perm, ...]) -> Optional[list[int]]:

@@ -127,6 +127,14 @@ def test_symgeo_connect(files, capsys):
     assert doc["connected"] is True
 
 
+@pytest.mark.parametrize("bad", ["notjson", "[[1,2,3]]", "[1]"])
+def test_symgeo_connect_malformed_sequence_exit_1(capsys, bad):
+    for argv in ([bad, "[[1,2]]"], ["[[1,2]]", bad]):
+        code, out = run(capsys, "symgeo", "--d", "3", "--connect", *argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "structural"
+
+
 def test_homology_document(files, capsys):
     code, out = run(capsys, "homology", files["sp2"], "--grading", "2")
     assert code == 0

@@ -25,6 +25,7 @@ from pmq.core import (
     validate,
 )
 from pmq.errors import AxiomError, PreconditionError, StructureError
+from pmq.serialize import pmq_from_json
 from pmq.symgeo import sym_geodesic_pair, symmetric_group
 
 from helpers import axiom_holds_at, mutate_once
@@ -185,6 +186,15 @@ def test_braid_act_examples():
     # unit neighbour: swap only
     u = q.unit
     assert q.braid_act((t12, u), 1, +1) == (u, t12)
+    for i in (0, 2):
+        with pytest.raises(IndexError):
+            q.braid_act((t12, t23), i, +1)
+    # b^a = a makes conjugation by a non-bijective: only the inverse move fails
+    bad, _ = pmq_from_json({"elements": ["1", "a", "b"], "unit": "1", "conj": {"b": {"a": "a"}}})
+    a, b = bad.index("a"), bad.index("b")
+    assert bad.braid_act((a, b), 1, +1) == (b, a)
+    with pytest.raises(AxiomError):
+        bad.braid_act((a, b), 1, -1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from pmq.catalog import (
@@ -6,6 +9,7 @@ from pmq.catalog import (
     natural_truncation,
     natural_with_double_one,
     pointed_set_pmq,
+    segre_pmq,
     sym_geodesic_pmq,
     transposition_quandle,
     unit_pmq,
@@ -22,6 +26,7 @@ from pmq.properties import (
     property_report,
     validate_norm,
 )
+from pmq.serialize import pmq_from_json, pmq_to_json
 
 
 def test_group_is_not_augmented():
@@ -114,3 +119,109 @@ def test_moves_preserve_products_inside_orbit_builder():
     for q in (sym_geodesic_pmq(4), natural_truncation(3)):
         for a in range(len(q)):
             decomposition_classes(q, a)
+
+
+def _reference_orbit(q, start):
+    """Move orbit by breadth-first search with both move signs, written
+    straight from the conjugation tables."""
+    orbit, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for seq in frontier:
+            for j in range(len(seq) - 1):
+                a, b = seq[j], seq[j + 1]
+                head, tail = seq[:j], seq[j + 2 :]
+                for t in (head + (b, q.conj[a][b]) + tail, head + (q.conjugate_inv(b, a), a) + tail):
+                    if t not in orbit:
+                        orbit.add(t)
+                        nxt.append(t)
+        frontier = nxt
+    return orbit
+
+
+def _reference_classes(q, a):
+    classes, seen = [], set()
+    for start in sorted(decompositions(q, a)):
+        if start not in seen:
+            orbit = _reference_orbit(q, start)
+            seen |= orbit
+            classes.append(sorted(orbit))
+    return classes
+
+
+def _reference_pairwise(q, r_max):
+    ones = q.elements_of_norm(1)
+    for r in range(3, r_max + 1):
+        seen = set()
+        for seq in itertools.product(ones, repeat=r):
+            if seq in seen or q.product_word(seq) is not None:
+                continue
+            orbit = _reference_orbit(q, seq)
+            seen |= orbit
+            if all((s[0], s[1]) in q.prod for s in orbit):
+                return False, r_max, q.to_labels(min(orbit))
+    return True, r_max, None
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        sym_geodesic_pmq(3),
+        sym_geodesic_pmq(4),
+        natural_truncation(3),
+        natural_with_double_one(3),
+        transposition_quandle(3),
+    ],
+    ids=["S3", "S4", "nat3", "double_one3", "tq3"],
+)
+def test_orbits_match_two_sided_reference_bfs(q):
+    for a in range(len(q)):
+        assert decomposition_classes(q, a) == _reference_classes(q, a)
+    assert is_pairwise_determined(q, r_max=4) == _reference_pairwise(q, 4)
+
+
+def _shuffled(q, rng):
+    doc = pmq_to_json(q)
+    rng.shuffle(doc["elements"])
+    shuffled, _ = pmq_from_json(doc)
+    return shuffled
+
+
+def _is_witness(q, prop, witness):
+    ix = tuple(q.index(lbl) for lbl in witness)
+    if prop == "augmented":
+        a, b = ix
+        conj_hit = a != q.unit and q.unit in (q.conj[a][b], q.conjugate_inv(a, b))
+        prod_hit = q.unit not in (a, b) and q.product(a, b) == q.unit
+        return conj_hit or prod_hit
+    if prop == "maximally_decomposable":
+        return not decompositions(q, ix[0])
+    assert prop == "pairwise_determined"
+    orbit = _reference_orbit(q, ix)
+    return q.product_word(ix) is None and all((s[0], s[1]) in q.prod for s in orbit)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        sym_geodesic_pmq(3),
+        sym_geodesic_pmq(4),
+        natural_truncation(3),
+        natural_with_double_one(3),
+        transposition_quandle(3),
+        segre_pmq(),
+        group_pmq(cyclic_group(3)),
+        pointed_set_pmq({"x": 2}),
+    ],
+    ids=["S3", "S4", "nat3", "double_one3", "tq3", "segre", "C3", "pointed"],
+)
+def test_property_report_invariant_under_declaration_order(q):
+    base = property_report(q, r_max=4)
+    rng = random.Random(len(q))
+    for _ in range(4):
+        p = _shuffled(q, rng)
+        rep = property_report(p, r_max=4)
+        assert rep.to_json() | {"witnesses": None} == base.to_json() | {"witnesses": None}
+        assert rep.witnesses.keys() == base.witnesses.keys()
+        for prop, witness in rep.witnesses.items():
+            assert _is_witness(p, prop, witness), (prop, witness)

@@ -4,6 +4,8 @@ from collections import deque
 
 import pytest
 
+from pmq import core
+from pmq.free import braid_act_word, word_mul
 from pmq.symgeo import (
     all_transpositions,
     apply_moves,
@@ -183,6 +185,42 @@ def test_unit_triple_is_identity_for_mul():
     u = unit_triple(d)
     t = seq_to_triple((transposition(4, 1, 3), transposition(4, 2, 4)), d)
     assert geo_hat_mul(u, t) == t == geo_hat_mul(t, u)
+
+
+def _random_log(rng, k, steps=8):
+    return [rng.choice([1, -1]) * rng.randint(1, k - 1) for _ in range(steps)]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_table_and_permutation_moves_agree(d):
+    q = sym_geodesic_pmq(d)
+    perms = [tuple(int(ch) for ch in lbl) for lbl in q.labels]
+    rng = random.Random(d)
+    for _ in range(200):
+        seq = tuple(rng.randrange(len(q)) for _ in range(rng.randint(2, 5)))
+        log = _random_log(rng, len(seq))
+        moved = seq
+        for m in log:
+            moved = q.braid_act(moved, abs(m), 1 if m > 0 else -1)
+        assert apply_moves([perms[a] for a in seq], log) == tuple(perms[a] for a in moved)
+
+
+def test_move_logs_invert_on_every_carrier():
+    rng = random.Random(5)
+    q = sym_geodesic_pmq(4)
+    carriers = [
+        (lambda: rng.randrange(len(q)),
+         lambda s, log: core.apply_moves(s, log, q.conjugate, q.conjugate_inv)),
+        (lambda: word_mul(*(rng.choice([(1,), (-1,), (2,), (-2,), (3,)]) for _ in range(3))),
+         braid_act_word),
+        (lambda: tuple(rng.sample(range(1, 5), 4)), apply_moves),
+    ]
+    for element, act in carriers:
+        for _ in range(100):
+            seq = tuple(element() for _ in range(rng.randint(2, 5)))
+            log = _random_log(rng, len(seq))
+            inverted = [-m for m in reversed(log)]
+            assert act(act(seq, log), inverted) == seq
 
 
 def test_clebsch_geodesic_case():
