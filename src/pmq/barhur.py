@@ -22,11 +22,19 @@ differential on bidegree (p, q) is the alternating sum of the horizontal
 faces plus (-1)^p times the alternating sum of the vertical ones.  Its
 homology is computed exactly over the integers (or dimension-wise over a
 prime field).
+
+The basis is built, not filtered.  Read column-major with units dropped,
+an admissible non-degenerate inner grid of grading b is a state of b's move
+component (``Completion.class_states``); conversely a state of length L
+written in that order into L cells of a w x h grid meeting every row and
+column, units elsewhere, is such a grid.  So the grids are the states of
+b's class times the placements of their length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .completion import Completion, HatElem
@@ -179,66 +187,43 @@ class BisimplexArray:
 # ---------------------------------------------------------------------------
 # enumerating the basis
 
-def _columns_by_norm(q: FinitePmq, height: int, max_norm: int) -> dict[int, list[tuple[int, ...]]]:
-    """All columns of the given height over the PMQ with total norm 1..max_norm."""
-    norm = q.require_norm()
-    pools: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(1, max_norm + 1)}
-
-    def extend(prefix: tuple[int, ...], used: int) -> None:
-        if len(prefix) == height:
-            if used:
-                pools[used].append(prefix)
-            return
-        for a in range(len(q)):
-            v = norm[a]
-            if used + v <= max_norm:
-                extend(prefix + (a,), used + v)
-
-    extend((), 0)
-    return pools
+def _placements(width: int, height: int, length: int) -> list[tuple[int, ...]]:
+    """The sets of ``length`` cells of a width x height grid, as increasing
+    column-major positions i*height + j, that meet every row and column."""
+    return [
+        cells for cells in combinations(range(width * height), length)
+        if len({c // height for c in cells}) == width
+        and len({c % height for c in cells}) == height
+    ]
 
 
 def _grids_of_grading(q: FinitePmq, comp: Completion, b: HatElem) -> dict[tuple[int, int], list[Grid]]:
-    """Admissible non-degenerate inner grids by bidegree, grading b."""
-    n = b.norm
-    unit = q.unit
-    out: dict[tuple[int, int], list[Grid]] = {}
+    """Admissible non-degenerate inner grids by bidegree, grading b: the
+    states of b's class times the placements of their length."""
     if b.is_unit:
-        out[(0, 0)] = [()]
-        return out
-    for height in range(1, n + 1):
-        pools = _columns_by_norm(q, height, n)
-        for width in range(1, n + 1):
-            grids: list[Grid] = []
-
-            def place(cols: tuple[tuple[int, ...], ...], left: int, rows_hit: int) -> None:
-                remaining = width - len(cols)
-                if remaining == 0:
-                    if rows_hit == (1 << height) - 1:
-                        grids.append(cols)
-                    return
-                # each later column needs norm >= 1; rows must be coverable
-                for v in range(1, left - (remaining - 1) + 1):
-                    for col in pools.get(v, ()):
-                        hit = rows_hit
-                        for j, x in enumerate(col):
-                            if x != unit:
-                                hit |= 1 << j
-                        place(cols + (col,), left - v, hit)
-
-            place((), n, 0)
-            good = [
-                g for g in grids
-                if comp.of_sequence([x for col in g for x in col]) == b
-            ]
-            if good:
-                out[(width, height)] = sorted(good)
+        return {(0, 0): [()]}
+    out: dict[tuple[int, int], list[Grid]] = {}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}   # grids share columns: memory
+    for length, states in comp.class_states(b).items():
+        for width in range(1, length + 1):
+            for height in range(-(-length // width), length + 1):
+                for cells in _placements(width, height, length):
+                    grids = out.setdefault((width, height), [])
+                    for state in states:
+                        flat = [q.unit] * (width * height)
+                        for c, x in zip(cells, state):
+                            flat[c] = x
+                        cols = (tuple(flat[i : i + height]) for i in range(0, len(flat), height))
+                        grids.append(tuple(shared.setdefault(col, col) for col in cols))
+    for grids in out.values():
+        grids.sort()
     return out
 
 
 def enumerate_arrays(q: FinitePmq, b: HatElem) -> list[BisimplexArray]:
-    """Every admissible non-degenerate array with total grading b; bidegrees
-    are bounded by the norm of b in each direction."""
+    """Every admissible non-degenerate array with total grading b, each a
+    state of b's class placed on cells meeting every inner row and column;
+    bidegrees are bounded by the norm of b in each direction."""
     comp = b.completion
     out = []
     for (p, qq), grids in sorted(_grids_of_grading(q, comp, b).items()):
@@ -534,16 +519,14 @@ def chain_map_commutes(
         cols_a: dict[int, dict[int, int]] = {}
         for (r, c), v in d_a.items():
             cols_a.setdefault(c, {})[r] = v
+        cols_b: dict[int, dict[int, int]] = {}
+        for (r, c), v in d_b.items():
+            cols_b.setdefault(c, {})[r] = v
         for pos, cell in enumerate(cells):
             img = image_cell(cell)
             if img not in index_b:
                 return False
-            img_pos = index_b[img]
-            # d_b(image) as a vector
-            lhs: dict[int, int] = {}
-            for (r, c), v in d_b.items():
-                if c == img_pos:
-                    lhs[r] = v
+            lhs = cols_b.get(index_b[img], {})
             # image of d_a(cell)
             rhs: dict[int, int] = {}
             prev_a = ca.basis.get(n - 1, [])

@@ -35,7 +35,8 @@ to (a,) + canonical(r), and the class words of norm n are the canonical
 forms of (a,) + w over non-unit letters a and class words w of norm
 n - N(a).  At norm 7 on the geodesic PMQ of S_4 that is ~960 canonical
 forms instead of 1.16 million.  ``sequences_of_norm`` still lists every
-sequence, for ``verify_embedding``.
+sequence, for ``verify_embedding``; ``class_states`` lists those of one
+class, which are the arrays of that grading read column-major (``barhur``).
 
 A ``Completion`` object caches explored classes; the cache is an internal
 memo only (results are independent of call order) and writes are appends,
@@ -171,6 +172,15 @@ class Completion:
             cached = tuple(map(ord, min(s for s in component if len(s) == shortest)))
             self._canon.update(zip(component, repeat(cached)))
         return cached
+
+    def class_states(self, h: HatElem) -> dict[int, list[Seq]]:
+        """Every sequence of non-unit elements in the class of ``h`` (the
+        states of its move component), grouped by length, each group
+        sorted."""
+        out: dict[int, list[Seq]] = {}
+        for s in sorted(self._explore("".join(map(chr, h.word)))):
+            out.setdefault(len(s), []).append(tuple(map(ord, s)))
+        return out
 
     def _explore(self, start: str) -> set[str]:
         """The states reachable from ``start`` by contractions, expansions

@@ -150,7 +150,6 @@ def is_maximally_decomposable(q: FinitePmq) -> tuple[bool, Optional[str]]:
     """Every element must be a product of norm(a) norm-one elements."""
     norm = q.require_norm()
     ones = [x for x in range(len(q)) if norm[x] == 1]
-    reachable = {q.unit}
     level = {q.unit}
     found = {q.unit}
     for _ in range(max(norm, default=0)):

@@ -3,6 +3,9 @@
 Used by the mutation tests: when the validator rejects a structure naming
 an axiom and a witness, the named axiom is re-evaluated here directly from
 the tables, so a wrong axiom name cannot slip through.
+
+Also the generate-and-filter enumeration of array grids, the reference the
+constructed basis of ``pmq.barhur`` is compared with.
 """
 
 from __future__ import annotations
@@ -102,3 +105,63 @@ def mutate_once(q: FinitePmq, rng) -> FinitePmq:
             choices = [c for c in range(n) if c != conj[a][b]]
             conj[a][b] = rng.choice(choices)
     return FinitePmq.build(q.labels, q.unit, conj, prod, q.norm)
+
+
+def columns_by_norm(q: FinitePmq, height: int, max_norm: int) -> dict[int, list[tuple[int, ...]]]:
+    """All columns of the given height over the PMQ with total norm 1..max_norm."""
+    norm = q.require_norm()
+    pools: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(1, max_norm + 1)}
+
+    def extend(prefix: tuple[int, ...], used: int) -> None:
+        if len(prefix) == height:
+            if used:
+                pools[used].append(prefix)
+            return
+        for a in range(len(q)):
+            v = norm[a]
+            if used + v <= max_norm:
+                extend(prefix + (a,), used + v)
+
+    extend((), 0)
+    return pools
+
+
+def grids_by_filter(q: FinitePmq, comp, b) -> dict:
+    """Reference for ``pmq.barhur._grids_of_grading`` by generate and filter:
+    place columns of norm >= 1 side by side until the norm of b is used,
+    keep the grids that hit every row, and keep those whose column-major
+    reading has class b."""
+    n = b.norm
+    unit = q.unit
+    out: dict = {}
+    if b.is_unit:
+        out[(0, 0)] = [()]
+        return out
+    for height in range(1, n + 1):
+        pools = columns_by_norm(q, height, n)
+        for width in range(1, n + 1):
+            grids: list = []
+
+            def place(cols, left: int, rows_hit: int) -> None:
+                remaining = width - len(cols)
+                if remaining == 0:
+                    if rows_hit == (1 << height) - 1:
+                        grids.append(cols)
+                    return
+                # each later column needs norm >= 1; rows must be coverable
+                for v in range(1, left - (remaining - 1) + 1):
+                    for col in pools.get(v, ()):
+                        hit = rows_hit
+                        for j, x in enumerate(col):
+                            if x != unit:
+                                hit |= 1 << j
+                        place(cols + (col,), left - v, hit)
+
+            place((), n, 0)
+            good = [
+                g for g in grids
+                if comp.of_sequence([x for col in g for x in col]) == b
+            ]
+            if good:
+                out[(width, height)] = sorted(good)
+    return out

@@ -1,9 +1,12 @@
 import random
+from math import comb
 
 import pytest
 
+from helpers import grids_by_filter
 from pmq.barhur import (
     BisimplexArray,
+    _grids_of_grading,
     build_relative_complex,
     chain_map_commutes,
     enumerate_arrays,
@@ -162,6 +165,81 @@ def test_enumerate_single_transposition_class():
     comp = Completion(q)
     arrays = enumerate_arrays(q, comp.of_labels(["213"]))
     assert len(arrays) == 1 and (arrays[0].p, arrays[0].q) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "make,max_norm",
+    [
+        (lambda: sym_geodesic_pmq(3), 4),
+        (lambda: sym_geodesic_pmq(4), 3),
+        (lambda: natural_truncation(3), 3),
+        (lambda: transposition_quandle(3), 3),
+        (segre_pmq, 2),
+    ],
+    ids=["S3", "S4", "natural3", "transpositions3", "segre"],
+)
+def test_grids_by_construction_match_generate_and_filter(make, max_norm):
+    q = make()
+    comp = Completion(q)
+    for b in comp.classes_up_to(max_norm):
+        assert _grids_of_grading(q, comp, b) == grids_by_filter(q, comp, b), b.labels()
+
+
+def placement_count(w, h, length):
+    """Sets of ``length`` cells of a w x h grid meeting every row and column,
+    counted by inclusion-exclusion over the rows and columns missed."""
+    return sum(
+        (-1) ** (i + j) * comb(w, i) * comb(h, j) * comb((w - i) * (h - j), length)
+        for i in range(w + 1)
+        for j in range(h + 1)
+    )
+
+
+def predicted_cells(comp, b):
+    """Cells per bidegree (w, h): sum over lengths L of #states(L) P(w, h, L)."""
+    states = comp.class_states(b)
+    out = {}
+    for w in range(1, b.norm + 1):
+        for h in range(1, b.norm + 1):
+            count = sum(len(s) * placement_count(w, h, length) for length, s in states.items())
+            if count:
+                out[(w, h)] = count
+    return out
+
+
+@pytest.mark.parametrize("d,max_norm", [(3, 4), (4, 3)])
+def test_cell_counts_match_inclusion_exclusion(d, max_norm):
+    q = sym_geodesic_pmq(d)
+    comp = Completion(q)
+    for b in comp.classes_up_to(max_norm):
+        if b.is_unit:
+            continue
+        built = {k: len(g) for k, g in _grids_of_grading(q, comp, b).items()}
+        assert built == predicted_cells(comp, b), b.labels()
+
+
+@pytest.mark.parametrize("d,norm,cells", [(3, 5, 533_088), (4, 4, 283_300)])
+def test_norm_level_cell_totals_without_building(d, norm, cells):
+    comp = Completion(sym_geodesic_pmq(d))
+    total = sum(
+        sum(predicted_cells(comp, b).values()) for b in comp.classes_of_norm(norm)
+    )
+    assert total == cells
+
+
+def test_build_relative_complex_canonicalises_no_candidate(comp3, monkeypatch):
+    b = comp3.of_labels(["213"] * 4)
+    calls = []
+    of_sequence = Completion.of_sequence
+
+    def counting(self, seq):
+        calls.append(seq)
+        return of_sequence(self, seq)
+
+    monkeypatch.setattr(Completion, "of_sequence", counting)
+    cx = build_relative_complex(comp3.pmq, b)
+    assert sum(cx.dims().values()) == 196
+    assert calls == []
 
 
 def test_relative_complex_single_generator():
