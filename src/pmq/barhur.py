@@ -21,7 +21,10 @@ non-unit column or row into the border, or produce a degenerate array; the
 differential on bidegree (p, q) is the alternating sum of the horizontal
 faces plus (-1)^p times the alternating sum of the vertical ones.  Its
 homology is computed exactly over the integers (or dimension-wise over a
-prime field).
+prime field).  The last zero rule never applies to a basis array: each of
+its inner rows and columns holds a non-unit, and a merged entry with a
+non-unit factor has positive norm (the norm is additive and vanishes only
+on the unit), so every face that stays in the PMQ is non-degenerate.
 
 The basis is built, not filtered.  Read column-major with units dropped,
 an admissible non-degenerate inner grid of grading b is a state of b's move
@@ -253,9 +256,6 @@ class GradedComplex:
     def dims(self) -> dict[int, int]:
         return {n: len(cells) for n, cells in self.basis.items()}
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** n * len(cells) for n, cells in self.basis.items())
-
     def check_boundary_squared(self) -> bool:
         degrees = sorted(self.basis)
         for n in degrees:
@@ -278,106 +278,81 @@ class GradedComplex:
     def _reduce(self, v: int) -> int:
         return v % self.mod if self.mod else v
 
-    def to_json(self) -> dict:
-        return {
-            "grading": list(self.grading.labels()),
-            "mod": self.mod,
-            "dims": {str(n): len(cells) for n, cells in sorted(self.basis.items())},
-            "euler_characteristic": self.euler_characteristic(),
-        }
 
+def _face_targets(q: FinitePmq, grid: Grid):
+    """Signed faces of a basis grid: (sign, face grid).  A face that leaves
+    the PMQ is dropped (it is zero in the relative reduced complex).
 
-def _face_targets(q: FinitePmq, p: int, qq: int, grid: Grid):
-    """Signed faces of a basis grid: (sign, new_p, new_q, new_grid); faces
-    that leave the PMQ, hit the border with non-units, or degenerate are
-    dropped (they are zero in the relative reduced complex)."""
+    No face that stays in the PMQ is degenerate.  A basis grid has a
+    non-unit in every row and column, and a merged entry with a non-unit
+    factor has norm N(a) + N(b) > 0, so it is not the unit (conjugation
+    keeps non-units; ``Completion`` validates the norm-kernel and
+    norm-additive axioms).  The outer faces collapse a non-unit column or
+    row into the border and vanish.
+    """
     conj = q.conj
     prod = q.prod
+    p = len(grid)
+    qq = len(grid[0]) if grid else 0
     # horizontal: merge grid columns i-1, i  (full-array faces d_i, 1<=i<=p-1)
     for i in range(1, p):
         left, right = grid[i - 1], grid[i]
         merged = []
-        dead = False
-        above: list[int] = []
         for j in range(qq):
             a = left[j]
-            for c in above:
+            for c in right[:j]:
                 a = conj[a][c]
             val = prod.get((a, right[j]))
             if val is None:
-                dead = True
                 break
             merged.append(val)
-            above.append(right[j])
-        if dead:
-            continue
-        new_grid = grid[: i - 1] + (tuple(merged),) + grid[i + 1 :]
-        if _grid_degenerate(q, new_grid):
-            continue
-        yield ((-1) ** i, p - 1, qq, new_grid)
+        else:
+            yield (-1) ** i, grid[: i - 1] + (tuple(merged),) + grid[i + 1 :]
     # vertical: merge grid rows j-1, j  (full-array faces d_j, 1<=j<=q-1)
     for j in range(1, qq):
         cols = []
-        dead = False
         for col in grid:
             val = prod.get((col[j - 1], col[j]))
             if val is None:
-                dead = True
                 break
             cols.append(col[: j - 1] + (val,) + col[j + 1 :])
-        if dead:
-            continue
-        new_grid = tuple(cols)
-        if _grid_degenerate(q, new_grid):
-            continue
-        yield ((-1) ** p * (-1) ** j, p, qq - 1, new_grid)
-    # outer faces collapse a column or row into the border and vanish unless
-    # that column or row is all units, which non-degeneracy rules out
+        else:
+            yield (-1) ** (p + j), tuple(cols)
 
 
-def _grid_degenerate(q: FinitePmq, grid: Grid) -> bool:
-    unit = q.unit
-    if any(all(x == unit for x in col) for col in grid):
-        return True
-    if grid:
-        for j in range(len(grid[0])):
-            if all(col[j] == unit for col in grid):
-                return True
-    return False
+def _grid_index(basis: Mapping[int, list[tuple[int, int, Grid]]]) -> dict[Grid, int]:
+    """Each basis grid's position within its degree; a grid's shape fixes
+    its bidegree, so the grid alone is the key."""
+    return {grid: pos for cells in basis.values() for pos, (_, _, grid) in enumerate(cells)}
 
 
 def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComplex:
     """The chain complex of admissible non-degenerate arrays of grading b,
-    over Z for ``mod`` 0 and over F_p for a prime ``mod``."""
+    over Z for ``mod`` 0 and over F_p for a prime ``mod``.
+
+    On bidegree (p, q) the face merging array columns i, i+1 has sign
+    (-1)^i and the one merging rows j, j+1 has sign (-1)^(p+j); a face
+    that is not again an admissible non-degenerate array is zero.  Entries
+    are reduced mod ``mod`` and zeros dropped."""
     if mod and not is_prime(mod):
         raise PreconditionError(f"modulus {mod} is not a prime", failed="prime")
-    comp = b.completion
-    by_bidegree = _grids_of_grading(q, comp, b)
     basis: dict[int, list[tuple[int, int, Grid]]] = {}
-    index: dict[tuple[int, int, Grid], int] = {}
-    for (p, qq), grids in sorted(by_bidegree.items()):
-        for g in grids:
-            cell = (p, qq, g)
-            basis.setdefault(p + qq, []).append(cell)
-    for n, cells in basis.items():
-        for pos, cell in enumerate(cells):
-            index[cell] = pos
-    differentials: dict[int, dict[tuple[int, int], int]] = {}
+    for (p, qq), grids in sorted(_grids_of_grading(q, b.completion, b).items()):
+        basis.setdefault(p + qq, []).extend((p, qq, g) for g in grids)
+    index = _grid_index(basis)
+    out = GradedComplex(q, b, basis, {}, mod)
     for n, cells in sorted(basis.items()):
         entries: dict[tuple[int, int], int] = {}
-        for col_pos, (p, qq, grid) in enumerate(cells):
-            for sign, p2, q2, g2 in _face_targets(q, p, qq, grid):
-                target = (p2, q2, g2)
-                row_pos = index.get(target)
-                assert row_pos is not None, "face left the enumerated basis"
+        for col_pos, (_, _, grid) in enumerate(cells):
+            for sign, face in _face_targets(q, grid):
+                row_pos = index.get(face)
+                if row_pos is None:
+                    raise AssertionError("face left the enumerated basis")
                 key = (row_pos, col_pos)
                 entries[key] = entries.get(key, 0) + sign
-        entries = {
-            k: (v % mod if mod else v) for k, v in entries.items() if (v % mod if mod else v)
-        }
+        entries = {k: r for k, v in entries.items() if (r := out._reduce(v))}
         if entries:
-            differentials[n] = entries
-    out = GradedComplex(q, b, basis, differentials, mod)
+            out.differentials[n] = entries
     if not out.check_boundary_squared():
         raise AssertionError("differential does not square to zero")
     return out
@@ -504,14 +479,10 @@ def chain_map_commutes(
     b2 = comp_b.of_sequence(image_word)
     ca = build_relative_complex(qa, b)
     cb = build_relative_complex(qb, b2)
-    index_b: dict[tuple[int, int, Grid], int] = {}
-    for n, cells in cb.basis.items():
-        for pos, cell in enumerate(cells):
-            index_b[cell] = pos
+    index_b = _grid_index(cb.basis)
 
-    def image_cell(cell):
-        p, qq, grid = cell
-        return (p, qq, tuple(tuple(mapping[x] for x in col) for col in grid))
+    def image(grid: Grid) -> Grid:
+        return tuple(tuple(mapping[x] for x in col) for col in grid)
 
     for n, cells in sorted(ca.basis.items()):
         d_a = ca.differentials.get(n, {})
@@ -522,8 +493,8 @@ def chain_map_commutes(
         cols_b: dict[int, dict[int, int]] = {}
         for (r, c), v in d_b.items():
             cols_b.setdefault(c, {})[r] = v
-        for pos, cell in enumerate(cells):
-            img = image_cell(cell)
+        for pos, (_, _, grid) in enumerate(cells):
+            img = image(grid)
             if img not in index_b:
                 return False
             lhs = cols_b.get(index_b[img], {})
@@ -531,8 +502,8 @@ def chain_map_commutes(
             rhs: dict[int, int] = {}
             prev_a = ca.basis.get(n - 1, [])
             for r, v in cols_a.get(pos, {}).items():
-                target = image_cell(prev_a[r])
-                rhs[index_b[target]] = rhs.get(index_b[target], 0) + v
+                target = index_b[image(prev_a[r][2])]
+                rhs[target] = rhs.get(target, 0) + v
             rhs = {k: v for k, v in rhs.items() if v}
             if lhs != rhs:
                 return False

@@ -5,11 +5,14 @@ an axiom and a witness, the named axiom is re-evaluated here directly from
 the tables, so a wrong axiom name cannot slip through.
 
 Also the generate-and-filter enumeration of array grids, the reference the
-constructed basis of ``pmq.barhur`` is compared with.
+constructed basis of ``pmq.barhur`` is compared with, and the differentials
+assembled from the faces of ``BisimplexArray``, the reference for its fast
+face assembly.
 """
 
 from __future__ import annotations
 
+from pmq.barhur import BisimplexArray
 from pmq.core import FinitePmq
 
 
@@ -165,3 +168,44 @@ def grids_by_filter(q: FinitePmq, comp, b) -> dict:
             if good:
                 out[(width, height)] = sorted(good)
     return out
+
+
+def differentials_by_array_faces(comp, basis, mod: int = 0) -> dict:
+    """Reference for ``build_relative_complex(...).differentials`` on the
+    given basis, from the full-array faces ``h_face(i)``, 0 <= i <= p, and
+    ``v_face(j)``, 0 <= j <= q, outer faces included.  A face that is not
+    admissible or is degenerate is zero; the others have signs (-1)^i and
+    (-1)^(p+j), and entries are reduced mod ``mod`` with zeros dropped."""
+    arrays = {
+        n: [BisimplexArray.from_inner(comp, grid) for _, _, grid in cells]
+        for n, cells in basis.items()
+    }
+    index = {arr: pos for arrs in arrays.values() for pos, arr in enumerate(arrs)}
+    out: dict = {}
+    for n, arrs in arrays.items():
+        entries: dict = {}
+        for col, arr in enumerate(arrs):
+            faces = []
+            if arr.p >= 1:
+                faces += [((-1) ** i, arr.h_face(i)) for i in range(arr.p + 1)]
+            if arr.q >= 1:
+                faces += [((-1) ** (arr.p + j), arr.v_face(j)) for j in range(arr.q + 1)]
+            for sign, face in faces:
+                if face.is_admissible() and not face.is_degenerate():
+                    key = (index[face], col)
+                    entries[key] = entries.get(key, 0) + sign
+        entries = {k: v % mod if mod else v for k, v in entries.items()}
+        entries = {k: v for k, v in entries.items() if v}
+        if entries:
+            out[n] = entries
+    return out
+
+
+def uct_ranks(h: dict, p: int) -> dict:
+    """Dimensions of homology over F_p predicted from the integer table h by
+    universal coefficients: dim H_n(F_p) = rank H_n + #{p | tors H_n}
+    + #{p | tors H_(n-1)}."""
+    def divisible(n):
+        return sum(1 for t in h.get(n, {"torsion": []})["torsion"] if t % p == 0)
+
+    return {n: h[n]["rank"] + divisible(n) + divisible(n - 1) for n in h}

@@ -60,7 +60,7 @@ from pmq.symgeo import (
     validate_triple,
 )
 
-from helpers import axiom_holds_at, mutate_once
+from helpers import axiom_holds_at, mutate_once, uct_ranks
 
 
 class Budget:
@@ -322,6 +322,30 @@ def test_fundamental_class_s4_norms_up_to_3():
             continue
         h = homology(build_relative_complex(q, b))
         assert h[2 * b.norm] == {"rank": 1, "torsion": []}, (b.labels(), h)
+    budget.finish()
+
+
+def test_s3_norm_5_homology_tables():
+    budget = Budget("S_3 norm 5: integer tables of 132.231.231 and of t^5", 120)
+    q = sym_geodesic_pmq(3)
+    comp = Completion(q)
+
+    def nonzero(h):
+        return {n: (d["rank"], d["torsion"]) for n, d in h.items() if d["rank"] or d["torsion"]}
+
+    # the largest orbit; its other two gradings are conjugates, left out for time
+    cx = build_relative_complex(q, comp.of_labels(["132", "231", "231"]))
+    assert sum(cx.dims().values()) == 175_680
+    assert nonzero(homology(cx)) == {6: (0, [2]), 7: (0, [2]), 8: (1, []), 9: (2, []), 10: (1, [])}
+    for t in ("213", "132", "321"):
+        b = comp.of_labels([t] * 5)
+        cx = build_relative_complex(q, b)
+        h = homology(cx)
+        assert sum(cx.dims().values()) == 2016
+        assert nonzero(h) == {7: (0, [2]), 9: (1, []), 10: (1, [])}, (t, h)
+        for p in (2, 3):
+            hp = homology(build_relative_complex(q, b, mod=p))
+            assert {n: d["rank"] for n, d in hp.items()} == uct_ranks(h, p), (t, p, h, hp)
     budget.finish()
 
 
