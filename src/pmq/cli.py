@@ -1,4 +1,4 @@
-"""Command-line front end; one JSON document per run, logs to stderr.
+"""Command-line front end; one JSON document per run, errors to stderr.
 
 Subcommands::
 
@@ -22,7 +22,7 @@ import json
 import sys
 
 from .completion import Completion
-from .core import validate
+from .core import require_valid, validate
 from .envelope import presentation
 from .errors import AxiomError, PreconditionError, StructureError
 from .serialize import load_pmq, pmq_to_json
@@ -35,11 +35,9 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _load_valid(path: str, *, rack: bool = False):
+def _load_valid(path: str):
     q, is_rack = load_pmq(path)
-    report = validate(q, rack=rack or is_rack)
-    if not report.ok:
-        raise AxiomError(f"invalid structure in {path}", report)
+    require_valid(q, rack=is_rack)
     return q, is_rack
 
 
@@ -172,7 +170,6 @@ def _pairs(text: str) -> list:
 
 
 def cmd_symgeo(args) -> int:
-    from .completion import Completion as _C
     from .symgeo import clebsch_connect, sym_geodesic_pmq, transposition, triples_of_weight
 
     if args.connect:
@@ -185,7 +182,7 @@ def cmd_symgeo(args) -> int:
         return 0
     n = args.triples if args.triples is not None else args.d
     q = sym_geodesic_pmq(args.d)
-    comp = _C(q)
+    comp = Completion(q)
     census = []
     for level in range(n + 1):
         triples = triples_of_weight(args.d, level)
@@ -237,12 +234,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_rack_core(args) -> int:
-    from .racks import quandle_like_core, validate_pmr
+    from .racks import quandle_like_core
 
     q, _ = load_pmq(args.file)
-    report = validate_pmr(q)
-    if not report.ok:
-        raise AxiomError(f"invalid PMR in {args.file}", report)
     core = quandle_like_core(q)
     _emit(
         {

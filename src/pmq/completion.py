@@ -153,12 +153,6 @@ class Completion:
     def of_labels(self, labels: Iterable[str]) -> HatElem:
         return self.of_sequence(self.pmq.index(l) for l in labels)
 
-    def extend_norm(self, seq: Iterable[int]) -> int:
-        """The additive extension of the norm to the completion: the sum of
-        the factor norms, zero exactly on the unit."""
-        norm = self.pmq.require_norm()
-        return sum(norm[x] for x in seq)
-
     # -- the move graph ---------------------------------------------------
 
     def canonical(self, seq: Seq) -> Seq:

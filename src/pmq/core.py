@@ -311,189 +311,178 @@ class ValidationReport:
         return "; ".join(f"{v.axiom} at {v.witness}: {v.detail}" for v in self.violations)
 
 
-def validate(q: FinitePmq, *, rack: bool = False, stop_first: bool = False) -> ValidationReport:
-    """Exhaustively check every axiom, reporting the first witness per axiom.
+# One scan per axiom: a generator of (witness, detail) for its violations in
+# scan order, so the first one yielded is the minimal witness.
 
-    Witnesses are minimal in the scan order induced by the declaration order
-    of elements.  With ``rack=True`` the idempotence axiom a^a = a is skipped
-    (the remaining axioms define a partially multiplicative rack).
-    """
-    n = len(q.labels)
-    labels = q.labels
-    conj = q.conj
-    prod = q.prod
-    unit = q.unit
-    out: list[Violation] = []
-
-    def hit(axiom: str, witness: tuple[int, ...], detail: str) -> bool:
-        out.append(Violation(axiom, tuple(labels[i] for i in witness), detail))
-        return stop_first
-
+def _conj_bijective(q: FinitePmq):
     # (-)^b is a bijection for every b.
-    bijective = True
-    for b in range(n):
-        col = [conj[a][b] for a in range(n)]
-        if sorted(col) != list(range(n)):
-            bijective = False
-            if hit("conj-bijective", (b,), "conjugation by this element is not a bijection"):
-                return ValidationReport(tuple(out))
-            break
+    for b, col in enumerate(q.conj_inv):
+        if col is None:
+            yield (b,), "conjugation by this element is not a bijection"
 
+
+def _conj_unit(q: FinitePmq):
     # 1^a = 1 and a^1 = a.
-    for a in range(n):
+    conj, unit = q.conj, q.unit
+    for a in range(len(q)):
         if conj[unit][a] != unit:
-            if hit("conj-unit", (a,), "1^a != 1"):
-                return ValidationReport(tuple(out))
-            break
-        if conj[a][unit] != a:
-            if hit("conj-unit", (a,), "a^1 != a"):
-                return ValidationReport(tuple(out))
-            break
+            yield (a,), "1^a != 1"
+        elif conj[a][unit] != a:
+            yield (a,), "a^1 != a"
 
+
+def _conj_idempotence(q: FinitePmq):
     # a^a = a (quandles only).
-    if not rack:
-        for a in range(n):
-            if conj[a][a] != a:
-                if hit("conj-idempotence", (a,), "a^a != a"):
-                    return ValidationReport(tuple(out))
-                break
+    for a, row in enumerate(q.conj):
+        if row[a] != a:
+            yield (a,), "a^a != a"
 
+
+def _conj_distributivity(q: FinitePmq):
     # (a^b)^c = (a^c)^(b^c), via column composition.
-    cols = [tuple(conj[a][b] for a in range(n)) for b in range(n)]
-    done = False
-    for b in range(n):
-        colb = cols[b]
-        for c in range(n):
-            colc = cols[c]
+    cols = tuple(zip(*q.conj))
+    n = len(cols)
+    for b, colb in enumerate(cols):
+        for c, colc in enumerate(cols):
             colbc = cols[colc[b]]
             for a in range(n):
                 if colc[colb[a]] != colbc[colc[a]]:
-                    done = hit("conj-distributivity", (a, b, c), "(a^b)^c != (a^c)^(b^c)")
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
-    if done:
-        return ValidationReport(tuple(out))
+                    yield (a, b, c), "(a^b)^c != (a^c)^(b^c)"
 
+
+def _unit_product(q: FinitePmq):
     # Unit laws of the partial product.
-    for a in range(n):
+    prod, unit = q.prod, q.unit
+    for a in range(len(q)):
         if prod.get((unit, a)) != a or prod.get((a, unit)) != a:
-            if hit("unit-product", (a,), "1a and a1 must be defined and equal a"):
-                return ValidationReport(tuple(out))
-            break
+            yield (a,), "1a and a1 must be defined and equal a"
 
+
+def _associativity(q: FinitePmq):
     # Conditional associativity, both implications.
-    done = False
+    prod, n = q.prod, len(q)
     for (a, b), ab in prod.items():
         for c in range(n):
             abc = prod.get((ab, c))
-            if abc is None:
-                continue
-            bc = prod.get((b, c))
-            if bc is None or prod.get((a, bc)) != abc:
-                done = hit("associativity", (a, b, c), "(ab)c defined but a(bc) missing or different")
-                break
-        if done:
-            break
-    if not done:
-        for (b, c), bc in prod.items():
-            for a in range(n):
-                abc = prod.get((a, bc))
-                if abc is None:
-                    continue
+            if abc is not None:
+                bc = prod.get((b, c))
+                if bc is None or prod.get((a, bc)) != abc:
+                    yield (a, b, c), "(ab)c defined but a(bc) missing or different"
+    for (b, c), bc in prod.items():
+        for a in range(n):
+            abc = prod.get((a, bc))
+            if abc is not None:
                 ab = prod.get((a, b))
                 if ab is None or prod.get((ab, c)) != abc:
-                    done = hit("associativity", (a, b, c), "a(bc) defined but (ab)c missing or different")
-                    break
-            if done:
-                break
-    if done:
-        return ValidationReport(tuple(out))
+                    yield (a, b, c), "a(bc) defined but (ab)c missing or different"
 
+
+def _product_conj_swap(q: FinitePmq):
     # ab defined <=> b(a^b) defined, with equal values.
-    done = False
-    for a in range(n):
-        conja = conj[a]
+    prod, n = q.prod, len(q)
+    for a, conja in enumerate(q.conj):
         for b in range(n):
-            ab = prod.get((a, b))
-            swapped = prod.get((b, conja[b]))
-            if (ab is None) != (swapped is None) or ab != swapped:
-                done = hit("product-conj-swap", (a, b), "ab and b(a^b) disagree")
-                break
-        if done:
-            break
-    if done:
-        return ValidationReport(tuple(out))
+            if prod.get((a, b)) != prod.get((b, conja[b])):
+                yield (a, b), "ab and b(a^b) disagree"
 
+
+def _conj_of_product(q: FinitePmq):
     # a^(bc) = (a^b)^c whenever bc is defined.
-    done = False
-    for (b, c), bc in prod.items():
+    cols = tuple(zip(*q.conj))
+    n = len(cols)
+    for (b, c), bc in q.prod.items():
         colb, colc, colbc = cols[b], cols[c], cols[bc]
         for a in range(n):
             if colbc[a] != colc[colb[a]]:
-                done = hit("conj-of-product", (a, b, c), "a^(bc) != (a^b)^c")
-                break
-        if done:
-            break
-    if done:
-        return ValidationReport(tuple(out))
+                yield (a, b, c), "a^(bc) != (a^b)^c"
 
+
+def _product_equivariance(q: FinitePmq):
     # ab defined <=> (a^c)(b^c) defined, with (ab)^c = (a^c)(b^c).
-    done = False
+    prod = q.prod
+    cols = tuple(zip(*q.conj))
     for (a, b), ab in prod.items():
-        for c in range(n):
-            colc = cols[c]
-            img = prod.get((colc[a], colc[b]))
-            if img is None or img != colc[ab]:
-                done = hit("product-equivariance", (a, b, c), "(ab)^c != (a^c)(b^c)")
-                break
-        if done:
-            break
-    if not done and bijective:
-        for (x, y), _ in prod.items():
-            for c in range(n):
-                icol = q.conj_inv[c]
-                if prod.get((icol[x], icol[y])) is None:
-                    done = hit(
-                        "product-equivariance",
-                        (icol[x], icol[y], c),
-                        "(a^c)(b^c) defined but ab is not",
-                    )
-                    break
-            if done:
-                break
-    if done:
-        return ValidationReport(tuple(out))
+        for c, colc in enumerate(cols):
+            if prod.get((colc[a], colc[b])) != colc[ab]:
+                yield (a, b, c), "(ab)^c != (a^c)(b^c)"
+    if None in q.conj_inv:
+        return
+    for x, y in prod:
+        for c, icol in enumerate(q.conj_inv):
+            if (icol[x], icol[y]) not in prod:
+                yield (icol[x], icol[y], c), "(a^c)(b^c) defined but ab is not"
 
-    # Norm axioms, when a norm is present.
+
+def _norm_kernel(q: FinitePmq, norm: Sequence[int]):
+    for a in range(len(q)):
+        if (norm[a] == 0) != (a == q.unit):
+            yield (a,), "norm vanishes exactly on the unit"
+
+
+def _norm_additive(q: FinitePmq, norm: Sequence[int]):
+    for (a, b), ab in q.prod.items():
+        if norm[ab] != norm[a] + norm[b]:
+            yield (a, b), "N(ab) != N(a) + N(b)"
+
+
+def _norm_conj_invariant(q: FinitePmq, norm: Sequence[int]):
+    for a, row in enumerate(q.conj):
+        for b, ab in enumerate(row):
+            if norm[ab] != norm[a]:
+                yield (a, b), "N(a^b) != N(a)"
+
+
+PMQ_AXIOMS = (
+    ("conj-bijective", _conj_bijective),
+    ("conj-unit", _conj_unit),
+    ("conj-idempotence", _conj_idempotence),
+    ("conj-distributivity", _conj_distributivity),
+    ("unit-product", _unit_product),
+    ("associativity", _associativity),
+    ("product-conj-swap", _product_conj_swap),
+    ("conj-of-product", _conj_of_product),
+    ("product-equivariance", _product_equivariance),
+)
+# Scans of a candidate norm, checked after the PMQ axioms when a norm is present.
+NORM_AXIOMS = (
+    ("norm-kernel", _norm_kernel),
+    ("norm-additive", _norm_additive),
+    ("norm-conj-invariant", _norm_conj_invariant),
+)
+
+
+def validate(q: FinitePmq, *, rack: bool = False, stop_first: bool = False) -> ValidationReport:
+    """Exhaustively check every axiom, reporting one witness per violated
+    axiom, in axiom order; ``stop_first`` stops at the first violated axiom.
+
+    Witnesses are minimal in the scan order induced by the declaration order
+    of elements.  With ``rack=True`` the idempotence axiom a^a = a is skipped
+    (the remaining axioms define a partially multiplicative rack).  A PMQ
+    that passes without ``rack`` remembers it, and ``require_valid`` does
+    not scan it again.
+    """
+    scans = [(name, scan(q)) for name, scan in PMQ_AXIOMS
+             if not (rack and scan is _conj_idempotence)]
     if q.norm is not None:
-        norm = q.norm
-        for a in range(n):
-            if (norm[a] == 0) != (a == unit):
-                hit("norm-kernel", (a,), "norm vanishes exactly on the unit")
+        scans += [(name, scan(q, q.norm)) for name, scan in NORM_AXIOMS]
+    out: list[Violation] = []
+    for axiom, scan in scans:
+        first = next(scan, None)
+        if first is not None:
+            out.append(Violation(axiom, q.to_labels(first[0]), first[1]))
+            if stop_first:
                 break
-        for (a, b), ab in prod.items():
-            if norm[ab] != norm[a] + norm[b]:
-                hit("norm-additive", (a, b), "N(ab) != N(a) + N(b)")
-                break
-        done = False
-        for a in range(n):
-            for b in range(n):
-                if norm[conj[a][b]] != norm[a]:
-                    done = hit("norm-conj-invariant", (a, b), "N(a^b) != N(a)")
-                    break
-            if done:
-                break
-
+    if not out and not rack:
+        object.__setattr__(q, "_valid", True)   # tables are immutable
     return ValidationReport(tuple(out))
 
 
 def require_valid(q: FinitePmq, *, rack: bool = False) -> None:
-    report = validate(q, rack=rack, stop_first=True)
+    """Raise ``AxiomError`` with the full report unless ``q`` satisfies the
+    axioms; a PMQ that already passed ``validate`` is not scanned again."""
+    if getattr(q, "_valid", False):
+        return
+    report = validate(q, rack=rack)
     if not report.ok:
         raise AxiomError(f"invalid structure: {report}", report)
 

@@ -212,9 +212,6 @@ class GeoHatElem:
     def d(self) -> int:
         return len(self.sigma)
 
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
     def to_json(self) -> dict:
         return {
             "sigma": list(self.sigma),
@@ -280,23 +277,10 @@ def seq_to_triple(seq: Sequence[Perm], d: Optional[int] = None) -> GeoHatElem:
         if not seq:
             raise StructureError("empty sequence needs an explicit d")
         d = len(seq[0])
-    parent = list(range(d + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     prod = identity(d)
     for t in seq:
-        i, j = transposition_pair(t)
-        parent[find(i)] = find(j)
         prod = perm_mul(prod, t)
-    pieces: dict[int, list[int]] = {}
-    for x in range(1, d + 1):
-        pieces.setdefault(find(x), []).append(x)
-    plist = list(pieces.values())
+    plist = _join_partitions([transposition_pair(t) for t in seq], [], d)
     weights = []
     for p in plist:
         inside = set(p)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,7 +11,10 @@ from pmq.catalog import (
     transposition_quandle,
 )
 from pmq.cli import main
-from pmq.serialize import dump_pmq
+from pmq.core import validate
+from pmq.serialize import dump_pmq, load_pmq
+
+from helpers import mutate_once
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +174,27 @@ def test_rack_core(files, capsys):
     doc = json.loads(out)
     assert doc["core_elements"] == ["1"]
     assert doc["pmq_valid"] is True
+
+
+def test_every_command_reports_the_full_axiom_report(tmp_path, capsys):
+    rng = random.Random(1)
+    q = sym_geodesic_pmq(3)
+    path = str(tmp_path / "mutant.json")
+    while True:   # loading fills in unit products, so check the loaded tables
+        dump_pmq(mutate_once(q, rng), path)
+        if len(validate(load_pmq(path)[0]).violations) >= 2:
+            break
+    _, out = run(capsys, "validate", path)
+    violations = json.loads(out)["violations"]
+    for argv in (["complete", path, "--max-norm", "1"], ["envelope", path]):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["violations"] == violations
+    code, out = run(capsys, "rack-core", path)   # the PMR axioms drop idempotence
+    assert code == 2
+    assert json.loads(out)["violations"] == [
+        v for v in violations if v["axiom"] != "conj-idempotence"
+    ]
 
 
 def test_byte_determinism(files, capsys):

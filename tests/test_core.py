@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmq.core
 from pmq.catalog import (
     cyclic_group,
     group_pmq,
@@ -15,12 +17,14 @@ from pmq.catalog import (
     transposition_quandle,
     unit_pmq,
 )
+from pmq.completion import Completion
 from pmq.core import (
     FiniteGroup,
     FinitePmq,
     conjugacy_classes,
     geodesic_pmq,
     join_pmq_group,
+    require_valid,
     semidirect_pmq,
     validate,
 )
@@ -214,3 +218,89 @@ def test_constructions_all_validate():
     assert validate(sym_geodesic_pmq(4)).ok
     assert validate(segre_pmq()).ok
     assert validate(transposition_quandle(3)).ok
+
+
+def _mutants(q, rng, count):
+    """Table mutants, norm mutants and both, of one normed PMQ."""
+    for i in range(count):
+        m = mutate_once(q, rng) if i % 3 != 1 else q
+        if i % 3 != 0:
+            norm = list(q.norm)
+            norm[rng.randrange(len(norm))] = rng.randrange(4)
+            m = dataclasses.replace(m, norm=tuple(norm))
+        yield m
+
+
+@pytest.mark.parametrize(
+    "q",
+    [sym_geodesic_pmq(3), sym_geodesic_pmq(4), natural_truncation(3), segre_pmq()],
+    ids=["S3", "S4", "natural3", "segre"],
+)
+def test_one_witness_per_axiom_and_stop_first(q):
+    rng = random.Random(len(q))
+    for m in _mutants(q, rng, 150):
+        report = validate(m)
+        axioms = report.axioms()
+        assert len(axioms) == len(set(axioms)), axioms
+        assert validate(m, stop_first=True).violations == report.violations[:1]
+        for v in report.violations:
+            assert not axiom_holds_at(m, v.axiom, v.witness), v
+
+
+def test_stop_first_stops_inside_the_norm_axioms():
+    q = sym_geodesic_pmq(3)
+    norm = list(q.norm)
+    norm[q.index("132")] = 3
+    bad = dataclasses.replace(q, norm=tuple(norm))
+    assert validate(bad).axioms() == ["norm-additive", "norm-conj-invariant"]
+    assert validate(bad, stop_first=True).axioms() == ["norm-additive"]
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    calls = []
+    real = pmq.core.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pmq.core, "validate", counting)
+    return calls
+
+
+def test_completion_skips_a_validated_pmq(validate_calls):
+    q, r = sym_geodesic_pmq(3), sym_geodesic_pmq(3)
+    assert validate(q).ok
+    require_valid(r)
+    validate_calls.clear()
+    Completion(q)
+    Completion(r)
+    assert validate_calls == []
+
+
+def test_completion_validates_a_fresh_pmq(validate_calls):
+    fresh = sym_geodesic_pmq(3)
+    Completion(fresh)
+    assert len(validate_calls) == 1 and validate_calls[0] is fresh
+    q = sym_geodesic_pmq(3)
+    validate(q)
+    copy = dataclasses.replace(q)
+    validate_calls.clear()
+    Completion(copy)
+    assert len(validate_calls) == 1 and validate_calls[0] is copy
+
+
+def test_completion_rejects_unvalidated_and_rack_inputs():
+    rng = random.Random(3)
+    q = sym_geodesic_pmq(3)
+    mutant = mutate_once(q, rng)
+    while validate(mutant).ok:
+        mutant = mutate_once(q, rng)
+    with pytest.raises(AxiomError):
+        Completion(mutant)
+    rack = rack_three_example()
+    assert validate(rack, rack=True).ok
+    with pytest.raises(AxiomError) as exc:
+        Completion(rack)
+    assert exc.value.report.axioms() == ["conj-idempotence"]

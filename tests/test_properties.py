@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from pmq.catalog import (
     transposition_quandle,
     unit_pmq,
 )
+from pmq.core import validate
 from pmq.errors import PreconditionError
 from pmq.properties import (
     decomposition_classes,
@@ -99,6 +101,20 @@ def test_validate_norm_examples():
     assert validate_norm(g, [0, 1])[0] is False   # no norm on a nontrivial group
     q3 = sym_geodesic_pmq(3)
     assert validate_norm(q3, q3.norm) == (True, None)
+
+
+@pytest.mark.parametrize("q", [sym_geodesic_pmq(3), natural_truncation(3), segre_pmq()])
+def test_validate_norm_is_the_first_norm_violation(q):
+    rng = random.Random(len(q))
+    for _ in range(100):
+        norm = [rng.randrange(4) for _ in range(len(q))]
+        first = next(
+            (v for v in validate(dataclasses.replace(q, norm=norm)).violations
+             if v.axiom.startswith("norm-")),
+            None,
+        )
+        expected = (True, None) if first is None else (False, first.witness)
+        assert validate_norm(q, norm) == expected
 
 
 def test_property_report_shapes():
