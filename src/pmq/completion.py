@@ -38,9 +38,21 @@ forms instead of 1.16 million.  ``sequences_of_norm`` still lists every
 sequence, for ``verify_embedding``; ``class_states`` lists those of one
 class, which are the arrays of that grading read column-major (``barhur``).
 
-A ``Completion`` object caches explored classes; the cache is an internal
-memo only (results are independent of call order) and writes are appends,
-so shared read access is safe.
+Conjugation by a base element c, applied to every entry, is an
+automorphism of the move graph: product-equivariance maps a contraction
+(a, b) -> ab to (a^c, b^c) -> (ab)^c, and self-distributivity maps move (2)
+to move (2).  So it maps each class bijectively onto a class, preserving
+lengths, and the shortest states onto that class's shortest states.
+``canonical`` therefore searches one class per conjugation orbit.  Before
+a search it conjugates the state by c^-1 for each distinct non-identity
+column c (one ``str.translate``, with a length-n string as the table); if
+that state is known, the answer is the least of the known class's
+shortest states conjugated by c, exactly.  The memo holds every state of
+a searched class, only the looked-up state of a derived class, and the
+shortest states of each class word.  On the geodesic PMQ of S_4 to norm 7
+that is 37 searches instead of 227, and 233,286 memo entries instead of
+1,332,995.  The memo is internal only (results are independent of call
+order) and writes are appends, so shared read access is safe.
 
 Class sizes grow exponentially with the total norm (the number of
 sequences of norm n over a fixed alphabet does), so keep the norms of the
@@ -51,6 +63,7 @@ preserves them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Optional
 
@@ -131,6 +144,7 @@ class Completion:
                 self._splits[c].append(chr(a) + chr(b))
         self._act = ["".join(map(chr, column)) for column in zip(*pmq.conj)]
         self._canon: dict[str, Seq] = {}
+        self._shortest: dict[Seq, list[str]] = {}
         self._levels: dict[int, list[Seq]] = {}
         self._words: dict[int, list[Seq]] = {0: [()]}
 
@@ -155,16 +169,40 @@ class Completion:
 
     # -- the move graph ---------------------------------------------------
 
+    @cached_property
+    def _conjugators(self) -> list[tuple[str, str]]:
+        """(x -> x^(c^-1), x -> x^c) as translate tables, for each distinct
+        non-identity column c; built at the first search, so building a
+        ``Completion`` costs no more than its move tables."""
+        n = len(self.pmq)
+        columns = dict(zip(self._act, range(n)))
+        columns.pop("".join(map(chr, range(n))), None)
+        return [
+            ("".join(map(chr, self.pmq.conj_inv[c])), act) for act, c in columns.items()
+        ]
+
     def canonical(self, seq: Seq) -> Seq:
         """Length-lexicographic minimum of the move class of ``seq``."""
         code = self._code
         state = "".join([code[x] for x in seq])
-        cached = self._canon.get(state)
+        memo = self._canon.get
+        cached = memo(state)
         if cached is None:
-            component = self._explore(state)
-            shortest = min(map(len, component))
-            cached = tuple(map(ord, min(s for s in component if len(s) == shortest)))
-            self._canon.update(zip(component, repeat(cached)))
+            for undo, act in self._conjugators:
+                known = memo(state.translate(undo))
+                if known is not None:
+                    # the class is the conjugate by c of a known one
+                    shortest = [s.translate(act) for s in self._shortest[known]]
+                    cached = tuple(map(ord, min(shortest)))
+                    self._canon[state] = cached
+                    break
+            else:
+                component = self._explore(state)
+                length = min(map(len, component))
+                shortest = [s for s in component if len(s) == length]
+                cached = tuple(map(ord, min(shortest)))
+                self._canon.update(zip(component, repeat(cached)))
+            self._shortest.setdefault(cached, shortest)
         return cached
 
     def class_states(self, h: HatElem) -> dict[int, list[Seq]]:

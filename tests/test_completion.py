@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,15 @@ from pmq.catalog import (
     natural_with_double_one,
     norm_one_truncation,
     pointed_set_pmq,
+    segre_pmq,
     sym_geodesic_pmq,
     transposition_quandle,
     unit_pmq,
 )
 from pmq.completion import Completion, verify_embedding
 from pmq.errors import NormRequiredError
-from pmq.symgeo import sym_geodesic_pair
+from pmq.serialize import pmq_from_json, pmq_to_json
+from pmq.symgeo import geo_hat_conj, make_triple, sym_geodesic_pair, triples_of_weight
 
 
 def test_unit_and_strip():
@@ -195,6 +198,142 @@ def test_canonical_matches_bfs_with_inverse_moves(q, top):
     # units are stripped before the search
     with_units = (q.unit,) + seqs[-1] + (q.unit,)
     assert c.canonical(with_units) == reference[seqs[-1]]
+
+
+def _sequences(q, n):
+    """Every sequence of non-unit elements with total norm n."""
+    letters = [a for a in range(len(q)) if a != q.unit]
+    if n == 0:
+        return [()]
+    return [
+        (a,) + rest
+        for a in letters
+        if q.norm[a] <= n
+        for rest in _sequences(q, n - q.norm[a])
+    ]
+
+
+def _relabelled(q, order):
+    """The same PMQ with its elements declared in the given label order."""
+    doc = pmq_to_json(q)
+    doc["elements"] = list(order)
+    return pmq_from_json(doc)[0]
+
+
+def _shuffled_orders(q):
+    """q in catalog order, then in two fixed shuffled orders."""
+    yield q
+    for seed in (1, 2):
+        order = list(q.labels)
+        random.Random(seed).shuffle(order)
+        yield _relabelled(q, order)
+
+
+@pytest.mark.parametrize(
+    "q, top",
+    [
+        (sym_geodesic_pmq(3), 5),
+        (sym_geodesic_pmq(4), 4),
+        (natural_truncation(3), 5),   # trivial conjugation: nothing is derived
+        (transposition_quandle(3), 4),
+        (segre_pmq(), 4),
+    ],
+    ids=["S3", "S4", "nat3", "tq3", "segre"],
+)
+def test_canonical_and_census_match_reference_bfs_in_every_order(q, top):
+    # the oracle is the three-move search alone, never Completion.canonical
+    for p in _shuffled_orders(q):
+        levels = [_sequences(p, n) for n in range(top + 1)]
+        reference = _reference_canonical(p, [s for level in levels for s in level])
+        swept = Completion(p)
+        for level in levels:
+            for s in level:
+                assert swept.canonical(s) == reference[s]
+        built = Completion(p)
+        for n, level in enumerate(levels):
+            expected = _length_lex({reference[s] for s in level})
+            assert [h.word for h in built.classes_of_norm(n)] == expected
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def _instrumented(q):
+    """A completion counting its class searches and its memo lookups."""
+    c = Completion(q)
+    c._canon = _CountingDict()
+    explore = c._explore
+    c.explored = []
+
+    def counted(state):
+        c.explored.append(state)
+        return explore(state)
+
+    c._explore = counted
+    return c
+
+
+def test_census_searches_one_class_per_conjugation_orbit():
+    # orbits of S_4 acting on the closed-form triples, without Completion
+    singletons = [[x] for x in range(1, 5)]
+    by = [make_triple(g, singletons, [0] * 4) for g in itertools.permutations(range(1, 5))]
+    c = _instrumented(sym_geodesic_pmq(4))
+    for n in range(1, 7):
+        seen, orbits = set(), 0
+        for t in triples_of_weight(4, n):
+            if t not in seen:
+                orbits += 1
+                seen.update(geo_hat_conj(t, b) for b in by)
+        before = len(c.explored)
+        classes = c.classes_of_norm(n)
+        assert len(c.explored) - before == orbits < len(classes)
+
+
+def test_trivial_conjugation_adds_no_lookups():
+    q = natural_truncation(3)
+    c = _instrumented(q)
+    calls = 0
+    canonical = c.canonical
+
+    def counted(seq):
+        nonlocal calls
+        calls += 1
+        return canonical(seq)
+
+    c.canonical = counted
+    classes = [h for n in range(1, 6) for h in c.classes_of_norm(n)]
+    assert c._canon.lookups == calls > 0
+    assert len(c.explored) == len(classes)
+
+
+_SMALL = [sym_geodesic_pmq(3), natural_truncation(3), segre_pmq(), transposition_quandle(3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(range(len(_SMALL))).flatmap(
+    lambda i: st.tuples(st.just(_SMALL[i]), st.permutations(_SMALL[i].labels))
+))
+def test_classes_invariant_under_declaration_order(q_and_order):
+    q, order = q_and_order
+    p = _relabelled(q, order)
+    cq, cp = Completion(q), Completion(p)
+    for n in range(5):
+        assert len(cp.classes_of_norm(n)) == len(cq.classes_of_norm(n))
+        # the partition of sequences into classes, read as labels
+        parts = []
+        for c, r in ((cq, q), (cp, p)):
+            blocks: dict = {}
+            for s in _sequences(r, n):
+                blocks.setdefault(c.canonical(s), set()).add(r.to_labels(s))
+            parts.append({frozenset(b) for b in blocks.values()})
+        assert parts[0] == parts[1]
 
 
 _Q3 = sym_geodesic_pmq(3)

@@ -1,7 +1,12 @@
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import pmq.symgeo
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -21,3 +26,16 @@ def test_triple_census_runs_outside_the_checkout(tmp_path):
     rows = run.stdout.splitlines()[2:]
     assert len(rows) == 5
     assert "MISMATCH" not in run.stdout
+
+
+def test_triple_census_exits_1_on_a_mismatch(monkeypatch, capsys):
+    # one triple too few at norm 2 must fail the run, not just print
+    triples = pmq.symgeo.triples_of_weight
+    monkeypatch.setattr(
+        pmq.symgeo, "triples_of_weight", lambda d, n: triples(d, n)[: -1 if n == 2 else None]
+    )
+    monkeypatch.setattr(sys, "argv", ["triple_census.py", "3", "3"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "triple_census.py"), run_name="__main__")
+    assert done.value.code == 1
+    assert capsys.readouterr().out.count("MISMATCH") == 1
