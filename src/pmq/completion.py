@@ -34,9 +34,11 @@ canonicalising every sequence: moves act locally, so (a,) + r is equivalent
 to (a,) + canonical(r), and the class words of norm n are the canonical
 forms of (a,) + w over non-unit letters a and class words w of norm
 n - N(a).  At norm 7 on the geodesic PMQ of S_4 that is ~960 canonical
-forms instead of 1.16 million.  ``sequences_of_norm`` still lists every
-sequence, for ``verify_embedding``; ``class_states`` lists those of one
-class, which are the arrays of that grading read column-major (``barhur``).
+forms instead of 1.16 million.  ``class_states`` lists the sequences of
+one class: they are the arrays of that grading read column-major
+(``barhur``), and ``verify_embedding`` walks them class by class.
+``sequences_of_norm`` still lists every sequence of a norm, for the tests
+and the benchmark harness.
 
 Conjugation by a base element c, applied to every entry, is an
 automorphism of the move graph: product-equivariance maps a contraction
@@ -369,13 +371,16 @@ def verify_embedding(q: FinitePmq, pair=None, budget: Optional[int] = None) -> d
 
         joined = join_pmq_group(pair)   # complete PMQ, keeps Q's indices first
         join_ok = True
+        # every state of a class must multiply out to one joined value
         for n in range(1, budget + 1):
-            by_class: dict[Seq, set[int]] = {}
-            for seq in comp.sequences_of_norm(n):
-                value = joined.product_word(seq)
-                by_class.setdefault(comp.canonical(seq), set()).add(value)
-            if any(len(vals) != 1 for vals in by_class.values()):
-                join_ok = False
+            for h in comp.classes_of_norm(n):
+                values = {
+                    joined.product_word(seq)
+                    for states in comp.class_states(h).values()
+                    for seq in states
+                }
+                if len(values) != 1:
+                    join_ok = False
         singleton_images = {joined.product_word((a,)) for a in range(len(q))}
         if len(singleton_images) != len(q):
             join_ok = False

@@ -28,34 +28,49 @@ from .errors import StructureError
 __all__ = ["pmq_from_json", "pmq_to_json", "load_pmq", "dump_pmq"]
 
 
+def _labels_or_raise(values: Any, what: str) -> list[str]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise StructureError(f"{what} must be a list of element labels")
+    return values
+
+
+def _object_or_raise(value: Any, what: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise StructureError(f"{what} must be an object")
+    return value
+
+
 def pmq_from_json(data: dict[str, Any]) -> tuple[FinitePmq, bool]:
-    """Build a FinitePmq (plus a rack flag) from parsed JSON."""
-    if not isinstance(data, dict):
-        raise StructureError("top-level JSON value must be an object")
+    """Build a FinitePmq (plus a rack flag) from parsed JSON; a field of the
+    wrong type or shape raises ``StructureError``."""
+    _object_or_raise(data, "top-level JSON value")
     try:
-        labels = list(data["elements"])
+        labels = _labels_or_raise(data["elements"], "elements")
         unit_label = data["unit"]
     except KeyError as missing:
         raise StructureError(f"missing field {missing}") from None
     if len(set(labels)) != len(labels):
         raise StructureError("duplicate element labels")
     index = {lbl: i for i, lbl in enumerate(labels)}
-    if unit_label not in index:
+    if not isinstance(unit_label, str) or unit_label not in index:
         raise StructureError(f"unit {unit_label!r} not among the elements")
     n = len(labels)
 
     conj = [[a for _ in range(n)] for a in range(n)]
-    for a_lbl, row in data.get("conj", {}).items():
+    for a_lbl, row in _object_or_raise(data.get("conj", {}), "conj").items():
         if a_lbl not in index:
             raise StructureError(f"conjugation row for unknown element {a_lbl!r}")
-        for b_lbl, img in row.items():
-            if b_lbl not in index or img not in index:
+        for b_lbl, img in _object_or_raise(row, f"conjugation row {a_lbl!r}").items():
+            if b_lbl not in index or not isinstance(img, str) or img not in index:
                 raise StructureError(f"conjugation entry ({a_lbl!r}, {b_lbl!r}) out of range")
             conj[index[a_lbl]][index[b_lbl]] = index[img]
 
+    triples = data.get("prod", [])
+    if not isinstance(triples, list):
+        raise StructureError("prod must be a list of triples")
     prod: dict[tuple[int, int], int] = {}
-    for triple in data.get("prod", []):
-        if len(triple) != 3:
+    for triple in triples:
+        if len(_labels_or_raise(triple, "each product entry")) != 3:
             raise StructureError(f"product entries must be triples, got {triple!r}")
         a, b, c = triple
         if a not in index or b not in index or c not in index:
@@ -72,15 +87,18 @@ def pmq_from_json(data: dict[str, Any]) -> tuple[FinitePmq, bool]:
     norm = None
     if "norm" in data and data["norm"] is not None:
         norm = [0] * n
-        raw = data["norm"]
+        raw = _object_or_raise(data["norm"], "norm")
         if set(raw) != set(labels):
             raise StructureError("norm must be given on every element")
         for lbl, v in raw.items():
-            if not isinstance(v, int) or v < 0:
+            # bool is a subclass of int, but true is not a norm
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise StructureError(f"norm of {lbl!r} must be a nonnegative integer")
             norm[index[lbl]] = v
 
-    rack = bool(data.get("rack", False))
+    rack = data.get("rack", False)
+    if not isinstance(rack, bool):
+        raise StructureError("rack must be true or false")
     return FinitePmq.build(labels, u, conj, prod, norm), rack
 
 

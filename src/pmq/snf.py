@@ -2,20 +2,26 @@
 reduced echelon forms, homology.
 
 Matrices are sparse maps (row, col) -> int.  Both rings share one
-elimination pass.  Rows wait in a heap keyed by their length; the shortest
+elimination loop.  Rows wait in a heap keyed by their length; the shortest
 row is taken, and among its unit entries the one whose column has the
-fewest nonzeros becomes the pivot (the Markowitz choice), its column is
-cleared by row operations and the pivot row and column are dropped.  A row
-without a unit entry is set aside until a later row operation changes it.
-Over F_p every nonzero entry is a unit, so the pass computes the rank.
-Over Z the units are +-1, each pivot contributes an elementary divisor 1,
-and a Smith reduction with arbitrary-precision integers (pivot of smallest
-magnitude, then least fill-in) finishes the residue the pass leaves, which
-on the incidence-style matrices of chain complexes is tiny.  Elementary
-divisors are returned normalised (each divides the next), so ranks and
-torsion read off directly.  This is the unit-pivot elimination of
-Dumas-Saunders-Villard, "On efficient sparse integer matrix Smith normal
-forms" (JSC 2001).
+fewest nonzeros becomes the pivot (the Markowitz choice).  A row without a
+unit entry is set aside until a later row operation changes it.  Over F_p
+every nonzero entry is a unit; over Z the units are +-1.  When no row has a
+unit (only over Z) the pivot is the entry of least magnitude, then least
+fill-in.  Its column is cleared by row operations with the floor quotient,
+so any remainder, smaller than the pivot, stays in its row.  Once the
+column is clear, column operations touch only the pivot row: if the pivot
+divides that row, the pivot row and column drop out; otherwise they leave
+the remainders modulo the pivot there and the loop picks again.  The least
+entry shrinks at every pick that drops nothing, so the loop ends.  Over F_p
+the number of pivots is the rank.  Over Z the pivots are the diagonal of an
+equivalent matrix, made a divisibility chain (elementary divisors) by a
+gcd/lcm fix-up, so ranks and torsion read off directly.  On the
+incidence-style matrices of chain complexes the unit pivots do nearly all
+the work: of the largest ``S_3`` norm-5 differential (343,008 nonzeros)
+they leave 249 rows with 8,466 nonzeros.  This is the unit-pivot
+elimination of Dumas-Saunders-Villard, "On efficient sparse integer matrix
+Smith normal forms" (JSC 2001).
 
 Over Q, ``reduced_echelon`` keeps a fully reduced row echelon form of
 sparse rows ``{col: coefficient}`` as they arrive: each new row is reduced by
@@ -47,10 +53,10 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % k for k in range(2, isqrt(p) + 1))
 
 
-def _eliminate_units(entries: Entries, p: int = 0):
-    """Markowitz elimination on unit pivots; ``p`` = 0 works over Z, a prime
-    p over F_p.  Returns the number of pivots and the residue as row and
-    column maps; over F_p the residue is empty."""
+def _eliminate(entries: Entries, p: int = 0) -> list[int]:
+    """Markowitz elimination; ``p`` = 0 works over Z, a prime p over F_p.
+    Returns the magnitude of each pivot dropped, so over F_p their number is
+    the rank and over Z they are diagonal entries of an equivalent matrix."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
@@ -62,23 +68,33 @@ def _eliminate_units(entries: Entries, p: int = 0):
 
     heap = [(len(row), r) for r, row in rows.items()]
     heapify(heap)
-    pivots = 0
-    while heap:
-        length, r0 = heappop(heap)
-        row0 = rows.get(r0)
-        if row0 is None or len(row0) != length:
-            continue  # stale entry: the row was dropped or changed since
-        units = (c for c, v in row0.items() if p or v in (1, -1))
-        c0 = min(units, key=lambda c: len(cols[c]), default=None)
-        if c0 is None:
-            continue  # no unit: set aside until a row operation changes it
-        # over Z the pivot is +-1 and its own inverse
-        inv = pow(row0[c0], -1, p) if p else row0[c0]
-        for r in cols[c0]:
+    pivots: list[int] = []
+    while rows:
+        if heap:
+            length, r0 = heappop(heap)
+            row0 = rows.get(r0)
+            if row0 is None or len(row0) != length:
+                continue  # stale entry: the row was dropped or changed since
+            units = (c for c, v in row0.items() if p or v in (1, -1))
+            c0 = min(units, key=lambda c: len(cols[c]), default=None)
+            if c0 is None:
+                continue  # no unit: set aside until a row operation changes it
+        else:
+            # no row has a unit (only over Z): least magnitude, then least fill-in
+            *_, r0, c0 = min(
+                (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
+                for r, row in rows.items()
+                for c, v in row.items()
+            )
+            row0 = rows[r0]
+        v0 = row0[c0]
+        inv = pow(v0, -1, p) if p else 0
+        for r in list(cols[c0]):
             if r == r0:
                 continue
             row = rows[r]
-            f = row[c0] * inv % p if p else row[c0] * inv
+            # over Z the floor quotient leaves a remainder smaller than the pivot
+            f = row[c0] * inv % p if p else row[c0] // v0
             for c, v in row0.items():
                 nv = row.get(c, 0) - f * v
                 if p:
@@ -89,87 +105,37 @@ def _eliminate_units(entries: Entries, p: int = 0):
                     row[c] = nv
                 else:
                     del row[c]
-                    if c != c0:
-                        cols[c].discard(r)
+                    cols[c].discard(r)
             if row:
                 heappush(heap, (len(row), r))
             else:
                 del rows[r]
-        # column operations with the unit pivot clear the rest of its row and
-        # touch no other row, so the pivot row and column drop out
+        if len(cols[c0]) > 1:
+            continue  # remainders are left in the pivot column: pick again
+        # the column is clear, so column operations with the pivot touch no
+        # other row; where it does not divide its row they leave remainders
+        rest = () if p or v0 in (1, -1) else [c for c, v in row0.items() if v % v0]
+        if rest:
+            for c in rest:
+                row0[c] %= v0
+            heappush(heap, (len(row0), r0))
+            continue
+        # it divides its row, so the pivot row and column drop out
         for c in row0:
-            if c != c0:
-                cols[c].discard(r0)
-                if not cols[c]:
-                    del cols[c]
-        del cols[c0]
+            cols[c].discard(r0)
+            if not cols[c]:
+                del cols[c]
         del rows[r0]
-        pivots += 1
-    return pivots, rows, cols
+        pivots.append(abs(v0))
+    return pivots
 
 
 def smith_normal_form(entries: Entries) -> list[int]:
     """Elementary divisors (positive, each dividing the next) of the integer
     matrix with the given sparse entries."""
-    units, rows, cols = _eliminate_units(entries)
-    # Smith reduction of the residue, which has no entry +-1
-    divisors: list[int] = []
-    while rows:
-        # pivot: smallest magnitude, then least fill-in
-        best = None
-        best_key = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                key = (abs(v), (len(row) - 1) * (len(cols[c]) - 1))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (r, c)
-                    if key[0] == 1 and key[1] == 0:
-                        break
-            else:
-                continue
-            break
-        r0, c0 = best
-
-        while True:
-            pivot = rows[r0][c0]
-            # clear the pivot column
-            dirty = False
-            for r in list(cols[c0]):
-                if r == r0:
-                    continue
-                v = rows[r][c0]
-                qt = v // pivot
-                if qt:
-                    _add_row(rows, cols, r, r0, -qt)
-                if rows.get(r, {}).get(c0):
-                    # remainder smaller than the pivot: swap roles
-                    r0 = r
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # clear the pivot row
-            pivot = rows[r0][c0]
-            for c in list(rows[r0]):
-                if c == c0:
-                    continue
-                v = rows[r0][c]
-                qt = v // pivot
-                if qt:
-                    _add_col(rows, cols, c, c0, -qt)
-                if rows[r0].get(c):
-                    c0 = c
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        divisors.append(abs(rows[r0][c0]))
-        _drop_row(rows, cols, r0)
-        _drop_col(rows, cols, c0)
-
+    pivots = _eliminate(entries)
     # enforce the divisibility chain
-    divisors.sort()
+    divisors = sorted(v for v in pivots if v != 1)
     changed = True
     while changed:
         changed = False
@@ -180,51 +146,7 @@ def smith_normal_form(entries: Entries) -> list[int]:
                 divisors[i], divisors[i + 1] = g, a * b // g
                 changed = True
         divisors.sort()
-    return [1] * units + divisors
-
-
-def _add_row(rows, cols, dst: int, src: int, factor: int) -> None:
-    row = rows.get(dst, {})
-    for c, v in rows[src].items():
-        nv = row.get(c, 0) + factor * v
-        if nv:
-            if c not in row:
-                cols.setdefault(c, set()).add(dst)
-            row[c] = nv
-        elif c in row:
-            del row[c]
-            cols[c].discard(dst)
-    if row:
-        rows[dst] = row
-    else:
-        rows.pop(dst, None)
-
-
-def _add_col(rows, cols, dst: int, src: int, factor: int) -> None:
-    for r in list(cols.get(src, ())):
-        v = rows[r][src]
-        nv = rows[r].get(dst, 0) + factor * v
-        if nv:
-            if dst not in rows[r]:
-                cols.setdefault(dst, set()).add(r)
-            rows[r][dst] = nv
-        elif dst in rows[r]:
-            del rows[r][dst]
-            cols[dst].discard(r)
-
-
-def _drop_row(rows, cols, r: int) -> None:
-    for c in rows.pop(r, {}):
-        cols[c].discard(r)
-        if not cols[c]:
-            del cols[c]
-
-
-def _drop_col(rows, cols, c: int) -> None:
-    for r in cols.pop(c, ()):
-        rows[r].pop(c, None)
-        if not rows[r]:
-            del rows[r]
+    return [1] * (len(pivots) - len(divisors)) + divisors
 
 
 def integer_rank(entries: Entries) -> int:
@@ -235,7 +157,7 @@ def rank_mod_p(entries: Entries, p: int) -> int:
     """Rank over the field with p elements (p prime)."""
     if not is_prime(p):
         raise ValueError(f"rank_mod_p needs a prime modulus, not {p}")
-    return _eliminate_units(entries, p)[0]
+    return len(_eliminate(entries, p))
 
 
 def reduced_echelon(

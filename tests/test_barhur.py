@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import differentials_by_array_faces, grids_by_filter, uct_ranks
 from pmq.barhur import (
@@ -21,6 +23,7 @@ from pmq.catalog import (
 )
 from pmq.completion import Completion
 from pmq.errors import PreconditionError
+from pmq.serialize import pmq_from_json, pmq_to_json
 
 
 def random_array(comp, rng, p, q, support=3, max_entry_norm=2):
@@ -398,3 +401,44 @@ def test_universal_coefficients_link_integer_and_mod_p_homology(comp3):
         for p in (2, 3):
             hp = homology(build_relative_complex(q, b, mod=p))
             assert {n: d["rank"] for n, d in hp.items()} == uct_ranks(h, p), (b.labels(), p, h, hp)
+
+
+_ZERO = {"rank": 0, "torsion": []}
+
+
+def _tables_by_norm(q, top):
+    """Per norm 1..top, the sorted nonzero parts of the integer homology
+    tables of its gradings, which do not depend on the labels."""
+    comp = Completion(q)
+    out = []
+    for n in range(1, top + 1):
+        tables = []
+        for b in comp.classes_of_norm(n):
+            h = homology(build_relative_complex(q, b))
+            nonzero = [(d, e["rank"], e["torsion"]) for d, e in h.items() if e != _ZERO]
+            tables.append(sorted(nonzero))
+        out.append(sorted(tables))
+    return out
+
+
+_RELABEL_CASES = [
+    (sym_geodesic_pmq(3), 3),
+    (natural_truncation(3), 3),
+    (transposition_quandle(3), 3),
+    (segre_pmq(), 2),
+]
+_CATALOG_TABLES = [_tables_by_norm(q, top) for q, top in _RELABEL_CASES]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(range(len(_RELABEL_CASES))).flatmap(
+    lambda i: st.tuples(st.just(i), st.permutations(_RELABEL_CASES[i][0].labels))
+))
+def test_homology_invariant_under_declaration_order(case_and_order):
+    # the pivot order of the elimination follows the labels, so a shuffled
+    # declaration runs it on differently ordered matrices
+    i, order = case_and_order
+    q, top = _RELABEL_CASES[i]
+    doc = pmq_to_json(q)
+    doc["elements"] = list(order)
+    assert _tables_by_norm(pmq_from_json(doc)[0], top) == _CATALOG_TABLES[i]

@@ -70,6 +70,36 @@ def test_structural_error_exit_1(files, capsys):
     assert json.loads(out)["error"] == "structural"
 
 
+_TWO = {"elements": ["1", "a"], "unit": "1"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"elements": 5, "unit": "1"},
+        {"elements": ["1", ["a"]], "unit": "1"},
+        {**_TWO, "unit": ["1"]},
+        {**_TWO, "conj": [["a", "a", "a"]]},
+        {**_TWO, "conj": {"a": ["a"]}},
+        {**_TWO, "conj": {"a": {"a": ["a"]}}},
+        {**_TWO, "prod": [5]},
+        {**_TWO, "prod": [["a", "a"], ["a", "a", ["1"]]]},
+        {**_TWO, "prod": {"a": "a"}},
+        {**_TWO, "norm": {"1": 0, "a": True}},
+        {**_TWO, "norm": [0, 1]},
+        {**_TWO, "rack": "yes"},
+    ],
+)
+def test_malformed_document_exit_1_without_traceback(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == "structural"
+    assert "Traceback" not in captured.err
+
+
 def test_precondition_exit_3(files, capsys):
     # the Segre structure is not coconnected, so the quadratic gate refuses
     code, out = run(capsys, "ring", files["segre"], "--present")

@@ -103,6 +103,27 @@ def test_verify_embedding_examples():
     assert verify_embedding(transposition_quandle(3))["ok"]
 
 
+def test_join_cross_check_walks_every_sequence_once(monkeypatch):
+    q = sym_geodesic_pmq(3)
+    walked = []
+
+    class Recording:
+        """A join whose product of a sequence is the sequence itself."""
+
+        def product_word(self, seq):
+            walked.append(seq)
+            return seq
+
+    import pmq.core
+
+    monkeypatch.setattr(pmq.core, "join_pmq_group", lambda pair: Recording())
+    report = verify_embedding(q, pair=sym_geodesic_pair(3), budget=3)
+    # classes with more than one state now see more than one value
+    assert report["join_cross_check"] is False and not report["ok"]
+    singletons = [(a,) for a in range(len(q))]
+    assert sorted(walked) == sorted([s for n in range(1, 4) for s in _sequences(q, n)] + singletons)
+
+
 def test_coconnected_comparison_with_norm_one_truncation():
     # for coconnected structures the completion only sees norm-one letters
     for q, budget in ((sym_geodesic_pmq(3), 4), (natural_truncation(3), 4)):

@@ -168,7 +168,7 @@ def test_reduced_echelon_matches_dense_oracle(entries):
 
 
 # mostly +-1, as in boundary matrices, so that the unit pivots and the
-# Smith reduction of the residue both run
+# least-magnitude pivots both run
 unit_weighted_strategy = st.builds(
     lambda cells: {k: v for k, v in cells.items() if v},
     st.dictionaries(
@@ -187,8 +187,16 @@ def test_rank_mod_p_matches_dense_oracle(entries, p):
     assert rank_mod_p(entries, p) == dense_rank_mod_p_oracle(entries, nrows, ncols, p)
 
 
+# no entry is a unit, so the reduction starts on least-magnitude pivots
+unit_free_strategy = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.sampled_from([2, -2, 3, -3, 4, 6, -6, 9]),
+    max_size=40,
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(unit_weighted_strategy)
+@given(st.one_of(unit_weighted_strategy, unit_free_strategy))
 def test_smith_form_matches_dense_oracle(entries):
     nrows = 1 + max((r for r, _ in entries), default=0)
     ncols = 1 + max((c for _, c in entries), default=0)
