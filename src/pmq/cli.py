@@ -35,6 +35,13 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
+def _violations(report) -> list[dict]:
+    return [
+        {"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail}
+        for v in report.violations
+    ]
+
+
 def _load_valid(path: str):
     q, is_rack = load_pmq(path)
     require_valid(q, rack=is_rack)
@@ -47,15 +54,7 @@ def cmd_validate(args) -> int:
     if report.ok:
         _emit({"valid": True})
         return 0
-    _emit(
-        {
-            "valid": False,
-            "violations": [
-                {"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail}
-                for v in report.violations
-            ],
-        }
-    )
+    _emit({"valid": False, "violations": _violations(report)})
     return 2
 
 
@@ -313,10 +312,7 @@ def main(argv=None) -> int:
         print(f"axiom violation: {exc}", file=sys.stderr)
         doc = {"error": "axiom", "message": str(exc)}
         if exc.report is not None:
-            doc["violations"] = [
-                {"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail}
-                for v in exc.report.violations
-            ]
+            doc["violations"] = _violations(exc.report)
         _emit(doc)
         return 2
     except PreconditionError as exc:

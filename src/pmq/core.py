@@ -30,11 +30,13 @@ concurrently on shared values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AxiomError, NormRequiredError, PreconditionError, StructureError
 
 __all__ = [
+    "orbit",
+    "orbits",
     "braid_act",
     "apply_moves",
     "FiniteGroup",
@@ -50,6 +52,33 @@ __all__ = [
     "geodesic_pmq",
     "group_norm_report",
 ]
+
+
+# ---------------------------------------------------------------------------
+# finite closures
+
+def orbit(starts: Iterable, step: Callable) -> set:
+    """Everything reachable from ``starts`` by repeated ``step``, where
+    ``step(x)`` gives the neighbours of x; the starts are included."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        for y in step(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def orbits(items: Iterable, step: Callable) -> Iterator[set]:
+    """Each orbit of ``step`` that meets ``items``, once, in the order of the
+    first item it contains."""
+    seen: set = set()
+    for x in items:
+        if x not in seen:
+            found = orbit((x,), step)
+            seen |= found
+            yield found
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +156,9 @@ class FiniteGroup:
         gens: list[int] = []
         seen = {unit}
         for a in range(n):
-            if a in seen:
-                continue
-            gens.append(a)
-            todo = list(seen)
-            while todo:
-                x = todo.pop()
-                for g in gens:
-                    y = rows[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        todo.append(y)
+            if a not in seen:
+                gens.append(a)
+                seen = orbit(seen, lambda x: [rows[x][g] for g in gens])
         for g in gens:
             row_g = rows[g]
             for x in range(n):
@@ -502,25 +523,14 @@ def conjugacy_classes(q: FinitePmq) -> list[tuple[str, ...]]:
 
 def _class_partition(q: FinitePmq) -> list[tuple[int, ...]]:
     n = len(q.labels)
-    seen = [False] * n
-    classes: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            a = frontier.pop()
-            for b in range(n):
-                for img in (q.conj[a][b], q.conjugate_inv(a, b)):
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-        cls = tuple(sorted(orbit))
-        for i in cls:
-            seen[i] = True
-        classes.append(cls)
-    return classes
+
+    def step(a: int):
+        row = q.conj[a]
+        for b in range(n):
+            yield row[b]
+            yield q.conjugate_inv(a, b)
+
+    return [tuple(sorted(cls)) for cls in orbits(range(n), step)]
 
 
 # ---------------------------------------------------------------------------

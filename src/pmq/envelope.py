@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import FiniteGroup, FinitePmq, semidirect_pmq
+from .core import FiniteGroup, FinitePmq, orbits, semidirect_pmq
 from .errors import StructureError
 
 Relator = tuple[int, ...]   # signed 1-based generator indices
@@ -136,26 +136,12 @@ def env_semidirect(
     q = semidirect_pmq(g, points, action)
     ng = len(g)
 
-    # orbits of the action
-    orbit_of: dict[str, int] = {}
-    orbits: list[list[str]] = []
-    for s in points:
-        if s in orbit_of:
-            continue
-        orbit = {s}
-        frontier = [s]
-        while frontier:
-            cur = frontier.pop()
-            for x in g.labels:
-                img = action[(cur, x)]
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        for t in orbit:
-            orbit_of[t] = len(orbits)
-        orbits.append(sorted(orbit))
+    point_orbits = tuple(
+        tuple(sorted(o)) for o in orbits(points, lambda s: [action[(s, x)] for x in g.labels])
+    )
+    orbit_of = {s: i for i, o in enumerate(point_orbits) for s in o}
 
-    m = len(orbits)
+    m = len(point_orbits)
     target = GroupTimesZn(g, m)
     zero = (0,) * m
 
@@ -188,7 +174,7 @@ def env_semidirect(
     return SemidirectEnvelope(
         q,
         target,
-        tuple(tuple(o) for o in orbits),
+        point_orbits,
         tuple(images),
         relators_ok,
         collapse_ok,

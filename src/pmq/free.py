@@ -37,7 +37,6 @@ __all__ = [
     "word_inv",
     "word_conj",
     "word_conj_inv",
-    "abelianization",
     "fq_decompose",
     "fq_element",
     "evaluate_pair_map",
@@ -91,13 +90,6 @@ def word_conj(a: Sequence[int], w: Sequence[int]) -> Word:
 def word_conj_inv(a: Sequence[int], w: Sequence[int]) -> Word:
     """a^(w^-1) = w a w^-1."""
     return word_mul(w, a, word_inv(w))
-
-
-def abelianization(word: Sequence[int], k: int) -> tuple[int, ...]:
-    out = [0] * k
-    for letter in word:
-        out[abs(letter) - 1] += 1 if letter > 0 else -1
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import NORM_AXIOMS, FinitePmq
+from .core import NORM_AXIOMS, FinitePmq, orbit, orbits
 from .errors import PreconditionError
 
 __all__ = [
@@ -95,9 +95,8 @@ def intrinsic_pseudonorm(q: FinitePmq, bound: Optional[int] = None):
 
 def decompositions(q: FinitePmq, a: int) -> list[tuple[int, ...]]:
     """All sequences over the norm-one part with defined product equal to a."""
-    norm = q.require_norm()
-    r = norm[a]
-    ones = [x for x in range(len(q)) if norm[x] == 1]
+    r = q.require_norm()[a]
+    ones = q.elements_of_norm(1)
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], acc: int) -> None:
@@ -114,19 +113,11 @@ def decompositions(q: FinitePmq, a: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _orbit(q: FinitePmq, start: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Standard-move orbit of a sequence.  Only positive moves are generated:
-    each permutes the finite set of sequences of a length, so its inverse is
-    one of its powers."""
-    orbit, frontier = {start}, [start]
-    while frontier:
-        cur = frontier.pop()
-        for i in range(1, len(cur)):
-            nxt = q.braid_act(cur, i, 1)
-            if nxt not in orbit:
-                orbit.add(nxt)
-                frontier.append(nxt)
-    return orbit
+def _moves(q: FinitePmq):
+    """Step of the standard-move orbit of a sequence.  Only positive moves are
+    generated: each permutes the finite set of sequences of a length, so its
+    inverse is one of its powers."""
+    return lambda seq: [q.braid_act(seq, i, 1) for i in range(1, len(seq))]
 
 
 def decomposition_classes(q: FinitePmq, a: int) -> list[list[tuple[int, ...]]]:
@@ -135,32 +126,20 @@ def decomposition_classes(q: FinitePmq, a: int) -> list[list[tuple[int, ...]]]:
     todo = sorted(decompositions(q, a))
     all_set = set(todo)
     classes: list[list[tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = set()
-    for start in todo:
-        if start in seen:
-            continue
-        comp = _orbit(q, start)
+    for comp in orbits(todo, _moves(q)):
         assert comp <= all_set, "move broke the product"
-        seen |= comp
         classes.append(sorted(comp))
     return classes
 
 
 def is_maximally_decomposable(q: FinitePmq) -> tuple[bool, Optional[str]]:
-    """Every element must be a product of norm(a) norm-one elements."""
-    norm = q.require_norm()
-    ones = [x for x in range(len(q)) if norm[x] == 1]
-    level = {q.unit}
-    found = {q.unit}
-    for _ in range(max(norm, default=0)):
-        nxt = set()
-        for p in level:
-            for x in ones:
-                c = q.prod.get((p, x))
-                if c is not None:
-                    nxt.add(c)
-        found |= nxt
-        level = nxt
+    """Every element must be a product of norm(a) norm-one elements.
+
+    Each product with a norm-one element adds 1 to a validated norm, so the
+    elements reached from the unit are exactly those products."""
+    ones = q.elements_of_norm(1)
+    prod = q.prod
+    found = orbit([q.unit], lambda p: [c for x in ones if (c := prod.get((p, x))) is not None])
     for a in range(len(q)):
         if a not in found:
             return False, q.labels[a]
@@ -199,17 +178,14 @@ def is_pairwise_determined(q: FinitePmq, r_max: Optional[int] = None):
         )
     if r_max is None:
         r_max = max(norm) + 1
-    ones = [x for x in range(len(q)) if norm[x] == 1]
+    ones = q.elements_of_norm(1)
     for r in range(3, r_max + 1):
-        seen: set[tuple[int, ...]] = set()
-        for seq in itertools.product(ones, repeat=r):
-            if seq in seen or q.product_word(seq) is not None:
-                continue
-            orbit = _orbit(q, seq)
-            good = any(q.prod.get((s[0], s[1])) is None for s in orbit)
-            seen |= orbit
-            if not good:
-                return False, r_max, q.to_labels(min(orbit))
+        unmultipliable = (
+            seq for seq in itertools.product(ones, repeat=r) if q.product_word(seq) is None
+        )
+        for found in orbits(unmultipliable, _moves(q)):
+            if all((s[0], s[1]) in q.prod for s in found):
+                return False, r_max, q.to_labels(min(found))
     return True, r_max, None
 
 

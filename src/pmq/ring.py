@@ -42,11 +42,7 @@ from .symgeo import all_transpositions, height, identity, perm_mul, perm_norm
 RingElem = dict[int, int]   # element index -> coefficient
 
 __all__ = [
-    "ring_elem",
-    "ring_elem_labels",
     "ring_mul",
-    "ring_add",
-    "scalar_mul",
     "augmentation",
     "class_sum",
     "class_sum_centrality",
@@ -70,26 +66,6 @@ def _trim(x: RingElem, mod: int) -> RingElem:
     if mod:
         return {k: v % mod for k, v in x.items() if v % mod}
     return {k: v for k, v in x.items() if v}
-
-
-def ring_elem(q: FinitePmq, label_coeffs: dict[str, int], mod: int = 0) -> RingElem:
-    return _trim({q.index(l): c for l, c in label_coeffs.items()}, mod)
-
-
-def ring_elem_labels(q: FinitePmq, x: RingElem) -> dict[str, int]:
-    """Label-to-coefficient map, the JSON-facing form of a ring element."""
-    return {q.labels[a]: c for a, c in sorted(x.items())}
-
-
-def ring_add(x: RingElem, y: RingElem, mod: int = 0) -> RingElem:
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out.get(k, 0) + v
-    return _trim(out, mod)
-
-
-def scalar_mul(c: int, x: RingElem, mod: int = 0) -> RingElem:
-    return _trim({k: c * v for k, v in x.items()}, mod)
 
 
 def ring_mul(q: FinitePmq, x: RingElem, y: RingElem, mod: int = 0) -> RingElem:
@@ -193,7 +169,7 @@ def quadratic_presentation(
     normed, maximally decomposable structure, then judge the quotient by its
     graded dimensions.
     """
-    norm = q.require_norm()
+    q.require_norm()
     if require_tame:
         failed = _tameness(q, r_max)
         if failed:
@@ -205,7 +181,7 @@ def quadratic_presentation(
                 f"degree-one part does not generate: {witness}",
                 failed="maximally_decomposable",
             )
-    ones = [a for a in range(len(q)) if norm[a] == 1]
+    ones = q.elements_of_norm(1)
     pos = {a: i for i, a in enumerate(ones)}
     pair_relators = []
     zero_relators = []
@@ -238,11 +214,10 @@ def quadratic_quotient_dimensions(
     """
     if max_degree < 0:
         raise PreconditionError(f"degree {max_degree} is negative", failed="degree")
-    norm = q.require_norm()
     pres = presentation or quadratic_presentation(q, require_tame=False)
     k = len(pres.generators)
     relators = pres.relator_vectors()
-    census = [sum(1 for a in range(len(q)) if norm[a] == d) for d in range(max_degree + 1)]
+    census = [len(q.elements_of_norm(d)) for d in range(max_degree + 1)]
 
     out = [(0, 1, census[0])]
     if max_degree == 0:
@@ -281,8 +256,7 @@ def degree2_kernel(q: FinitePmq) -> list[dict[tuple[int, int], int]]:
     undefined pairs as monomial relators plus differences of pairs with the
     same defined product.  This is what the quadratic relators must span for
     the ring itself to be quadratic."""
-    norm = q.require_norm()
-    ones = [a for a in range(len(q)) if norm[a] == 1]
+    ones = q.elements_of_norm(1)
     pos = {a: i for i, a in enumerate(ones)}
     out: list[dict[tuple[int, int], int]] = []
     by_product: dict[int, list[tuple[int, int]]] = {}
@@ -318,14 +292,14 @@ class DualPresentation:
 
 
 def quadratic_dual(q: FinitePmq, *, require_tame: bool = True) -> DualPresentation:
-    norm = q.require_norm()
+    q.require_norm()
     if require_tame:
         failed = _tameness(q)
         if failed:
             raise PreconditionError(f"dual presentation needs tameness: {failed} fails", failed=failed)
-    ones = [a for a in range(len(q)) if norm[a] == 1]
+    ones = q.elements_of_norm(1)
     pos = {a: i for i, a in enumerate(ones)}
-    twos = [c for c in range(len(q)) if norm[c] == 2]
+    twos = q.elements_of_norm(2)
     relators = []
     for c in twos:
         pairs = tuple(

@@ -337,7 +337,7 @@ def triples_of_weight(d: int, n: int) -> list[GeoHatElem]:
     closed-form conditions."""
     out: list[GeoHatElem] = []
     for part in _set_partitions(list(range(1, d + 1))):
-        for sigma_pieces in itertools.product(*(_perms_of(piece) for piece in part)):
+        for sigma_pieces in itertools.product(*map(itertools.permutations, part)):
             sigma = list(range(1, d + 1))
             for piece, sp in zip(part, sigma_pieces):
                 for x, y in zip(piece, sp):
@@ -376,11 +376,6 @@ def _set_partitions(items: list[int]):
             yield [list(p) for p in part[:i]] + [[first] + list(part[i])] + [
                 list(p) for p in part[i + 1 :]
             ]
-
-
-def _perms_of(piece: list[int]):
-    for images in itertools.permutations(piece):
-        yield images
 
 
 # ---------------------------------------------------------------------------

@@ -442,3 +442,21 @@ def test_homology_invariant_under_declaration_order(case_and_order):
     doc = pmq_to_json(q)
     doc["elements"] = list(order)
     assert _tables_by_norm(pmq_from_json(doc)[0], top) == _CATALOG_TABLES[i]
+
+
+@pytest.mark.parametrize("d, top", [(3, 4), (4, 3)])
+def test_homology_invariant_under_conjugation(d, top):
+    # conjugation by a base element a is a PMQ automorphism that maps the
+    # arrays of b onto those of b^a and commutes with faces, so every
+    # conjugate grading has the same cells and the same integer homology
+    q = sym_geodesic_pmq(d)
+    comp = Completion(q)
+    tables = {}
+    for b in comp.classes_up_to(top):
+        cx = build_relative_complex(q, b)
+        h = homology(cx)
+        tables[b] = (cx.dims(), {n: e for n, e in h.items() if e != _ZERO})
+    conjugators = [comp.element(a) for a in range(len(q))]
+    for b, table in tables.items():
+        for a in conjugators:
+            assert tables[b.conj(a)] == table, (b.labels(), a.labels())

@@ -61,6 +61,21 @@ def test_env_semidirect_swap_two_points():
     assert env.images[env.pmq.index("s")] == env.images[env.pmq.index("t")]
 
 
+def test_env_semidirect_two_swapped_pairs():
+    g = cyclic_group(2)
+    swap = {"s": "t", "t": "s", "u": "v", "v": "u"}
+    action = {}
+    for s, t in swap.items():
+        action[(s, "0")] = s
+        action[(s, "1")] = t
+    env = env_semidirect(g, ["s", "t", "u", "v"], action)
+    assert env.ok
+    assert env.orbits == (("s", "t"), ("u", "v"))
+    # one free generator per orbit: the two orbits have different images
+    image = {x: env.images[env.pmq.index(x)] for x in swap}
+    assert image["s"] == image["t"] != image["u"] == image["v"]
+
+
 def test_env_semidirect_trivial_group_free_abelian():
     from pmq.core import FiniteGroup
 
