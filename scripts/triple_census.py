@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Census of the completion of the geodesic PMQ of a symmetric group.
 
-For each total norm up to a bound, counts the canonical classes found by
-breadth-first search over the move graph and the closed-form triples
-(permutation; orbit partition; per-piece weights), and verifies they agree.
+For each total norm up to a bound, counts the canonical classes built by
+``Completion.classes_of_norm`` from the classes of lower norm and the
+closed-form triples (permutation; orbit partition; per-piece weights), and
+verifies they agree.
 Exits 1 when any norm level disagrees.
 
 Usage: python scripts/triple_census.py [d] [max_norm]

@@ -9,64 +9,56 @@ inverses) connects them:
   (2) replace (a, b) by (b, a^b);
   (3) replace (a, b) by (b^(a^-1), a).
 
-Every move preserves the total norm, entries stay in the non-unit part, and
-a sequence of total norm n has length at most n, so each equivalence class
-is finite and a search of the move graph decides equality exactly.  The
-canonical representative is the length-lexicographic minimum of the class,
-using the declaration order of elements.
+Every move preserves the total norm and entries stay in the non-unit part,
+so each class lies in one norm level and is finite.  The canonical
+representative is the length-lexicographic minimum of the class, using the
+declaration order of elements.
 
-The search generates contractions, their inverses (expansions) and move
-(2), never move (3).  Move (2) at position j is a bijection sigma_j of the
-finite set of sequences of a given length, so its inverse (3) is a power of
-it, sigma_j^(k-1) on an orbit of size k, and the search reaches the same
-class without writing it.
+Classes are built level by level, with no search over sequences.  Write a
+nonempty state of norm m as a.t, a letter a followed by a tail t.  Its
+node is (a, w), where w is the class of t, of norm m - N(a).  A move on
+a.t either acts inside the tail, and keeps the node, or touches positions
+0-1, and then it is one of two edges, read from one end (t = x.r with
+(x, u) a node of w):
 
-States of the search are strings holding one character chr(a) per entry a.
-Code-point order is index order, so the least string is the least tuple.
-Three tables drive the moves: two-character string -> product character
-for the defined products, one length-n string per b mapping a to a^b, and
-each element's factorisations as two-character strings.  Together they
-hold O(n^2) characters plus the product table, never an n^2-entry dict,
-so a ``Completion`` of a large group stays cheap to build.
+  braid:        (a, w) -- (x, class(a^x, u)), move (2) on a.x.r;
+  contraction:  (a, w) -- (ax, u), when ax is defined.
 
-``classes_of_norm`` builds classes by construction rather than by
-canonicalising every sequence: moves act locally, so (a,) + r is equivalent
-to (a,) + canonical(r), and the class words of norm n are the canonical
-forms of (a,) + w over non-unit letters a and class words w of norm
-n - N(a).  At norm 7 on the geodesic PMQ of S_4 that is ~960 canonical
-forms instead of 1.16 million.  ``class_states`` lists the sequences of
-one class: they are the arrays of that grading read column-major
-(``barhur``), and ``verify_embedding`` walks them class by class.
-``sequences_of_norm`` still lists every sequence of a norm, for the tests
-and the benchmark harness.
+Move (3) at position 0 is a braid edge read from its other end, and an
+expansion is a contraction read from its other end.  So the classes of
+norm m are the components of the graph on the nodes (a, w), and a
+union-find over the edges of each node finds them; class(a^x, u) lives at
+norm m - N(x), which is already built.  The shortest states of a node are
+a followed by the shortest states of w, the least of them a followed by
+the canonical word of w, so a component's canonical word is the least
+(a,) + word(w) over its nodes.  ``canonical`` is then a fold from the
+right, class(a.t) = node(a, class(t)), through the node tables up to the
+sequence's norm; levels are built on first use.  At norm 7 on the
+geodesic PMQ of S_4 that is 960 nodes and 18,774 edges, against 1.16
+million sequences.
 
-Conjugation by a base element c, applied to every entry, is an
-automorphism of the move graph: product-equivariance maps a contraction
-(a, b) -> ab to (a^c, b^c) -> (ab)^c, and self-distributivity maps move (2)
-to move (2).  So it maps each class bijectively onto a class, preserving
-lengths, and the shortest states onto that class's shortest states.
-``canonical`` therefore searches one class per conjugation orbit.  Before
-a search it conjugates the state by c^-1 for each distinct non-identity
-column c (one ``str.translate``, with a length-n string as the table); if
-that state is known, the answer is the least of the known class's
-shortest states conjugated by c, exactly.  The memo holds every state of
-a searched class, only the looked-up state of a derived class, and the
-shortest states of each class word.  On the geodesic PMQ of S_4 to norm 7
-that is 37 searches instead of 227, and 233,286 memo entries instead of
-1,332,995.  The memo is internal only (results are independent of call
-order) and writes are appends, so shared read access is safe.
+``class_states`` lists the sequences of one class by a search of its move
+graph: they are the arrays of that grading read column-major
+(``barhur``), and ``verify_embedding`` walks them class by class.  The
+search generates contractions, their inverses (expansions) and move (2),
+never move (3): move (2) at position j is a bijection sigma_j of the
+finite set of sequences of a given length, so its inverse (3) is a power
+of it, sigma_j^(k-1) on an orbit of size k.  Its states are strings
+holding one character chr(a) per entry a, driven by three tables:
+two-character string -> product character for the defined products, one
+length-n string per b mapping a to a^b, and each element's factorisations
+as two-character strings.  ``sequences_of_norm`` lists every sequence of
+a norm, for the tests and the benchmark harness.
 
 Class sizes grow exponentially with the total norm (the number of
 sequences of norm n over a fixed alphabet does), so keep the norms of the
-classes you touch within a budget: products add norms, conjugation
-preserves them.
+classes whose states you list within a budget: products add norms,
+conjugation preserves them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Optional
 
 from .core import FinitePmq, require_valid
@@ -135,9 +127,7 @@ class Completion:
         require_valid(pmq)
         self.pmq = pmq
         n, unit = len(pmq), pmq.unit
-        # move-graph states are strings, one character chr(a) per entry a
-        self._code = [chr(a) for a in range(n)]
-        self._code[unit] = ""
+        # move tables of the state search behind ``class_states``
         self._mul: dict[str, str] = {}
         self._splits: list[list[str]] = [[] for _ in range(n)]
         for (a, b), c in pmq.prod.items():
@@ -145,10 +135,12 @@ class Completion:
                 self._mul[chr(a) + chr(b)] = chr(c)
                 self._splits[c].append(chr(a) + chr(b))
         self._act = ["".join(map(chr, column)) for column in zip(*pmq.conj)]
-        self._canon: dict[str, Seq] = {}
-        self._shortest: dict[Seq, list[str]] = {}
         self._levels: dict[int, list[Seq]] = {}
-        self._words: dict[int, list[Seq]] = {0: [()]}
+        # per norm level: the class words, sorted; the nodes (a, w) of each
+        # class; and the class of each node
+        self._words: list[list[Seq]] = [[()]]
+        self._nodes: list[list[list[tuple[int, int]]]] = [[[]]]
+        self._node_class: list[dict[tuple[int, int], int]] = [{}]
 
     # -- basic constructors ---------------------------------------------
 
@@ -171,41 +163,54 @@ class Completion:
 
     # -- the move graph ---------------------------------------------------
 
-    @cached_property
-    def _conjugators(self) -> list[tuple[str, str]]:
-        """(x -> x^(c^-1), x -> x^c) as translate tables, for each distinct
-        non-identity column c; built at the first search, so building a
-        ``Completion`` costs no more than its move tables."""
-        n = len(self.pmq)
-        columns = dict(zip(self._act, range(n)))
-        columns.pop("".join(map(chr, range(n))), None)
-        return [
-            ("".join(map(chr, self.pmq.conj_inv[c])), act) for act, c in columns.items()
-        ]
+    def canonical(self, seq: Iterable[int]) -> Seq:
+        """Length-lexicographic minimum of the move class of ``seq``: a fold
+        from the right, class(a.t) = node(a, class(t)); units are dropped."""
+        norm, unit = self.pmq.norm, self.pmq.unit
+        letters = [x for x in seq if x != unit]
+        self._build_to(sum(norm[x] for x in letters))
+        level = c = 0
+        for a in reversed(letters):
+            level += norm[a]
+            c = self._node_class[level][a, c]
+        return self._words[level][c]
 
-    def canonical(self, seq: Seq) -> Seq:
-        """Length-lexicographic minimum of the move class of ``seq``."""
-        code = self._code
-        state = "".join([code[x] for x in seq])
-        memo = self._canon.get
-        cached = memo(state)
-        if cached is None:
-            for undo, act in self._conjugators:
-                known = memo(state.translate(undo))
-                if known is not None:
-                    # the class is the conjugate by c of a known one
-                    shortest = [s.translate(act) for s in self._shortest[known]]
-                    cached = tuple(map(ord, min(shortest)))
-                    self._canon[state] = cached
-                    break
-            else:
-                component = self._explore(state)
-                length = min(map(len, component))
-                shortest = [s for s in component if len(s) == length]
-                cached = tuple(map(ord, min(shortest)))
-                self._canon.update(zip(component, repeat(cached)))
-            self._shortest.setdefault(cached, shortest)
-        return cached
+    def _build_to(self, top: int) -> None:
+        """Build every norm level up to ``top``: the classes of norm m are
+        the components of the node graph over the levels below it."""
+        pmq = self.pmq
+        norm, conj, prod = pmq.norm, pmq.conj, pmq.prod
+        words, nodes, node_class = self._words, self._nodes, self._node_class
+        letters = [a for a in range(len(pmq)) if a != pmq.unit]
+        for m in range(len(words), top + 1):
+            parent = {
+                (a, w): (a, w)
+                for a in letters
+                if norm[a] <= m
+                for w in range(len(words[m - norm[a]]))
+            }
+
+            def find(v):
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                return v
+
+            def key(v):
+                word = (v[0],) + words[m - norm[v[0]]][v[1]]
+                return len(word), word
+
+            for a, w in parent:
+                for x, u in nodes[m - norm[a]][w]:
+                    parent[find((a, w))] = find((x, node_class[m - norm[x]][conj[a][x], u]))
+                    if (a, x) in prod:
+                        parent[find((a, w))] = find((prod[a, x], u))
+            components: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for v in parent:
+                components.setdefault(find(v), []).append(v)
+            ranked = sorted((min(map(key, c)), c) for c in components.values())
+            words.append([word for (_, word), _ in ranked])
+            nodes.append([c for _, c in ranked])
+            node_class.append({v: i for i, (_, c) in enumerate(ranked) for v in c})
 
     def class_states(self, h: HatElem) -> dict[int, list[Seq]]:
         """Every sequence of non-unit elements in the class of ``h`` (the
@@ -293,24 +298,11 @@ class Completion:
         return out
 
     def classes_of_norm(self, n: int) -> list[HatElem]:
-        """Canonical forms of all classes of total norm n, sorted.
-
-        Level m is built from the lower ones: the words of norm m are the
-        canonical forms of (a,) + w over non-unit a and class words w of
-        norm m - N(a).
-        """
-        words = self._words
-        norm, unit = self.pmq.norm, self.pmq.unit
-        for m in range(1, n + 1):
-            if m not in words:
-                canons = {
-                    self.canonical((a,) + w)
-                    for a in range(len(self.pmq))
-                    if a != unit and norm[a] <= m
-                    for w in words[m - norm[a]]
-                }
-                words[m] = sorted(canons, key=lambda s: (len(s), s))
-        return [HatElem(self, w, n) for w in words.get(n, [])]
+        """Canonical forms of all classes of total norm n, sorted."""
+        if n < 0:
+            return []
+        self._build_to(n)
+        return [HatElem(self, w, n) for w in self._words[n]]
 
     def classes_up_to(self, n: int) -> list[HatElem]:
         out = []

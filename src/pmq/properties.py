@@ -93,24 +93,23 @@ def intrinsic_pseudonorm(q: FinitePmq, bound: Optional[int] = None):
 # ---------------------------------------------------------------------------
 # decompositions into norm-one elements
 
+def _decompositions_by_product(q: FinitePmq, top: int) -> dict[int, list[tuple[int, ...]]]:
+    """The decompositions of every element of norm <= top, each in
+    lexicographic order: one walk of the norm-one prefix tree, level by
+    level, grouping the words by their product."""
+    ones, prod = q.elements_of_norm(1), q.prod
+    level = [((), q.unit)]
+    out = {q.unit: [()]}
+    for _ in range(top):
+        level = [(w + (x,), c) for w, acc in level for x in ones if (c := prod.get((acc, x))) is not None]
+        for w, c in level:
+            out.setdefault(c, []).append(w)
+    return out
+
+
 def decompositions(q: FinitePmq, a: int) -> list[tuple[int, ...]]:
     """All sequences over the norm-one part with defined product equal to a."""
-    r = q.require_norm()[a]
-    ones = q.elements_of_norm(1)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], acc: int) -> None:
-        if len(prefix) == r:
-            if acc == a:
-                out.append(prefix)
-            return
-        for x in ones:
-            nxt = q.prod.get((acc, x))
-            if nxt is not None:
-                extend(prefix + (x,), nxt)
-
-    extend((), q.unit)
-    return out
+    return _decompositions_by_product(q, q.require_norm()[a]).get(a, [])
 
 
 def _moves(q: FinitePmq):
@@ -120,16 +119,22 @@ def _moves(q: FinitePmq):
     return lambda seq: [q.braid_act(seq, i, 1) for i in range(1, len(seq))]
 
 
-def decomposition_classes(q: FinitePmq, a: int) -> list[list[tuple[int, ...]]]:
-    """Standard-move components of the norm-one decompositions of a, in the
-    order of their lexicographically least members."""
-    todo = sorted(decompositions(q, a))
+def _move_classes(q: FinitePmq, words: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """Standard-move components of a set of words closed under the moves,
+    in the order of their lexicographically least members."""
+    todo = sorted(words)
     all_set = set(todo)
     classes: list[list[tuple[int, ...]]] = []
     for comp in orbits(todo, _moves(q)):
         assert comp <= all_set, "move broke the product"
         classes.append(sorted(comp))
     return classes
+
+
+def decomposition_classes(q: FinitePmq, a: int) -> list[list[tuple[int, ...]]]:
+    """Standard-move components of the norm-one decompositions of a, in the
+    order of their lexicographically least members."""
+    return _move_classes(q, decompositions(q, a))
 
 
 def is_maximally_decomposable(q: FinitePmq) -> tuple[bool, Optional[str]]:
@@ -154,9 +159,8 @@ def is_coconnected(q: FinitePmq) -> tuple[bool, dict[str, int]]:
         raise PreconditionError(
             f"not maximally decomposable at {witness}", failed="maximally_decomposable"
         )
-    counts = {}
-    for a in range(len(q)):
-        counts[q.labels[a]] = len(decomposition_classes(q, a))
+    grouped = _decompositions_by_product(q, max(q.norm))
+    counts = {q.labels[a]: len(_move_classes(q, grouped.get(a, []))) for a in range(len(q))}
     return all(v == 1 for v in counts.values()), counts
 
 

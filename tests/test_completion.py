@@ -18,7 +18,7 @@ from pmq.catalog import (
 from pmq.completion import Completion, verify_embedding
 from pmq.errors import NormRequiredError
 from pmq.serialize import pmq_from_json, pmq_to_json
-from pmq.symgeo import geo_hat_conj, make_triple, sym_geodesic_pair, triples_of_weight
+from pmq.symgeo import sym_geodesic_pair, triples_of_weight
 
 
 def test_unit_and_strip():
@@ -255,11 +255,13 @@ def _shuffled_orders(q):
     [
         (sym_geodesic_pmq(3), 5),
         (sym_geodesic_pmq(4), 4),
-        (natural_truncation(3), 5),   # trivial conjugation: nothing is derived
+        (natural_truncation(3), 5),
         (transposition_quandle(3), 4),
         (segre_pmq(), 4),
+        (natural_with_double_one(3), 5),
+        (pointed_set_pmq({"a": 1, "b": 2}), 5),
     ],
-    ids=["S3", "S4", "nat3", "tq3", "segre"],
+    ids=["S3", "S4", "nat3", "tq3", "segre", "double1", "pointed"],
 )
 def test_canonical_and_census_match_reference_bfs_in_every_order(q, top):
     # the oracle is the three-move search alone, never Completion.canonical
@@ -276,62 +278,57 @@ def test_canonical_and_census_match_reference_bfs_in_every_order(q, top):
             assert [h.word for h in built.classes_of_norm(n)] == expected
 
 
-class _CountingDict(dict):
-    def __init__(self):
-        super().__init__()
-        self.lookups = 0
+def test_census_and_canonical_never_search_states(monkeypatch):
+    def refuse(self, start):
+        raise AssertionError(f"state search from {start!r}")
 
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
-
-
-def _instrumented(q):
-    """A completion counting its class searches and its memo lookups."""
+    monkeypatch.setattr(Completion, "_explore", refuse)
+    q = sym_geodesic_pmq(4)
     c = Completion(q)
-    c._canon = _CountingDict()
-    explore = c._explore
-    c.explored = []
-
-    def counted(state):
-        c.explored.append(state)
-        return explore(state)
-
-    c._explore = counted
-    return c
-
-
-def test_census_searches_one_class_per_conjugation_orbit():
-    # orbits of S_4 acting on the closed-form triples, without Completion
-    singletons = [[x] for x in range(1, 5)]
-    by = [make_triple(g, singletons, [0] * 4) for g in itertools.permutations(range(1, 5))]
-    c = _instrumented(sym_geodesic_pmq(4))
-    for n in range(1, 7):
-        seen, orbits = set(), 0
-        for t in triples_of_weight(4, n):
-            if t not in seen:
-                orbits += 1
-                seen.update(geo_hat_conj(t, b) for b in by)
-        before = len(c.explored)
-        classes = c.classes_of_norm(n)
-        assert len(c.explored) - before == orbits < len(classes)
+    assert [len(c.classes_of_norm(n)) for n in range(8)] == [
+        len(triples_of_weight(4, n)) for n in range(8)
+    ]
+    seqs = _sequences(q, 3)
+    reference = _reference_canonical(q, seqs)
+    assert [c.canonical(s) for s in seqs] == [reference[s] for s in seqs]
+    # class_states is the one caller of the search
+    with pytest.raises(AssertionError, match="state search"):
+        c.class_states(c.classes_of_norm(2)[0])
 
 
-def test_trivial_conjugation_adds_no_lookups():
-    q = natural_truncation(3)
-    c = _instrumented(q)
-    calls = 0
-    canonical = c.canonical
+def test_nodes_per_level_are_letters_times_lower_classes():
+    q = sym_geodesic_pmq(4)
+    c = Completion(q)
+    letters = [a for a in range(len(q)) if a != q.unit]
+    for n in range(8):
+        c.classes_of_norm(n)
+        nodes = sum(map(len, c._nodes[n]))
+        assert nodes == sum(len(c.classes_of_norm(n - q.norm[a])) for a in letters)
+    assert nodes == 960
 
-    def counted(seq):
-        nonlocal calls
-        calls += 1
-        return canonical(seq)
 
-    c.canonical = counted
-    classes = [h for n in range(1, 6) for h in c.classes_of_norm(n)]
-    assert c._canon.lookups == calls > 0
-    assert len(c.explored) == len(classes)
+_ORACLE = [
+    sym_geodesic_pmq(3),
+    sym_geodesic_pmq(4),
+    natural_truncation(3),
+    transposition_quandle(3),
+    segre_pmq(),
+    natural_with_double_one(3),
+    pointed_set_pmq({"a": 1, "b": 2}),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_of_random_sequences_matches_reference_bfs(data):
+    q = data.draw(st.sampled_from(_ORACLE))
+    p = _relabelled(q, data.draw(st.permutations(q.labels)))
+    seq: tuple = ()
+    for a in data.draw(st.lists(st.integers(0, len(p) - 1), max_size=5)):
+        if sum(p.norm[x] for x in seq) + p.norm[a] <= 4:
+            seq += (a,)
+    stripped = tuple(x for x in seq if x != p.unit)
+    assert Completion(p).canonical(seq) == _reference_canonical(p, [stripped])[stripped]
 
 
 _SMALL = [sym_geodesic_pmq(3), natural_truncation(3), segre_pmq(), transposition_quandle(3)]

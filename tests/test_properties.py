@@ -241,3 +241,49 @@ def test_property_report_invariant_under_declaration_order(q):
         assert rep.witnesses.keys() == base.witnesses.keys()
         for prop, witness in rep.witnesses.items():
             assert _is_witness(p, prop, witness), (prop, witness)
+
+
+def _reference_decompositions(q, a):
+    """The norm-one decompositions of a, by a depth-first walk of the
+    prefix tree for a alone."""
+    out = []
+
+    def extend(prefix, acc):
+        if len(prefix) == q.norm[a]:
+            if acc == a:
+                out.append(prefix)
+            return
+        for x in q.elements_of_norm(1):
+            if (acc, x) in q.prod:
+                extend(prefix + (x,), q.prod[(acc, x)])
+
+    extend((), q.unit)
+    return out
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        unit_pmq(),
+        sym_geodesic_pmq(3),
+        sym_geodesic_pmq(4),
+        natural_truncation(3),
+        natural_with_double_one(3),
+        transposition_quandle(3),
+        segre_pmq(),
+    ],
+    ids=["unit", "S3", "S4", "nat3", "double_one3", "tq3", "segre"],
+)
+def test_coconnected_counts_match_per_element_walk(q):
+    rng = random.Random(7)
+    for p in (q, _shuffled(q, rng), _shuffled(q, rng)):
+        _, counts = is_coconnected(p)
+        for a in range(len(p)):
+            walked = _reference_decompositions(p, a)
+            assert decompositions(p, a) == walked
+            seen, classes = set(), 0
+            for start in walked:
+                if start not in seen:
+                    seen |= _reference_orbit(p, start)
+                    classes += 1
+            assert counts[p.labels[a]] == classes
