@@ -15,11 +15,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from pmq.free import braid_act_word, fq_decompose, fq_element, normalize_decomposition
 
 
-def main() -> None:
+def main() -> int:
     r = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     moves = int(sys.argv[2]) if len(sys.argv) > 2 else 12
     trials = int(sys.argv[3]) if len(sys.argv) > 3 else 5
     rng = random.Random(2)
+    all_ok = True
     for trial in range(trials):
         words = [fq_element(i, ()) for i in range(1, r + 1)]
         scramble = []
@@ -34,10 +35,12 @@ def main() -> None:
         dt = time.monotonic() - t0
         restored = braid_act_word(words, log)
         ok = restored == tuple((i,) for i in range(1, r + 1))
+        all_ok = all_ok and ok
         print(f"trial {trial}: scramble {scramble}")
         print(f"  weights {[1 + 2 * len(w) for _, w in factors]}, log of {len(log)} moves, "
               f"restored={ok} ({dt:.3f}s)")
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

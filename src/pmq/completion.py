@@ -37,18 +37,11 @@ sequence's norm; levels are built on first use.  At norm 7 on the
 geodesic PMQ of S_4 that is 960 nodes and 18,774 edges, against 1.16
 million sequences.
 
-``class_states`` lists the sequences of one class by a search of its move
-graph: they are the arrays of that grading read column-major
-(``barhur``), and ``verify_embedding`` walks them class by class.  The
-search generates contractions, their inverses (expansions) and move (2),
-never move (3): move (2) at position j is a bijection sigma_j of the
-finite set of sequences of a given length, so its inverse (3) is a power
-of it, sigma_j^(k-1) on an orbit of size k.  Its states are strings
-holding one character chr(a) per entry a, driven by three tables:
-two-character string -> product character for the defined products, one
-length-n string per b mapping a to a^b, and each element's factorisations
-as two-character strings.  ``sequences_of_norm`` lists every sequence of
-a norm, for the tests and the benchmark harness.
+``class_states`` recurses down the same tables: every state of a class is
+a.t for exactly one of its nodes (a, w), with t a state of w.  The states
+are the arrays of that grading read column-major (``barhur``), and
+``verify_embedding`` walks them.  ``sequences_of_norm`` lists every
+sequence of a norm, for the tests and the benchmark harness.
 
 Class sizes grow exponentially with the total norm (the number of
 sequences of norm n over a fixed alphabet does), so keep the norms of the
@@ -126,15 +119,6 @@ class Completion:
         pmq.require_norm()
         require_valid(pmq)
         self.pmq = pmq
-        n, unit = len(pmq), pmq.unit
-        # move tables of the state search behind ``class_states``
-        self._mul: dict[str, str] = {}
-        self._splits: list[list[str]] = [[] for _ in range(n)]
-        for (a, b), c in pmq.prod.items():
-            if a != unit and b != unit:
-                self._mul[chr(a) + chr(b)] = chr(c)
-                self._splits[c].append(chr(a) + chr(b))
-        self._act = ["".join(map(chr, column)) for column in zip(*pmq.conj)]
         self._levels: dict[int, list[Seq]] = {}
         # per norm level: the class words, sorted; the nodes (a, w) of each
         # class; and the class of each node
@@ -164,8 +148,14 @@ class Completion:
     # -- the move graph ---------------------------------------------------
 
     def canonical(self, seq: Iterable[int]) -> Seq:
-        """Length-lexicographic minimum of the move class of ``seq``: a fold
-        from the right, class(a.t) = node(a, class(t)); units are dropped."""
+        """Length-lexicographic minimum of the move class of ``seq``; units
+        are dropped."""
+        level, c = self._locate(seq)
+        return self._words[level][c]
+
+    def _locate(self, seq: Iterable[int]) -> tuple[int, int]:
+        """(norm, index) of the class of ``seq`` in the node tables: a fold
+        from the right, class(a.t) = node(a, class(t))."""
         norm, unit = self.pmq.norm, self.pmq.unit
         letters = [x for x in seq if x != unit]
         self._build_to(sum(norm[x] for x in letters))
@@ -173,7 +163,7 @@ class Completion:
         for a in reversed(letters):
             level += norm[a]
             c = self._node_class[level][a, c]
-        return self._words[level][c]
+        return level, c
 
     def _build_to(self, top: int) -> None:
         """Build every norm level up to ``top``: the classes of norm m are
@@ -215,39 +205,23 @@ class Completion:
     def class_states(self, h: HatElem) -> dict[int, list[Seq]]:
         """Every sequence of non-unit elements in the class of ``h`` (the
         states of its move component), grouped by length, each group
-        sorted."""
-        out: dict[int, list[Seq]] = {}
-        for s in sorted(self._explore("".join(map(chr, h.word)))):
-            out.setdefault(len(s), []).append(tuple(map(ord, s)))
-        return out
+        sorted: states(m, c) is the disjoint union of a.states(m - N(a), w)
+        over the nodes (a, w) of class c."""
+        norm, nodes = self.pmq.norm, self._nodes
+        memo: dict[tuple[int, int], list[Seq]] = {(0, 0): [()]}
 
-    def _explore(self, start: str) -> set[str]:
-        """The states reachable from ``start`` by contractions, expansions
-        and move (2).  Neighbours are collected in batches of a few
-        thousand, so the set operations run in bulk while the batch stays
-        small next to the class."""
-        mul, act, splits = self._mul, self._act, self._splits
-        seen = {start}
-        todo = [start]
-        while todo:
-            found: list[str] = []
-            push = found.append
-            while todo and len(found) < 4096:
-                s = todo.pop()
-                for j, (a, b) in enumerate(zip(s, s[1:])):
-                    head, tail = s[:j], s[j + 2 :]
-                    c = mul.get(a + b)
-                    if c is not None:
-                        push(f"{head}{c}{tail}")
-                    push(f"{head}{b}{act[ord(b)][ord(a)]}{tail}")
-                for j, x in enumerate(s):
-                    for pair in splits[ord(x)]:
-                        push(f"{s[:j]}{pair}{s[j + 1 :]}")
-            new = set(found)
-            new -= seen
-            seen |= new
-            todo += new
-        return seen
+        def states(m: int, c: int) -> list[Seq]:
+            found = memo.get((m, c))
+            if found is None:
+                found = memo[m, c] = [
+                    (a,) + t for a, w in nodes[m][c] for t in states(m - norm[a], w)
+                ]
+            return found
+
+        out: dict[int, list[Seq]] = {}
+        for s in sorted(states(*self._locate(h.word))):
+            out.setdefault(len(s), []).append(s)
+        return out
 
     # -- operations --------------------------------------------------------
 

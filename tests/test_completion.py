@@ -278,11 +278,7 @@ def test_canonical_and_census_match_reference_bfs_in_every_order(q, top):
             assert [h.word for h in built.classes_of_norm(n)] == expected
 
 
-def test_census_and_canonical_never_search_states(monkeypatch):
-    def refuse(self, start):
-        raise AssertionError(f"state search from {start!r}")
-
-    monkeypatch.setattr(Completion, "_explore", refuse)
+def test_s4_census_matches_triples_and_canonical_matches_bfs():
     q = sym_geodesic_pmq(4)
     c = Completion(q)
     assert [len(c.classes_of_norm(n)) for n in range(8)] == [
@@ -291,9 +287,6 @@ def test_census_and_canonical_never_search_states(monkeypatch):
     seqs = _sequences(q, 3)
     reference = _reference_canonical(q, seqs)
     assert [c.canonical(s) for s in seqs] == [reference[s] for s in seqs]
-    # class_states is the one caller of the search
-    with pytest.raises(AssertionError, match="state search"):
-        c.class_states(c.classes_of_norm(2)[0])
 
 
 def test_nodes_per_level_are_letters_times_lower_classes():
@@ -316,6 +309,28 @@ _ORACLE = [
     natural_with_double_one(3),
     pointed_set_pmq({"a": 1, "b": 2}),
 ]
+
+
+@pytest.mark.parametrize(
+    "q", _ORACLE, ids=["S3", "S4", "nat3", "tq3", "segre", "double1", "pointed"]
+)
+def test_class_states_match_reference_bfs_in_every_order(q):
+    # each class's states are the sequences the three-move search puts in it
+    for p in _shuffled_orders(q):
+        c = Completion(p)
+        for n in range(5):
+            level = _sequences(p, n)
+            reference = _reference_canonical(p, level)
+            listed = []
+            for h in c.classes_of_norm(n):
+                expected: dict = {}
+                for s in sorted(s for s in level if reference[s] == h.word):
+                    expected.setdefault(len(s), []).append(s)
+                states = c.class_states(h)
+                assert states == expected
+                listed += [s for group in states.values() for s in group]
+            # the classes of a norm partition its sequences
+            assert sorted(listed) == sorted(level)
 
 
 @settings(max_examples=40, deadline=None)
