@@ -257,26 +257,35 @@ class GradedComplex:
         return {n: len(cells) for n, cells in self.basis.items()}
 
     def check_boundary_squared(self) -> bool:
-        degrees = sorted(self.basis)
-        for n in degrees:
-            d_n = self.differentials.get(n, {})
-            d_n1 = self.differentials.get(n + 1, {})
-            if not d_n or not d_n1:
-                continue
-            by_col: dict[int, list[tuple[int, int]]] = {}
-            for (r, c), v in d_n.items():
-                by_col.setdefault(c, []).append((r, v))
-            comp: dict[tuple[int, int], int] = {}
-            for (r, c), v in d_n1.items():
-                for (rr, vv) in by_col.get(r, ()):
-                    key = (rr, c)
-                    comp[key] = comp.get(key, 0) + v * vv
-            if any(self._reduce(v) for v in comp.values()):
-                return False
+        """Whether every composite d_n∘d_(n+1) is zero, each entry reduced
+        mod ``mod``.  Each differential is grouped by column once, and the
+        composite is summed one column of d_(n+1) at a time."""
+        lower_n, lower = None, {}   # d_n by column, for the degree it holds
+        for n in sorted(self.basis):
+            if lower_n != n:
+                lower = _by_column(self.differentials.get(n, {}))
+            upper = _by_column(self.differentials.get(n + 1, {}))
+            if lower:
+                for column in upper.values():
+                    comp: dict[int, int] = {}
+                    for r, v in column:
+                        for rr, vv in lower.get(r, ()):
+                            comp[rr] = comp.get(rr, 0) + v * vv
+                    if any(self._reduce(v) for v in comp.values()):
+                        return False
+            lower_n, lower = n + 1, upper
         return True
 
     def _reduce(self, v: int) -> int:
         return v % self.mod if self.mod else v
+
+
+def _by_column(entries: Mapping[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
+    """Sparse matrix entries grouped by column: col -> [(row, value)]."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for (r, c), v in entries.items():
+        out.setdefault(c, []).append((r, v))
+    return out
 
 
 def _face_targets(q: FinitePmq, grid: Grid):

@@ -5,15 +5,17 @@ an axiom and a witness, the named axiom is re-evaluated here directly from
 the tables, so a wrong axiom name cannot slip through.
 
 Also the generate-and-filter enumeration of array grids, the reference the
-constructed basis of ``pmq.barhur`` is compared with, and the differentials
+constructed basis of ``pmq.barhur`` is compared with, the differentials
 assembled from the faces of ``BisimplexArray``, the reference for its fast
-face assembly.
+face assembly, and homology from every full differential eliminated on its
+own, the reference for the reduction in ``pmq.snf.homology_groups``.
 """
 
 from __future__ import annotations
 
 from pmq.barhur import BisimplexArray
 from pmq.core import FinitePmq
+from pmq.snf import rank_mod_p, smith_normal_form
 
 
 def axiom_holds_at(q: FinitePmq, axiom: str, witness: tuple[str, ...]) -> bool:
@@ -209,3 +211,27 @@ def uct_ranks(h: dict, p: int) -> dict:
         return sum(1 for t in h.get(n, {"torsion": []})["torsion"] if t % p == 0)
 
     return {n: h[n]["rank"] + divisible(n) + divisible(n - 1) for n in h}
+
+
+def homology_by_full_differentials(differentials, dims, mod: int = 0) -> dict:
+    """Reference for ``pmq.snf.homology_groups``: each differential is
+    eliminated whole and on its own, with no rows dropped, so every cell is
+    eliminated once as a column of d_n and once as a row of d_(n+1)."""
+    ranks = {}
+    torsion_in = {}
+    for n in dims:
+        d = differentials.get(n, {})
+        if mod:
+            ranks[n] = rank_mod_p(d, mod)
+            torsion_in[n] = []
+        else:
+            divisors = smith_normal_form(d)
+            ranks[n] = len(divisors)
+            torsion_in[n] = [v for v in divisors if v != 1]
+    out = {}
+    for n in sorted(dims):
+        entry = {"rank": dims[n] - ranks[n] - ranks.get(n + 1, 0)}
+        if not mod:
+            entry["torsion"] = torsion_in.get(n + 1, [])
+        out[n] = entry
+    return out

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import differentials_by_array_faces, grids_by_filter, uct_ranks
+from helpers import (
+    differentials_by_array_faces,
+    grids_by_filter,
+    homology_by_full_differentials,
+    uct_ranks,
+)
 from pmq.barhur import (
     BisimplexArray,
     _grids_of_grading,
@@ -383,6 +388,52 @@ def test_functoriality_of_inclusion():
     # ... but not where a product undefined in the source becomes defined in
     # the target: there the map of pairs does not exist
     assert not chain_map_commutes(qa, qb, mapping, comp_a.of_labels(["1", "1"]))
+
+
+@pytest.mark.parametrize(
+    "make,max_norm",
+    [
+        (lambda: sym_geodesic_pmq(3), 4),
+        (lambda: sym_geodesic_pmq(4), 3),
+        (lambda: natural_truncation(3), 4),
+        (lambda: transposition_quandle(3), 4),
+        (segre_pmq, 3),
+    ],
+    ids=["S3", "S4", "natural3", "transpositions3", "segre"],
+)
+def test_reduced_homology_matches_full_differentials(make, max_norm):
+    # S_3 and transposition_quandle(3) have gradings with non-unit pivots,
+    # where only the unit pivots taken before the first one may drop rows
+    q = make()
+    comp = Completion(q)
+    for b in comp.classes_up_to(max_norm):
+        for mod in (0, 2, 3):
+            cx = build_relative_complex(q, b, mod)
+            want = homology_by_full_differentials(cx.differentials, cx.dims(), mod)
+            assert homology(cx) == want, (b.labels(), mod)
+
+
+@pytest.mark.parametrize("mod", [0, 3])
+def test_boundary_squared_check_sees_one_sign_flip(comp3, mod):
+    # flipping the sign of an entry (r, c) of d_n changes d_n∘d_(n+1) by
+    # -2 d_n[r, c] d_(n+1)[c, c'], nonzero over Z and mod 3 where row c of
+    # d_(n+1) has an entry
+    rng = random.Random(mod)
+    q = comp3.pmq
+    flips = 0
+    for b in comp3.classes_up_to(3):
+        cx = build_relative_complex(q, b, mod)
+        assert cx.check_boundary_squared()
+        for n, d in cx.differentials.items():
+            rows_above = {r for r, _ in cx.differentials.get(n + 1, {})}
+            candidates = sorted(k for k in d if k[1] in rows_above)
+            for key in rng.sample(candidates, min(5, len(candidates))):
+                v = d[key]
+                d[key] = (-v) % mod if mod else -v
+                assert not cx.check_boundary_squared(), (b.labels(), n, key)
+                d[key] = v
+                flips += 1
+    assert flips > 50
 
 
 def test_universal_coefficients_link_integer_and_mod_p_homology(comp3):
