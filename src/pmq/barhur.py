@@ -494,23 +494,17 @@ def chain_map_commutes(
         return tuple(tuple(mapping[x] for x in col) for col in grid)
 
     for n, cells in sorted(ca.basis.items()):
-        d_a = ca.differentials.get(n, {})
-        d_b = cb.differentials.get(n, {})
-        cols_a: dict[int, dict[int, int]] = {}
-        for (r, c), v in d_a.items():
-            cols_a.setdefault(c, {})[r] = v
-        cols_b: dict[int, dict[int, int]] = {}
-        for (r, c), v in d_b.items():
-            cols_b.setdefault(c, {})[r] = v
+        cols_a = _by_column(ca.differentials.get(n, {}))
+        cols_b = _by_column(cb.differentials.get(n, {}))
         for pos, (_, _, grid) in enumerate(cells):
             img = image(grid)
             if img not in index_b:
                 return False
-            lhs = cols_b.get(index_b[img], {})
+            lhs = dict(cols_b.get(index_b[img], ()))
             # image of d_a(cell)
             rhs: dict[int, int] = {}
             prev_a = ca.basis.get(n - 1, [])
-            for r, v in cols_a.get(pos, {}).items():
+            for r, v in cols_a.get(pos, ()):
                 target = index_b[image(prev_a[r][2])]
                 rhs[target] = rhs.get(target, 0) + v
             rhs = {k: v for k, v in rhs.items() if v}

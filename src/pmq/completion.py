@@ -26,8 +26,8 @@ a.t either acts inside the tail, and keeps the node, or touches positions
 
 Move (3) at position 0 is a braid edge read from its other end, and an
 expansion is a contraction read from its other end.  So the classes of
-norm m are the components of the graph on the nodes (a, w), and a
-union-find over the edges of each node finds them; class(a^x, u) lives at
+norm m are the components of the graph on the nodes (a, w), and the
+union-find ``pmq.core.components`` finds them; class(a^x, u) lives at
 norm m - N(x), which is already built.  The shortest states of a node are
 a followed by the shortest states of w, the least of them a followed by
 the canonical word of w, so a component's canonical word is the least
@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import FinitePmq, require_valid
+from .core import FinitePmq, components, require_valid
 from .errors import PreconditionError
 
 Seq = tuple[int, ...]
@@ -173,31 +173,26 @@ class Completion:
         words, nodes, node_class = self._words, self._nodes, self._node_class
         letters = [a for a in range(len(pmq)) if a != pmq.unit]
         for m in range(len(words), top + 1):
-            parent = {
-                (a, w): (a, w)
+            level = [
+                (a, w)
                 for a in letters
                 if norm[a] <= m
                 for w in range(len(words[m - norm[a]]))
-            }
+            ]
 
-            def find(v):
-                while parent[v] != v:
-                    parent[v] = v = parent[parent[v]]
-                return v
+            def edges():
+                for v in level:
+                    a, w = v
+                    for x, u in nodes[m - norm[a]][w]:
+                        yield v, (x, node_class[m - norm[x]][conj[a][x], u])
+                        if (a, x) in prod:
+                            yield v, (prod[a, x], u)
 
             def key(v):
                 word = (v[0],) + words[m - norm[v[0]]][v[1]]
                 return len(word), word
 
-            for a, w in parent:
-                for x, u in nodes[m - norm[a]][w]:
-                    parent[find((a, w))] = find((x, node_class[m - norm[x]][conj[a][x], u]))
-                    if (a, x) in prod:
-                        parent[find((a, w))] = find((prod[a, x], u))
-            components: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for v in parent:
-                components.setdefault(find(v), []).append(v)
-            ranked = sorted((min(map(key, c)), c) for c in components.values())
+            ranked = sorted((min(map(key, c)), c) for c in components(level, edges()))
             words.append([word for (_, word), _ in ranked])
             nodes.append([c for _, c in ranked])
             node_class.append({v: i for i, (_, c) in enumerate(ranked) for v in c})

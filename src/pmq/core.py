@@ -37,6 +37,7 @@ from .errors import AxiomError, NormRequiredError, PreconditionError, StructureE
 __all__ = [
     "orbit",
     "orbits",
+    "components",
     "braid_act",
     "apply_moves",
     "FiniteGroup",
@@ -79,6 +80,26 @@ def orbits(items: Iterable, step: Callable) -> Iterator[set]:
             found = orbit((x,), step)
             seen |= found
             yield found
+
+
+def components(nodes: Iterable, edges: Iterable[tuple]) -> list[list]:
+    """The connected components of the graph on ``nodes`` with the given
+    undirected ``edges`` (pairs of nodes), by union-find with path halving.
+    Each component lists its nodes in the given order, and the components
+    come in the order of their first node."""
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    out: dict = {}
+    for v in parent:
+        out.setdefault(find(v), []).append(v)
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------

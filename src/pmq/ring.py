@@ -10,12 +10,15 @@ relations
     <a><b> = 0               whenever ab is undefined,
 
 and the graded dimensions of the quadratic quotient equal the number of
-elements of each norm.  The dimension check is run over the rationals and
-is reported rather than assumed, so near-misses (structures lacking one of
-the hypotheses) can be inspected honestly.  Each degree's relations are kept
-in the sparse reduced echelon form of ``pmq.snf``, and the normal forms of
-the monomials of that degree are read off its pivot rows; ranks of integer
-matrices come from the same module.
+elements of each norm.  The dimension check is reported rather than
+assumed, so near-misses (structures lacking one of the hypotheses) can be
+inspected honestly.  Every relator is a difference of two monomials or a
+single monomial, so each degree of the quotient is free on the classes of
+monomials that hold no killed monomial.  This holds over every field and
+over Z (Eisenbud-Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996), so
+the dimensions need no linear algebra: the classes are the components of
+a graph (``pmq.core.components``).  Ranks of integer matrices, for the
+relator spans and the dual, come from ``pmq.snf``.
 
 The dual presentation has one generator per norm-one element and one
 relation per norm-two element c: the sum of <a>'<b>' over the pairs with
@@ -30,13 +33,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import FinitePmq, conjugacy_classes
+from .core import FinitePmq, components, conjugacy_classes
 from .errors import PreconditionError
 from .properties import is_coconnected, is_maximally_decomposable, is_pairwise_determined
-from .snf import integer_rank, reduced_echelon
+from .snf import integer_rank
 from .symgeo import all_transpositions, height, identity, perm_mul, perm_norm
 
 RingElem = dict[int, int]   # element index -> coefficient
@@ -204,50 +206,51 @@ def quadratic_quotient_dimensions(
     """Graded dimensions of the quadratic quotient vs. the norm census.
 
     Returns (degree, dim of quotient, number of elements of that norm) for
-    degrees 0..max_degree.  The quotient dimensions are computed over the
-    rationals, degree by degree: the degree-n part is the quotient of
-    (degree n-1 part) tensor (generators) by the image of the relators
-    multiplied in on the right.  Its relations are kept in sparse reduced
-    echelon form; the non-pivot columns are the new basis, and the normal
-    form of a degree-n monomial is read off the pivot rows (a pivot column
-    maps to minus the rest of its row, a free column to itself).
+    degrees 0..max_degree.  Every relator is a difference of two monomials
+    or a single monomial, and stays so when multiplied by monomials.  So the
+    degree-n relations identify monomials and kill some, and the degree-n
+    part is free on the classes of monomials that hold no killed monomial,
+    over every field and over Z (Eisenbud-Sturmfels, "Binomial ideals",
+    Duke Math. J. 84, 1996): no linear algebra is needed.
+
+    Degree by degree: node j * k + y is basis monomial j of degree n-1
+    followed by generator y, and one more node stands for zero.
+    ``below[i][x]`` is the basis monomial that basis monomial i of degree
+    n-2 followed by x reduces to, or None where that is zero.  Each relator,
+    multiplied on the left by i, joins its two sides (a pair relator) or its
+    side and zero (a zero relator); a side (x, y) is node
+    below[i][x] * k + y, or zero where ``below[i][x]`` is None.  The
+    components without zero are the basis of degree n, and give the next
+    ``below``.
     """
     if max_degree < 0:
         raise PreconditionError(f"degree {max_degree} is negative", failed="degree")
     pres = presentation or quadratic_presentation(q, require_tame=False)
     k = len(pres.generators)
-    relators = pres.relator_vectors()
     census = [len(q.elements_of_norm(d)) for d in range(max_degree + 1)]
 
+    zero = -1
+
+    def node(j: Optional[int], y: int) -> int:
+        return zero if j is None else j * k + y
+
     out = [(0, 1, census[0])]
-    if max_degree == 0:
-        return out
-    # normal forms of the monomials u + (y,), u in the previous basis, as
-    # sparse vectors over the current basis
-    basis: list[tuple[int, ...]] = [(g,) for g in range(k)]
-    red: dict[tuple[int, ...], dict[int, int | Fraction]] = {(g,): {g: 1} for g in range(k)}
-    prev_basis: list[tuple[int, ...]] = [()]
-    out.append((1, k, census[1]))
-    for degree in range(2, max_degree + 1):
-        # relation rows inside (span of basis) tensor (generators); column
-        # i * k + y stands for basis[i] + (y,)
-        rows = []
-        for u in prev_basis:
-            for rel in relators:
-                row: dict[int, int | Fraction] = {}
-                for (x, y), coeff in rel.items():
-                    for i, c in red[u + (x,)].items():
-                        col = i * k + y
-                        row[col] = row.get(col, 0) + coeff * c
-                rows.append(row)
-        echelon = reduced_echelon(rows)
-        free_cols = [c for c in range(len(basis) * k) if c not in echelon]
-        col_of = {c: i for i, c in enumerate(free_cols)}
-        red = {basis[c // k] + (c % k,): {i: 1} for c, i in col_of.items()}
-        for c, row in echelon.items():
-            red[basis[c // k] + (c % k,)] = {col_of[c2]: -v for c2, v in row.items() if c2 != c}
-        prev_basis, basis = basis, [basis[c // k] + (c % k,) for c in free_cols]
-        out.append((degree, len(basis), census[degree]))
+    size = 1   # the dimension of the degree below
+    below: list[list[Optional[int]]] = []   # for the basis two degrees below
+    for degree in range(1, max_degree + 1):
+        edges = []
+        for row in below:
+            edges += [(node(row[a], b), node(row[c], e)) for (a, b), (c, e) in pres.pair_relators]
+            edges += [(node(row[a], b), zero) for a, b in pres.zero_relators]
+        # the zero node comes first, so its component is the first one
+        live = components(range(zero, size * k), edges)[1:]
+        cls: list[Optional[int]] = [None] * (size * k)
+        for i, members in enumerate(live):
+            for v in members:
+                cls[v] = i
+        below = [cls[j * k : (j + 1) * k] for j in range(size)]
+        size = len(live)
+        out.append((degree, size, census[degree]))
     return out
 
 

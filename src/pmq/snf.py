@@ -1,5 +1,5 @@
-"""Exact linear algebra over Z, F_p and Q: Smith normal form, ranks,
-reduced echelon forms, homology by reduction.
+"""Exact linear algebra over Z and F_p: Smith normal form, ranks, homology
+by reduction.
 
 Matrices are sparse maps (row, col) -> int.  Both rings share one
 elimination loop.  Rows wait in a heap keyed by their length; the shortest
@@ -34,19 +34,13 @@ cells is eliminated once, not once as a column of ``d_n`` and again as a
 row of ``d_(n+1)``.  This is chain-complex reduction (Kaczynski-Mrozek-
 Slusarek, "Homology computation by reduction of chain complexes",
 Comput. Math. Appl. 35, 1998).
-
-Over Q, ``reduced_echelon`` keeps a fully reduced row echelon form of
-sparse rows ``{col: coefficient}`` as they arrive: each new row is reduced by
-the pivot rows, and its pivot is cleared from the older pivot rows through
-an index from each column to the pivot rows with an entry there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Entries = Mapping[tuple[int, int], int]
 
@@ -55,7 +49,6 @@ __all__ = [
     "smith_normal_form",
     "integer_rank",
     "rank_mod_p",
-    "reduced_echelon",
     "homology_groups",
 ]
 
@@ -189,56 +182,6 @@ def rank_mod_p(
     if not is_prime(p):
         raise ValueError(f"rank_mod_p needs a prime modulus, not {p}")
     return len(_eliminate(entries, p, pivot_cols=pivot_cols))
-
-
-def reduced_echelon(
-    rows: Iterable[Mapping[int, int | Fraction]],
-) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form over Q of the span of the sparse rows
-    (column -> integer or ``Fraction`` coefficient).
-
-    Returns pivot column -> row, each row with entry 1 at its pivot and no
-    entry at any other pivot column, so the rank is the number of rows and
-    a vector reduces to its normal form by subtracting, for each pivot
-    column, its entry there times that pivot's row.
-    """
-    echelon: dict[int, dict[int, Fraction]] = {}
-    users: dict[int, set[int]] = {}   # non-pivot column -> pivots whose rows have an entry there
-    for given in rows:
-        row = {c: v for c, v in given.items() if v}
-        # the pivot rows have no entry at each other's pivots, so the entries
-        # of ``row`` at pivot columns do not change while it is reduced
-        for p in [c for c in row if c in echelon]:
-            _axpy(row, -row[p], echelon[p])
-        if not row:
-            continue
-        # the pivot with the fewest older rows to clear
-        p0 = min(row, key=lambda c: len(users.get(c, ())))
-        inv = Fraction(1) / row[p0]
-        row = {c: v * inv for c, v in row.items()}
-        for p in users.pop(p0, ()):
-            old = echelon[p]
-            _axpy(old, -old[p0], row)
-            for c in row:
-                if c in old:
-                    users.setdefault(c, set()).add(p)
-                elif c != p0:
-                    users[c].discard(p)   # the entry cancelled
-        for c in row:
-            if c != p0:
-                users.setdefault(c, set()).add(p0)
-        echelon[p0] = row
-    return echelon
-
-
-def _axpy(y: dict[int, Fraction], a: Fraction, x: Mapping[int, Fraction]) -> None:
-    """y += a x, dropping the entries that cancel."""
-    for c, v in x.items():
-        nv = y.get(c, 0) + a * v
-        if nv:
-            y[c] = nv
-        else:
-            y.pop(c, None)
 
 
 def homology_groups(

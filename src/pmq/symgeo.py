@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import FiniteGroup, FinitePmq, PmqGroupPair, geodesic_pmq
+from .core import FiniteGroup, FinitePmq, PmqGroupPair, components, geodesic_pmq
 from .core import apply_moves as _apply_moves
 from .errors import StructureError
 
@@ -289,21 +289,8 @@ def seq_to_triple(seq: Sequence[Perm], d: Optional[int] = None) -> GeoHatElem:
 
 
 def _join_partitions(p1, p2, d: int) -> list[list[int]]:
-    parent = list(range(d + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in list(p1) + list(p2):
-        for x in p[1:]:
-            parent[find(p[0])] = find(x)
-    pieces: dict[int, list[int]] = {}
-    for x in range(1, d + 1):
-        pieces.setdefault(find(x), []).append(x)
-    return list(pieces.values())
+    edges = [(p[0], x) for p in (*p1, *p2) for x in p[1:]]
+    return components(range(1, d + 1), edges)
 
 
 def geo_hat_mul(a: GeoHatElem, b: GeoHatElem) -> GeoHatElem:

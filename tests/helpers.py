@@ -9,13 +9,35 @@ constructed basis of ``pmq.barhur`` is compared with, the differentials
 assembled from the faces of ``BisimplexArray``, the reference for its fast
 face assembly, and homology from every full differential eliminated on its
 own, the reference for the reduction in ``pmq.snf.homology_groups``.
+
+And the same PMQ declared in another element order, for the tests that a
+result does not depend on that order.
 """
 
 from __future__ import annotations
 
+import random
+
 from pmq.barhur import BisimplexArray
 from pmq.core import FinitePmq
+from pmq.serialize import pmq_from_json, pmq_to_json
 from pmq.snf import rank_mod_p, smith_normal_form
+
+
+def relabelled(q: FinitePmq, order) -> FinitePmq:
+    """The same PMQ with its elements declared in the given label order."""
+    doc = pmq_to_json(q)
+    doc["elements"] = list(order)
+    return pmq_from_json(doc)[0]
+
+
+def shuffled_orders(q: FinitePmq):
+    """q in catalog order, then in two fixed shuffled orders."""
+    yield q
+    for seed in (1, 2):
+        order = list(q.labels)
+        random.Random(seed).shuffle(order)
+        yield relabelled(q, order)
 
 
 def axiom_holds_at(q: FinitePmq, axiom: str, witness: tuple[str, ...]) -> bool:

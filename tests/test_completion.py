@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +16,9 @@ from pmq.catalog import (
 )
 from pmq.completion import Completion, verify_embedding
 from pmq.errors import NormRequiredError
-from pmq.serialize import pmq_from_json, pmq_to_json
 from pmq.symgeo import sym_geodesic_pair, triples_of_weight
+
+from helpers import relabelled, shuffled_orders
 
 
 def test_unit_and_strip():
@@ -234,22 +234,6 @@ def _sequences(q, n):
     ]
 
 
-def _relabelled(q, order):
-    """The same PMQ with its elements declared in the given label order."""
-    doc = pmq_to_json(q)
-    doc["elements"] = list(order)
-    return pmq_from_json(doc)[0]
-
-
-def _shuffled_orders(q):
-    """q in catalog order, then in two fixed shuffled orders."""
-    yield q
-    for seed in (1, 2):
-        order = list(q.labels)
-        random.Random(seed).shuffle(order)
-        yield _relabelled(q, order)
-
-
 @pytest.mark.parametrize(
     "q, top",
     [
@@ -265,7 +249,7 @@ def _shuffled_orders(q):
 )
 def test_canonical_and_census_match_reference_bfs_in_every_order(q, top):
     # the oracle is the three-move search alone, never Completion.canonical
-    for p in _shuffled_orders(q):
+    for p in shuffled_orders(q):
         levels = [_sequences(p, n) for n in range(top + 1)]
         reference = _reference_canonical(p, [s for level in levels for s in level])
         swept = Completion(p)
@@ -316,7 +300,7 @@ _ORACLE = [
 )
 def test_class_states_match_reference_bfs_in_every_order(q):
     # each class's states are the sequences the three-move search puts in it
-    for p in _shuffled_orders(q):
+    for p in shuffled_orders(q):
         c = Completion(p)
         for n in range(5):
             level = _sequences(p, n)
@@ -337,7 +321,7 @@ def test_class_states_match_reference_bfs_in_every_order(q):
 @given(st.data())
 def test_canonical_of_random_sequences_matches_reference_bfs(data):
     q = data.draw(st.sampled_from(_ORACLE))
-    p = _relabelled(q, data.draw(st.permutations(q.labels)))
+    p = relabelled(q, data.draw(st.permutations(q.labels)))
     seq: tuple = ()
     for a in data.draw(st.lists(st.integers(0, len(p) - 1), max_size=5)):
         if sum(p.norm[x] for x in seq) + p.norm[a] <= 4:
@@ -355,7 +339,7 @@ _SMALL = [sym_geodesic_pmq(3), natural_truncation(3), segre_pmq(), transposition
 ))
 def test_classes_invariant_under_declaration_order(q_and_order):
     q, order = q_and_order
-    p = _relabelled(q, order)
+    p = relabelled(q, order)
     cq, cp = Completion(q), Completion(p)
     for n in range(5):
         assert len(cp.classes_of_norm(n)) == len(cq.classes_of_norm(n))

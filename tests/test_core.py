@@ -21,9 +21,11 @@ from pmq.completion import Completion
 from pmq.core import (
     FiniteGroup,
     FinitePmq,
+    components,
     conjugacy_classes,
     geodesic_pmq,
     join_pmq_group,
+    orbits,
     require_valid,
     semidirect_pmq,
     validate,
@@ -33,6 +35,25 @@ from pmq.serialize import pmq_from_json
 from pmq.symgeo import sym_geodesic_pair, symmetric_group
 
 from helpers import axiom_holds_at, mutate_once
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_components_match_orbits_of_the_symmetrised_graph(data):
+    nodes = data.draw(st.permutations(range(data.draw(st.integers(1, 12)))))
+    node = st.sampled_from(nodes)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=15))
+    adjacency = {v: set() for v in nodes}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    found = components(nodes, edges)
+    assert [set(c) for c in found] == list(orbits(nodes, adjacency.__getitem__))
+    # members in the given node order, components by their first node
+    position = {v: i for i, v in enumerate(nodes)}
+    for c in found:
+        assert [position[v] for v in c] == sorted(position[v] for v in c)
+    assert [position[c[0]] for c in found] == sorted(position[c[0]] for c in found)
 
 
 def test_unit_pmq_valid():

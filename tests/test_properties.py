@@ -28,7 +28,8 @@ from pmq.properties import (
     property_report,
     validate_norm,
 )
-from pmq.serialize import pmq_from_json, pmq_to_json
+
+from helpers import relabelled, shuffled_orders
 
 
 def test_group_is_not_augmented():
@@ -196,13 +197,6 @@ def test_orbits_match_two_sided_reference_bfs(q):
     assert is_pairwise_determined(q, r_max=4) == _reference_pairwise(q, 4)
 
 
-def _shuffled(q, rng):
-    doc = pmq_to_json(q)
-    rng.shuffle(doc["elements"])
-    shuffled, _ = pmq_from_json(doc)
-    return shuffled
-
-
 def _is_witness(q, prop, witness):
     ix = tuple(q.index(lbl) for lbl in witness)
     if prop == "augmented":
@@ -235,7 +229,7 @@ def test_property_report_invariant_under_declaration_order(q):
     base = property_report(q, r_max=4)
     rng = random.Random(len(q))
     for _ in range(4):
-        p = _shuffled(q, rng)
+        p = relabelled(q, rng.sample(q.labels, len(q)))
         rep = property_report(p, r_max=4)
         assert rep.to_json() | {"witnesses": None} == base.to_json() | {"witnesses": None}
         assert rep.witnesses.keys() == base.witnesses.keys()
@@ -275,8 +269,7 @@ def _reference_decompositions(q, a):
     ids=["unit", "S3", "S4", "nat3", "double_one3", "tq3", "segre"],
 )
 def test_coconnected_counts_match_per_element_walk(q):
-    rng = random.Random(7)
-    for p in (q, _shuffled(q, rng), _shuffled(q, rng)):
+    for p in shuffled_orders(q):
         _, counts = is_coconnected(p)
         for a in range(len(p)):
             walked = _reference_decompositions(p, a)

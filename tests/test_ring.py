@@ -6,6 +6,7 @@ import pytest
 
 from pmq.catalog import (
     natural_truncation,
+    natural_with_double_one,
     segre_pmq,
     sym_geodesic_pmq,
     transposition_quandle,
@@ -26,6 +27,8 @@ from pmq.ring import (
     relator_span_dimension,
     ring_mul,
 )
+
+from helpers import shuffled_orders
 
 
 def test_basis_product_rule():
@@ -183,8 +186,11 @@ def tensor_quotient_dims_oracle(q, max_degree: int) -> list[int]:
         (natural_truncation(2), 4),
         (natural_truncation(3), 4),
         (segre_pmq(), 3),
+        (transposition_quandle(3), 5),
+        (natural_with_double_one(3), 5),
+        (unit_pmq(), 3),
     ],
-    ids=["S3", "S4", "trunc1", "trunc2", "trunc3", "segre"],
+    ids=["S3", "S4", "trunc1", "trunc2", "trunc3", "segre", "tq3", "double1", "unit"],
 )
 def test_quadratic_dimensions_match_tensor_space_oracle(q, max_degree):
     dims = quadratic_quotient_dimensions(q, max_degree)
@@ -192,9 +198,30 @@ def test_quadratic_dimensions_match_tensor_space_oracle(q, max_degree):
     assert [a for _, a, _ in dims] == tensor_quotient_dims_oracle(q, max_degree)
 
 
+@pytest.mark.parametrize(
+    "q,max_degree",
+    [
+        (sym_geodesic_pmq(4), 4),
+        (natural_truncation(3), 5),
+        (segre_pmq(), 3),
+        (natural_with_double_one(3), 5),
+    ],
+    ids=["S4", "trunc3", "segre", "double1"],
+)
+def test_quadratic_dimensions_invariant_under_declaration_order(q, max_degree):
+    first, *others = [quadratic_quotient_dimensions(p, max_degree) for p in shuffled_orders(q)]
+    assert others == [first, first]
+
+
 def test_quadratic_dimensions_s5_to_degree_5():
     dims = quadratic_quotient_dimensions(sym_geodesic_pmq(5), 5)
     assert [a for _, a, _ in dims] == [1, 10, 35, 50, 24, 0]
+    assert all(a == c for _, a, c in dims)
+
+
+def test_quadratic_dimensions_s6_to_degree_6():
+    dims = quadratic_quotient_dimensions(sym_geodesic_pmq(6), 6)
+    assert [a for _, a, _ in dims] == [1, 15, 85, 225, 274, 120, 0]
     assert all(a == c for _, a, c in dims)
 
 

@@ -11,7 +11,6 @@ from pmq.snf import (
     homology_groups,
     integer_rank,
     rank_mod_p,
-    reduced_echelon,
     smith_normal_form,
 )
 
@@ -138,34 +137,6 @@ def test_rank_matches_dense_oracle(entries):
 def test_rank_mod_p_refuses_non_prime_modulus(p):
     with pytest.raises(ValueError):
         rank_mod_p({(0, 0): 2}, p)
-
-
-@settings(max_examples=120, deadline=None)
-@given(matrix_strategy)
-def test_reduced_echelon_matches_dense_oracle(entries):
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in entries.items():
-        rows.setdefault(r, {})[c] = v
-    echelon = reduced_echelon(rows.values())
-    nrows = 1 + max((r for r, _ in entries), default=0)
-    ncols = 1 + max((c for _, c in entries), default=0)
-    rank = dense_rank_oracle(entries, nrows, ncols)
-    assert len(echelon) == rank
-    for p, row in echelon.items():
-        assert row[p] == 1
-        assert all(c == p or c not in echelon for c in row)
-    # every given row reduces to zero, so the pivot rows span the input ...
-    for row in rows.values():
-        rest = dict(row)
-        for p in [c for c in row if c in echelon]:
-            for c, v in echelon[p].items():
-                rest[c] = rest.get(c, 0) - row[p] * v
-        assert not any(rest.values())
-    # ... and lie in it: appending them keeps the rank
-    both = dict(entries)
-    for i, row in enumerate(echelon.values()):
-        both.update({(nrows + i, c): v for c, v in row.items()})
-    assert dense_rank_oracle(both, nrows + len(echelon), ncols) == rank
 
 
 # mostly +-1, as in boundary matrices, so that the unit pivots and the
