@@ -32,15 +32,26 @@ component (``Completion.class_states``); conversely a state of length L
 written in that order into L cells of a w x h grid meeting every row and
 column, units elsewhere, is such a grid.  So the grids are the states of
 b's class times the placements of their length.
+
+Faces act on the two factors separately: the face of the cell (placement
+P, state s) is the cell (P', t(s)).  The face placement P' and the sign
+depend on P alone, and t on P's face pattern alone: which state positions
+merge (cells colliding in a row merge, or the two columns of a column
+merge with their row sets, which also fix the conjugations).  So the build
+works out P' once per (placement, face), tabulates t once per pattern over
+the states of that length, as state indices, and reads each matrix entry
+off two tables; no product is taken and no grid is hashed per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .completion import Completion, HatElem
+from .completion import Completion, HatElem, Seq
 from .core import FinitePmq
 from .errors import PreconditionError, StructureError
 from .properties import (
@@ -51,6 +62,7 @@ from .properties import (
 from .snf import homology_groups, is_prime
 
 Grid = tuple[tuple[int, ...], ...]   # inner columns, each a tuple of entries
+Cell = tuple[Grid, tuple[int, ...], int]   # grid, placement, state index
 
 __all__ = [
     "BisimplexArray",
@@ -190,36 +202,40 @@ class BisimplexArray:
 # ---------------------------------------------------------------------------
 # enumerating the basis
 
-def _placements(width: int, height: int, length: int) -> list[tuple[int, ...]]:
+@cache
+def _placements(width: int, height: int, length: int) -> tuple[tuple[int, ...], ...]:
     """The sets of ``length`` cells of a width x height grid, as increasing
     column-major positions i*height + j, that meet every row and column."""
-    return [
+    return tuple(
         cells for cells in combinations(range(width * height), length)
         if len({c // height for c in cells}) == width
         and len({c % height for c in cells}) == height
-    ]
+    )
 
 
-def _grids_of_grading(q: FinitePmq, comp: Completion, b: HatElem) -> dict[tuple[int, int], list[Grid]]:
-    """Admissible non-degenerate inner grids by bidegree, grading b: the
-    states of b's class times the placements of their length."""
-    if b.is_unit:
-        return {(0, 0): [()]}
-    out: dict[tuple[int, int], list[Grid]] = {}
+def _cells_of_grading(q: FinitePmq, states: Mapping[int, Sequence[Seq]]) -> dict[tuple[int, int], list[Cell]]:
+    """Admissible non-degenerate inner grids by bidegree, for the grading
+    whose class has ``states`` (``Completion.class_states``): each state of
+    length L written on each placement of L cells.  Every bidegree lists its
+    cells (grid, placement, index of the state in its length group), sorted
+    by grid."""
+    out: dict[tuple[int, int], list[Cell]] = {}
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}   # grids share columns: memory
-    for length, states in comp.class_states(b).items():
+    for length, group in states.items():
+        if not length:   # the unit grading: the empty grid
+            out[(0, 0)] = [((), (), 0)]
         for width in range(1, length + 1):
             for height in range(-(-length // width), length + 1):
                 for cells in _placements(width, height, length):
                     grids = out.setdefault((width, height), [])
-                    for state in states:
+                    for s, state in enumerate(group):
                         flat = [q.unit] * (width * height)
                         for c, x in zip(cells, state):
                             flat[c] = x
                         cols = (tuple(flat[i : i + height]) for i in range(0, len(flat), height))
-                        grids.append(tuple(shared.setdefault(col, col) for col in cols))
+                        grids.append((tuple(shared.setdefault(col, col) for col in cols), cells, s))
     for grids in out.values():
-        grids.sort()
+        grids.sort(key=itemgetter(0))
     return out
 
 
@@ -229,9 +245,8 @@ def enumerate_arrays(q: FinitePmq, b: HatElem) -> list[BisimplexArray]:
     bidegrees are bounded by the norm of b in each direction."""
     comp = b.completion
     out = []
-    for (p, qq), grids in sorted(_grids_of_grading(q, comp, b).items()):
-        for g in grids:
-            out.append(BisimplexArray.from_inner(comp, g))
+    for _, cells in sorted(_cells_of_grading(q, comp.class_states(b)).items()):
+        out.extend(BisimplexArray.from_inner(comp, grid) for grid, _, _ in cells)
     return out
 
 
@@ -288,51 +303,76 @@ def _by_column(entries: Mapping[tuple[int, int], int]) -> dict[int, list[tuple[i
     return out
 
 
-def _face_targets(q: FinitePmq, grid: Grid):
-    """Signed faces of a basis grid: (sign, face grid).  A face that leaves
-    the PMQ is dropped (it is zero in the relative reduced complex).
+def _placement_faces(width: int, height: int, cells: tuple[int, ...]):
+    """The inner faces of a placement of a width x height grid, as (sign,
+    face shape, face placement, recipe).  They depend on the placement
+    alone; the recipe says how the face acts on any state s written there:
+    for each cell of the face, in column-major order, a triple (k,
+    conjugators, right) whose entry is s[k] conjugated by s[c] for each c
+    in conjugators in turn, times s[right] unless right is None.
 
-    No face that stays in the PMQ is degenerate.  A basis grid has a
-    non-unit in every row and column, and a merged entry with a non-unit
-    factor has norm N(a) + N(b) > 0, so it is not the unit (conjugation
-    keeps non-units; ``Completion`` validates the norm-kernel and
-    norm-additive axioms).  The outer faces collapse a non-unit column or
-    row into the border and vanish.
+    No face that stays in the PMQ is degenerate, so the face placement
+    meets every row and column of its shape.  A basis grid has a non-unit
+    in every row and column, and a merged entry with a non-unit factor has
+    norm N(a) + N(b) > 0, so it is not the unit (conjugation keeps
+    non-units; ``Completion`` validates the norm-kernel and norm-additive
+    axioms).  The outer faces collapse a non-unit column or row into the
+    border and vanish, so only the inner ones are listed.
     """
-    conj = q.conj
-    prod = q.prod
-    p = len(grid)
-    qq = len(grid[0]) if grid else 0
-    # horizontal: merge grid columns i-1, i  (full-array faces d_i, 1<=i<=p-1)
-    for i in range(1, p):
-        left, right = grid[i - 1], grid[i]
-        merged = []
-        for j in range(qq):
-            a = left[j]
-            for c in right[:j]:
-                a = conj[a][c]
-            val = prod.get((a, right[j]))
-            if val is None:
-                break
-            merged.append(val)
-        else:
-            yield (-1) ** i, grid[: i - 1] + (tuple(merged),) + grid[i + 1 :]
-    # vertical: merge grid rows j-1, j  (full-array faces d_j, 1<=j<=q-1)
-    for j in range(1, qq):
-        cols = []
-        for col in grid:
-            val = prod.get((col[j - 1], col[j]))
-            if val is None:
-                break
-            cols.append(col[: j - 1] + (val,) + col[j + 1 :])
-        else:
-            yield (-1) ** (p + j), tuple(cols)
+    where = [divmod(c, height) for c in cells]   # (column, row) of state position k
+    # horizontal: merge grid columns i-1, i (full-array faces d_i, 1 <= i <= p-1);
+    # row r of the merged column is left[r]^(right entries above r) * right[r]
+    for i in range(1, width):
+        face: dict[int, list] = {}
+        for k, (col, row) in enumerate(where):
+            at = (col - (col >= i)) * height + row
+            if col == i - 1:
+                above = tuple(kk for kk, (cc, rr) in enumerate(where) if cc == i and rr < row)
+                face[at] = [k, above, None]
+            elif col == i and at in face:
+                face[at][2] = k
+            else:
+                face[at] = [k, (), None]
+        yield ((-1) ** i, (width - 1, height)) + _face_recipe(face)
+    # vertical: merge grid rows j-1, j (full-array faces d_j, 1 <= j <= q-1)
+    for j in range(1, height):
+        face = {}
+        for k, (col, row) in enumerate(where):
+            at = col * (height - 1) + row - (row >= j)
+            if at in face:
+                face[at][2] = k
+            else:
+                face[at] = [k, (), None]
+        yield ((-1) ** (width + j), (width, height - 1)) + _face_recipe(face)
 
 
-def _grid_index(basis: Mapping[int, list[tuple[int, int, Grid]]]) -> dict[Grid, int]:
-    """Each basis grid's position within its degree; a grid's shape fixes
-    its bidegree, so the grid alone is the key."""
-    return {grid: pos for cells in basis.values() for pos, (_, _, grid) in enumerate(cells)}
+def _face_recipe(face: Mapping[int, list]) -> tuple[tuple[int, ...], tuple]:
+    """(face placement, recipe) from face cell -> [k, conjugators, right]."""
+    placed = tuple(sorted(face))
+    return placed, tuple(tuple(face[c]) for c in placed)
+
+
+def _face_table(q: FinitePmq, group: Sequence[Seq], index: Mapping[Seq, int], recipe) -> list[Optional[int]]:
+    """The face of each state of ``group`` under ``recipe``, as its index in
+    ``index`` (the states of the face's length), or None where a product
+    leaves the PMQ (the face is zero in the relative complex)."""
+    conj, prod = q.conj, q.prod
+
+    def face(state: Seq) -> Optional[int]:
+        entries = []
+        for k, conjugators, right in recipe:
+            x = state[k]
+            for c in conjugators:
+                x = conj[x][state[c]]
+            if right is not None and (x := prod.get((x, state[right]))) is None:
+                return None
+            entries.append(x)
+        t = index.get(tuple(entries))
+        if t is None:
+            raise AssertionError("face left the enumerated basis")
+        return t
+
+    return [face(state) for state in group]
 
 
 def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComplex:
@@ -345,26 +385,68 @@ def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComp
     are reduced mod ``mod`` and zeros dropped."""
     if mod and not is_prime(mod):
         raise PreconditionError(f"modulus {mod} is not a prime", failed="prime")
-    basis: dict[int, list[tuple[int, int, Grid]]] = {}
-    for (p, qq), grids in sorted(_grids_of_grading(q, b.completion, b).items()):
-        basis.setdefault(p + qq, []).extend((p, qq, g) for g in grids)
-    index = _grid_index(basis)
-    out = GradedComplex(q, b, basis, {}, mod)
-    for n, cells in sorted(basis.items()):
-        entries: dict[tuple[int, int], int] = {}
-        for col_pos, (_, _, grid) in enumerate(cells):
-            for sign, face in _face_targets(q, grid):
-                row_pos = index.get(face)
-                if row_pos is None:
-                    raise AssertionError("face left the enumerated basis")
-                key = (row_pos, col_pos)
-                entries[key] = entries.get(key, 0) + sign
-        entries = {k: r for k, v in entries.items() if (r := out._reduce(v))}
-        if entries:
-            out.differentials[n] = entries
+    out = GradedComplex(q, b, *_assemble(q, b.completion.class_states(b), mod), mod)
     if not out.check_boundary_squared():
         raise AssertionError("differential does not square to zero")
     return out
+
+
+def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]], mod: int):
+    """(basis, differentials) of the grading whose class has ``states``.
+
+    A cell is a state s on a placement P, and its face is the state
+    table[s] on the face placement of P: face placements and signs are
+    worked out once per (placement, face), and each table once per recipe
+    over the states of its length.  Entries are summed column by column in
+    basis order, faces in index order.  The cell lists and tables are
+    freed on return, before the caller's d∘d gate."""
+    cells = _cells_of_grading(q, states)
+    basis: dict[int, list[tuple[int, int, Grid]]] = {}
+    shapes: dict[int, list[tuple[int, int]]] = {}   # degree -> its bidegrees in basis order
+    # shape -> placement -> degree position of its cell for each state index
+    place: dict[tuple[int, int], dict[tuple[int, ...], list[int]]] = {}
+    for (p, qq), group in sorted(cells.items()):
+        column = basis.setdefault(p + qq, [])
+        shapes.setdefault(p + qq, []).append((p, qq))
+        at = place[p, qq] = {
+            placed: [0] * len(states_l)
+            for length, states_l in states.items()
+            for placed in _placements(p, qq, length)
+        }
+        for pos, (grid, placed, s) in enumerate(group, len(column)):
+            at[placed][s] = pos
+            column.append((p, qq, grid))
+    index = {length: {state: k for k, state in enumerate(group)} for length, group in states.items()}
+    # recipe -> face table; a recipe names every state position, so it fixes the length
+    tables: dict[tuple, list[Optional[int]]] = {}
+    differentials: dict[int, dict[tuple[int, int], int]] = {}
+    for n in sorted(shapes):
+        entries: dict[tuple[int, int], int] = {}
+        for shape in shapes[n]:
+            at = place[shape]
+            faces = {}
+            for placed in at:
+                faces[placed] = []
+                for sign, face_shape, face_placed, recipe in _placement_faces(*shape, placed):
+                    if len(face_placed) not in index:
+                        continue   # no state that short: every product here is undefined
+                    table = tables.get(recipe)
+                    if table is None:
+                        table = tables[recipe] = _face_table(
+                            q, states[len(placed)], index[len(face_placed)], recipe
+                        )
+                    faces[placed].append((sign, table, place[face_shape][face_placed]))
+            for _, placed, s in cells[shape]:
+                col = at[placed][s]
+                for sign, table, rows in faces[placed]:
+                    t = table[s]
+                    if t is not None:
+                        key = (rows[t], col)
+                        entries[key] = entries.get(key, 0) + sign
+        entries = {k: r for k, v in entries.items() if (r := v % mod if mod else v)}
+        if entries:
+            differentials[n] = entries
+    return basis, differentials
 
 
 def homology(complex_: GradedComplex) -> dict[int, dict]:
@@ -488,7 +570,7 @@ def chain_map_commutes(
     b2 = comp_b.of_sequence(image_word)
     ca = build_relative_complex(qa, b)
     cb = build_relative_complex(qb, b2)
-    index_b = _grid_index(cb.basis)
+    index_b = {grid: pos for cells in cb.basis.values() for pos, (_, _, grid) in enumerate(cells)}
 
     def image(grid: Grid) -> Grid:
         return tuple(tuple(mapping[x] for x in col) for col in grid)

@@ -154,10 +154,10 @@ def columns_by_norm(q: FinitePmq, height: int, max_norm: int) -> dict[int, list[
 
 
 def grids_by_filter(q: FinitePmq, comp, b) -> dict:
-    """Reference for ``pmq.barhur._grids_of_grading`` by generate and filter:
-    place columns of norm >= 1 side by side until the norm of b is used,
-    keep the grids that hit every row, and keep those whose column-major
-    reading has class b."""
+    """Reference for the grids of ``pmq.barhur._cells_of_grading`` by
+    generate and filter: place columns of norm >= 1 side by side until the
+    norm of b is used, keep the grids that hit every row, and keep those
+    whose column-major reading has class b."""
     n = b.norm
     unit = q.unit
     out: dict = {}
