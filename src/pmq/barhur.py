@@ -239,10 +239,18 @@ def _cells_of_grading(q: FinitePmq, states: Mapping[int, Sequence[Seq]]) -> dict
     return out
 
 
+def _require_grading_over(q: FinitePmq, b: HatElem) -> None:
+    """b's states come from b's completion, products and conjugation from
+    q, so the two must be the same PMQ; identity is tested first."""
+    if b.completion.pmq is not q and b.completion.pmq != q:
+        raise PreconditionError("grading is not in the completion of this PMQ", failed="grading")
+
+
 def enumerate_arrays(q: FinitePmq, b: HatElem) -> list[BisimplexArray]:
     """Every admissible non-degenerate array with total grading b, each a
     state of b's class placed on cells meeting every inner row and column;
     bidegrees are bounded by the norm of b in each direction."""
+    _require_grading_over(q, b)
     comp = b.completion
     out = []
     for _, cells in sorted(_cells_of_grading(q, comp.class_states(b)).items()):
@@ -385,6 +393,7 @@ def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComp
     are reduced mod ``mod`` and zeros dropped."""
     if mod and not is_prime(mod):
         raise PreconditionError(f"modulus {mod} is not a prime", failed="prime")
+    _require_grading_over(q, b)
     out = GradedComplex(q, b, *_assemble(q, b.completion.class_states(b), mod), mod)
     if not out.check_boundary_squared():
         raise AssertionError("differential does not square to zero")

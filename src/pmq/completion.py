@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core import FinitePmq, components, require_valid
-from .errors import PreconditionError
 
 Seq = tuple[int, ...]
 
@@ -119,7 +118,6 @@ class Completion:
         pmq.require_norm()
         require_valid(pmq)
         self.pmq = pmq
-        self._levels: dict[int, list[Seq]] = {}
         # per norm level: the class words, sorted; the nodes (a, w) of each
         # class; and the class of each node
         self._words: list[list[Seq]] = [[()]]
@@ -243,15 +241,10 @@ class Completion:
 
     def sequences_of_norm(self, n: int) -> list[Seq]:
         """All sequences over the non-unit part with total norm n."""
-        cached = self._levels.get(n)
-        if cached is not None:
-            return cached
         norm = self.pmq.require_norm()
         positives = [
             (a, norm[a]) for a in range(len(self.pmq)) if a != self.pmq.unit
         ]
-        if any(v == 0 for _, v in positives):
-            raise PreconditionError("norm vanishes outside the unit")
         out: list[Seq] = []
 
         def extend(prefix: tuple[int, ...], remaining: int) -> None:
@@ -263,7 +256,6 @@ class Completion:
                     extend(prefix + (a,), remaining - v)
 
         extend((), n)
-        self._levels[n] = out
         return out
 
     def classes_of_norm(self, n: int) -> list[HatElem]:

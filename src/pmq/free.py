@@ -17,6 +17,15 @@ other shapes leave the factor sequence unchanged.  Iterating until no shape
 matches terminates (the weight strictly drops) on the tree
 x_1 . x_2 . ... . x_r.
 
+One rewrite step (``_rewrite_step``) walks the tree in post-order, children
+left to right before their parent, so the first match is the leftmost
+innermost one.  It counts leaves as it passes them, so it knows a node's
+leaf offset, where the moves of shapes (3) and (4) start, when it first
+reaches the node; on a match it replaces the sub-tree and rebuilds the
+ancestors it is standing in.  The walk keeps its own stack of ancestors
+instead of recursing: a factor w^-1 x_nu w is a chain of len(w)
+conjugations, and scrambled conjugators outgrow Python's recursion limit.
+
 The standard move itself is ``pmq.core.braid_act``, re-exported here;
 ``braid_act_word`` is ``pmq.core.apply_moves`` with free-group conjugation.
 """
@@ -214,13 +223,8 @@ def _walk_nodes(x: GenDecomp):
 
 
 def gd_weight(x: GenDecomp) -> int:
-    w = 0
-    for node in _walk_nodes(x):
-        if isinstance(node, Leaf):
-            w += 1
-        elif isinstance(node, Conj):
-            w += 2
-    return w
+    """One per leaf and two per conjugation: the length of the formal word."""
+    return len(gd_formal_word(x))
 
 
 def gd_leaves(x: GenDecomp) -> int:
@@ -290,66 +294,8 @@ def gd_to_decomposition(x: GenDecomp) -> list[Word]:
 # ---------------------------------------------------------------------------
 # the ten-shape rewriter
 
-@dataclass
-class _Match:
-    kind: str              # "pair" shapes live in a product, "node" shapes at a Conj
-    path: tuple[int, ...]  # child indices from the root to the matched node
-    index: int             # for pair shapes: left position within the product
-    shape: int             # 1..10
-    leaf_offset: int       # leaves strictly left of the matched sub-tree
-
-
-def _leaf_counts(root: GenDecomp) -> dict[int, int]:
-    """Leaves below each node, keyed by id; one iterative pass."""
-    order: list[GenDecomp] = list(_walk_nodes(root))
-    counts: dict[int, int] = {}
-    for node in reversed(order):
-        if isinstance(node, Leaf):
-            counts[id(node)] = 1
-        elif isinstance(node, Conj):
-            counts[id(node)] = counts[id(node.child)]
-        else:
-            counts[id(node)] = sum(counts[id(c)] for c in node.children)
-    return counts
-
-
-def _scan(root: GenDecomp) -> Optional[_Match]:
-    """Innermost-first, leftmost-first search for a replaceable shape.
-
-    Iterative post-order: children are examined before their parent, left to
-    right, so the first reported match is the leftmost innermost one.
-    """
-    counts = _leaf_counts(root)
-    stack: list[tuple[GenDecomp, tuple[int, ...], int, bool]] = [(root, (), 0, False)]
-    while stack:
-        node, path, offset, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            continue
-        if not expanded:
-            stack.append((node, path, offset, True))
-            if isinstance(node, Prod):
-                entries = []
-                off = offset
-                for i, c in enumerate(node.children):
-                    entries.append((c, path + (i,), off, False))
-                    off += counts[id(c)]
-                stack.extend(reversed(entries))
-            else:
-                stack.append((node.child, path + (0,), offset, False))
-            continue
-        if isinstance(node, Prod):
-            off = offset
-            for i in range(len(node.children) - 1):
-                a, b = node.children[i], node.children[i + 1]
-                shape = _pair_shape(a, b)
-                if shape is not None:
-                    return _Match("pair", path, i, shape, off)
-                off += counts[id(a)]
-        else:
-            shape = _conj_shape(node)
-            if shape is not None:
-                return _Match("node", path, 0, shape, offset)
-    return None
+# weight removed by each shape: one conjugation pair, two for shape (5)
+_DROP = {1: 2, 2: 2, 3: 2, 4: 2, 5: 4, 6: 2, 7: 2, 8: 2, 9: 2, 10: 2}
 
 
 def _pair_shape(a: GenDecomp, b: GenDecomp) -> Optional[int]:
@@ -387,18 +333,22 @@ def _conj_shape(node: Conj) -> Optional[int]:
     return None
 
 
-def _replace_pair(a: GenDecomp, b: GenDecomp, shape: int, offset: int) -> tuple[GenDecomp, list[int]]:
-    if shape in (1, 2):
-        return Conj(prod_of(a.child, b.child), a.gen, a.sign), []
+def _move_factor(x: Leaf, y: GenDecomp, shape: int, offset: int) -> tuple[GenDecomp, list[int]]:
+    """Shapes (3) and (4), matched at leaf ``offset``: x_i . y^(x_i) -> y . x_i
+    by one negative move per leaf of y, left to right, and
+    y^(x_i^-1) . x_i -> x_i . y by positive moves, right to left."""
+    s = gd_leaves(y)
     if shape == 3:
-        # x_i . (y)^(x_i)  ->  y . x_i, one negative move per leaf of y
-        s = gd_leaves(b.child)
-        t = offset + 1
-        return prod_of(b.child, a), [-(t + u) for u in range(s)]
-    # shape 4: (y)^(x_i^-1) . x_i  ->  x_i . y, positive moves right-to-left
-    s = gd_leaves(a.child)
-    t = offset + 1
-    return prod_of(b, a.child), [t + s - 1 - u for u in range(s)]
+        return prod_of(y, x), [-(offset + 1 + u) for u in range(s)]
+    return prod_of(x, y), [offset + s - u for u in range(s)]
+
+
+def _replace_pair(a: GenDecomp, b: GenDecomp, shape: int, offset: int) -> tuple[GenDecomp, list[int]]:
+    if shape == 3:
+        return _move_factor(a, b.child, 3, offset)
+    if shape == 4:
+        return _move_factor(b, a.child, 4, offset)
+    return Conj(prod_of(a.child, b.child), a.gen, a.sign), []   # shapes 1, 2
 
 
 def _replace_node(node: Conj, shape: int, offset: int) -> tuple[GenDecomp, list[int]]:
@@ -408,64 +358,64 @@ def _replace_node(node: Conj, shape: int, offset: int) -> tuple[GenDecomp, list[
     if shape == 10:
         return c, []
     if shape == 3:
-        # (x_i . y)^(x_i)  ->  y . x_i
-        rest = prod_of(*c.children[1:])
-        s = gd_leaves(rest)
-        t = offset + 1
-        return prod_of(rest, c.children[0]), [-(t + u) for u in range(s)]
+        return _move_factor(c.children[0], prod_of(*c.children[1:]), 3, offset)
     if shape == 4:
-        # (y . x_i)^(x_i^-1)  ->  x_i . y
-        rest = prod_of(*c.children[:-1])
-        s = gd_leaves(rest)
-        t = offset + 1
-        return prod_of(c.children[-1], rest), [t + s - 1 - u for u in range(s)]
-    if shape == 6:
-        head = prod_of(*c.children[:-1])
-        return prod_of(Conj(head, node.gen, -1), c.children[-1].child), []
-    if shape == 7:
-        tail = prod_of(*c.children[1:])
-        return prod_of(c.children[0].child, Conj(tail, node.gen, -1)), []
-    if shape == 8:
-        head = prod_of(*c.children[:-1])
-        return prod_of(Conj(head, node.gen, 1), c.children[-1].child), []
-    # shape 9
-    tail = prod_of(*c.children[1:])
-    return prod_of(c.children[0].child, Conj(tail, node.gen, 1)), []
+        return _move_factor(c.children[-1], prod_of(*c.children[:-1]), 4, offset)
+    if shape in (6, 8):
+        # (y . z^(g^-1))^g -> y^g . z, g the node's x_i^(+-1)
+        head = Conj(prod_of(*c.children[:-1]), node.gen, node.sign)
+        return prod_of(head, c.children[-1].child), []
+    # shapes 7, 9: (y^(g^-1) . z)^g -> y . z^g
+    tail = Conj(prod_of(*c.children[1:]), node.gen, node.sign)
+    return prod_of(c.children[0].child, tail), []
 
 
-def _ancestors(root: GenDecomp, path: tuple[int, ...]) -> list[GenDecomp]:
-    nodes = [root]
-    for i in path:
-        node = nodes[-1]
-        nodes.append(node.children[i] if isinstance(node, Prod) else node.child)
-    return nodes
-
-
-def _reassemble(ancestors: list[GenDecomp], path: tuple[int, ...], cur: GenDecomp) -> GenDecomp:
-    """Replace the node at the end of the ancestor chain and rebuild upwards,
-    re-normalising products on the way."""
-    for node, i in zip(reversed(ancestors[:-1]), reversed(path)):
+def _rebuild(path: list[tuple[GenDecomp, list[int]]], repl: GenDecomp) -> GenDecomp:
+    """The tree with ``repl`` in place of the node below ``path``, the chain
+    of its ancestors from the root, rebuilt upwards with products flattened."""
+    for node, offsets in reversed(path):
         if isinstance(node, Prod):
-            cur = prod_of(*(node.children[:i] + (cur,) + node.children[i + 1 :]))
+            i = len(offsets) - 1
+            repl = prod_of(*node.children[:i], repl, *node.children[i + 1 :])
         else:
-            cur = Conj(cur, node.gen, node.sign)
-    return cur
+            repl = Conj(repl, node.gen, node.sign)
+    return repl
 
 
-def _rebuild(root: GenDecomp, path: tuple[int, ...], repl: GenDecomp) -> GenDecomp:
-    return _reassemble(_ancestors(root, path), path, repl)
-
-
-def _rebuild_pair(root: GenDecomp, path: tuple[int, ...], index: int, repl: GenDecomp) -> GenDecomp:
-    ancestors = _ancestors(root, path)
-    parent = ancestors[-1]
-    assert isinstance(parent, Prod)
-    merged = prod_of(*(parent.children[:index] + (repl,) + parent.children[index + 2 :]))
-    return _reassemble(ancestors, path, merged)
-
-
-def _node_at(root: GenDecomp, path: tuple[int, ...]) -> GenDecomp:
-    return _ancestors(root, path)[-1]
+def _rewrite_step(root: GenDecomp) -> Optional[tuple[GenDecomp, list[int], int]]:
+    """Replace the leftmost innermost shape: (new tree, moves, shape), or
+    None when no shape matches.  The walk is described in the module
+    docstring."""
+    # ancestors of the current node, each with the leaf offsets of its
+    # children entered so far; the last is the child being walked
+    path: list[tuple[GenDecomp, list[int]]] = []
+    node, leaves = root, 0
+    while True:
+        while not isinstance(node, Leaf):
+            path.append((node, [leaves]))
+            node = node.children[0] if isinstance(node, Prod) else node.child
+        leaves += 1
+        while True:
+            if not path:
+                return None
+            node, offsets = path[-1]
+            if isinstance(node, Prod) and len(offsets) < len(node.children):
+                offsets.append(leaves)
+                node = node.children[len(offsets) - 1]
+                break
+            path.pop()
+            if isinstance(node, Conj):
+                shape = _conj_shape(node)
+                if shape is not None:
+                    repl, moves = _replace_node(node, shape, offsets[0])
+                    return _rebuild(path, repl), moves, shape
+                continue
+            kids = node.children
+            for i in range(len(kids) - 1):
+                shape = _pair_shape(kids[i], kids[i + 1])
+                if shape is not None:
+                    repl, moves = _replace_pair(kids[i], kids[i + 1], shape, offsets[i])
+                    return _rebuild(path, prod_of(*kids[:i], repl, *kids[i + 2 :])), moves, shape
 
 
 def normalize_decomposition(
@@ -494,24 +444,10 @@ def normalize_decomposition(
     tree = decomposition_to_gd(factors)
     log: list[int] = []
     weight = gd_weight(tree)
-    # every replacement removes one conjugation pair or more: -2 per step,
-    # -4 for the double-cancellation shape
-    drop = {1: 2, 2: 2, 3: 2, 4: 2, 5: 4, 6: 2, 7: 2, 8: 2, 9: 2, 10: 2}
-    while True:
-        m = _scan(tree)
-        if m is None:
-            break
-        if m.kind == "pair":
-            parent = _node_at(tree, m.path)
-            a, b = parent.children[m.index], parent.children[m.index + 1]
-            repl, moves = _replace_pair(a, b, m.shape, m.leaf_offset)
-            tree = _rebuild_pair(tree, m.path, m.index, repl)
-        else:
-            node = _node_at(tree, m.path)
-            repl, moves = _replace_node(node, m.shape, m.leaf_offset)
-            tree = _rebuild(tree, m.path, repl)
+    while (step := _rewrite_step(tree)) is not None:
+        tree, moves, shape = step
         log.extend(moves)
-        weight -= drop[m.shape]
+        weight -= _DROP[shape]
 
     expected: GenDecomp = prod_of(*(Leaf(i) for i in target)) if r > 1 else Leaf(1)
     assert weight == gd_weight(tree) == r, "weight bookkeeping out of sync"

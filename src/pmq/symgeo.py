@@ -171,22 +171,22 @@ def symmetric_group(d: int) -> FiniteGroup:
 
 def sym_geodesic_pmq(d: int) -> FinitePmq:
     """The geodesic PMQ of S_d under the transposition word-length norm."""
-    g = symmetric_group(d)
-    perms = [tuple(int(ch) for ch in lbl) for lbl in g.labels]
-    return geodesic_pmq(g, [perm_norm(p) for p in perms])
+    return _geodesic_of_symmetric(symmetric_group(d))
+
+
+def _geodesic_of_symmetric(g: FiniteGroup) -> FinitePmq:
+    """The geodesic PMQ of g = S_d, its elements in g's order."""
+    return geodesic_pmq(g, [perm_norm(tuple(int(ch) for ch in lbl)) for lbl in g.labels])
 
 
 def sym_geodesic_pair(d: int) -> PmqGroupPair:
     """The pair (geodesic PMQ of S_d, S_d) with e the identity map and the
     group acting by conjugation."""
     g = symmetric_group(d)
-    q = sym_geodesic_pmq(d)
-    e = tuple(g.index(lbl) for lbl in q.labels)
-    r = tuple(
-        tuple(q.index(g.labels[g.conj(e[a], x)]) for a in range(len(q)))
-        for x in range(len(g))
-    )
-    return PmqGroupPair(q, g, e, r)
+    q = _geodesic_of_symmetric(g)
+    # q keeps g's order, so e is the identity and r(x) is the column
+    # a -> a^x of the conjugation table
+    return PmqGroupPair(q, g, tuple(range(len(g))), tuple(zip(*q.conj)))
 
 
 # ---------------------------------------------------------------------------

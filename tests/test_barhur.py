@@ -553,3 +553,19 @@ def test_homology_invariant_under_conjugation(d, top):
     for b, table in tables.items():
         for a in conjugators:
             assert tables[b.conj(a)] == table, (b.labels(), a.labels())
+
+
+def test_grading_must_lie_over_the_same_pmq():
+    # b's states come from its own completion, products and conjugation
+    # from the PMQ argument: a mismatch would mix two sets of tables
+    q = sym_geodesic_pmq(3)
+    b = Completion(q).of_labels(["213", "213"])
+    for build in (build_relative_complex, enumerate_arrays):
+        with pytest.raises(PreconditionError) as err:
+            build(transposition_quandle(3), b)
+        assert err.value.failed == "grading"
+    # an equal PMQ built separately is the same PMQ
+    copy = sym_geodesic_pmq(3)
+    assert copy is not q
+    assert enumerate_arrays(copy, b) == enumerate_arrays(q, b)
+    assert build_relative_complex(copy, b).differentials == build_relative_complex(q, b).differentials

@@ -15,7 +15,7 @@ from pmq.catalog import (
     unit_pmq,
 )
 from pmq.completion import Completion, verify_embedding
-from pmq.errors import NormRequiredError
+from pmq.errors import AxiomError, NormRequiredError
 from pmq.symgeo import sym_geodesic_pair, triples_of_weight
 
 from helpers import relabelled, shuffled_orders
@@ -34,6 +34,21 @@ def test_requires_norm():
     q = group_pmq(cyclic_group(2))
     with pytest.raises(NormRequiredError):
         Completion(q)
+
+
+def test_norm_vanishing_outside_the_unit_is_rejected_up_front():
+    # so sequences_of_norm may take every non-unit norm to be positive
+    with pytest.raises(AxiomError) as err:
+        Completion(pointed_set_pmq({"a": 0, "b": 1}))
+    assert "norm-kernel" in {v.axiom for v in err.value.report.violations}
+
+
+def test_sequences_of_norm_are_not_kept():
+    c = Completion(transposition_quandle(3))
+    first = c.sequences_of_norm(3)
+    assert len(first) == 27
+    second = c.sequences_of_norm(3)
+    assert second == first and second is not first
 
 
 def test_standard_move_classes_merge():

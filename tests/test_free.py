@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from pmq.free import (
     fq_element,
     free_reduce,
     gd_evaluate,
+    gd_formal_word,
     gd_to_decomposition,
     gd_weight,
     evaluate_pair_map,
@@ -22,6 +25,8 @@ from pmq.free import (
     prod_of,
     word_conj,
     word_conj_inv,
+    _DROP,
+    _rewrite_step,
 )
 from pmq.symgeo import sym_geodesic_pair
 
@@ -141,6 +146,66 @@ def test_normalize_round_trip_random(seed):
     factors = [fq_decompose(w, r, r) for w in words]
     log = normalize_decomposition(factors, r, r)
     assert braid_act_word(words, log) == tuple((i,) for i in range(1, r + 1))
+
+
+L1, L2, L3, L4 = (Leaf(i) for i in range(1, 5))
+
+# one tree per shape, each matching first at that shape: (shape, tree, the
+# tree after one rewrite step, its moves)
+SHAPES = [
+    # y^(x_3) . z^(x_3) -> (y . z)^(x_3), and with x_3^-1
+    (1, prod_of(L4, Conj(L1, 3, 1), Conj(L2, 3, 1)), prod_of(L4, Conj(prod_of(L1, L2), 3, 1)), []),
+    (2, prod_of(L4, Conj(L1, 3, -1), Conj(L2, 3, -1)), prod_of(L4, Conj(prod_of(L1, L2), 3, -1)), []),
+    # x_3 . y^(x_3) -> y . x_3, in a product and at a conjugation
+    (3, prod_of(L4, L3, Conj(prod_of(L1, L2), 3, 1)), prod_of(L4, L1, L2, L3), [-2, -3]),
+    (3, prod_of(L4, Conj(prod_of(L3, L1, L2), 3, 1)), prod_of(L4, L1, L2, L3), [-2, -3]),
+    # y^(x_3^-1) . x_3 -> x_3 . y, in a product and at a conjugation
+    (4, prod_of(L4, Conj(prod_of(L1, L2), 3, -1), L3), prod_of(L4, L3, L1, L2), [3, 2]),
+    (4, prod_of(L4, Conj(prod_of(L1, L2, L3), 3, -1)), prod_of(L4, L3, L1, L2), [3, 2]),
+    # (y^g)^(g^-1) -> y
+    (5, prod_of(L2, Conj(Conj(L1, 3, 1), 3, -1)), prod_of(L2, L1), []),
+    # (y . z^(x_3))^(x_3^-1) -> y^(x_3^-1) . z
+    (6, Conj(prod_of(L1, Conj(L2, 3, 1)), 3, -1), prod_of(Conj(L1, 3, -1), L2), []),
+    # (y^(x_3) . z)^(x_3^-1) -> y . z^(x_3^-1)
+    (7, Conj(prod_of(Conj(L1, 3, 1), L2), 3, -1), prod_of(L1, Conj(L2, 3, -1)), []),
+    # (y . z^(x_3^-1))^(x_3) -> y^(x_3) . z
+    (8, Conj(prod_of(L1, Conj(L2, 3, -1)), 3, 1), prod_of(Conj(L1, 3, 1), L2), []),
+    # (y^(x_3^-1) . z)^(x_3) -> y . z^(x_3)
+    (9, Conj(prod_of(Conj(L1, 3, -1), L2), 3, 1), prod_of(L1, Conj(L2, 3, 1)), []),
+    # x_i^(x_i) -> x_i
+    (10, prod_of(L2, Conj(L1, 1, 1)), prod_of(L2, L1), []),
+]
+
+
+def test_shape_table_covers_all_ten_shapes():
+    assert {shape for shape, *_ in SHAPES} == set(range(1, 11))
+
+
+@pytest.mark.parametrize("shape, tree, after, moves", SHAPES)
+def test_rewrite_step_on_each_shape(shape, tree, after, moves):
+    new, step_moves, step_shape = _rewrite_step(tree)
+    assert (step_shape, new, step_moves) == (shape, after, moves)
+    assert free_reduce(gd_formal_word(new)) == free_reduce(gd_formal_word(tree))
+    assert gd_weight(tree) - gd_weight(new) == _DROP[shape]
+    # the moves carry the factor sequence of the old tree to that of the new
+    assert braid_act_word(gd_to_decomposition(tree), step_moves) == tuple(gd_to_decomposition(new))
+
+
+def test_normalize_chain_deeper_than_recursion_limit():
+    # 300 positive moves on (x_1, x_2) conjugate both factors by
+    # (x_1 x_2)^150, so each factor's tree is a chain of ~300 conjugations;
+    # the limit is lowered to ~100 frames above the current depth
+    words = braid_act_word([(1,), (2,)], [1] * 300)
+    factors = [fq_decompose(w, 2, 2) for w in words]
+    old = sys.getrecursionlimit()
+    limit = len(inspect.stack(0)) + 100
+    assert min(len(w) for _, w in factors) > limit
+    sys.setrecursionlimit(limit)
+    try:
+        log = normalize_decomposition(factors, 2, 2)
+    finally:
+        sys.setrecursionlimit(old)
+    assert braid_act_word(words, log) == ((1,), (2,))
 
 
 def test_letters_outside_group_rejected():

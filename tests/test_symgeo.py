@@ -23,6 +23,7 @@ from pmq.symgeo import (
     perm_mul,
     perm_norm,
     seq_to_triple,
+    sym_geodesic_pair,
     sym_geodesic_pmq,
     symmetric_group,
     transposition,
@@ -290,3 +291,13 @@ def test_symmetric_group_order_and_norm_grading():
 
     census = collections.Counter(q.norm)
     assert dict(census) == {0: 1, 1: 6, 2: 11, 3: 6}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sym_geodesic_pair_is_identity_and_conjugation(d):
+    pair = sym_geodesic_pair(d)
+    g, q = pair.group, pair.pmq
+    assert q == sym_geodesic_pmq(d) and q.labels == g.labels
+    assert pair.e_map == tuple(range(len(g)))
+    assert pair.r_action == tuple(tuple(g.conj(a, x) for a in range(len(q))) for x in range(len(g)))
+    pair.check()
