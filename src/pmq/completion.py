@@ -65,26 +65,24 @@ __all__ = ["Completion", "HatElem", "verify_embedding"]
 class HatElem:
     """An element of the completion: its canonical sequence and total norm.
 
-    Instances compare by canonical word within their completion; the empty
-    word is the unit.
+    Instances are equal when their canonical words are and their
+    completions are over equal PMQs (tested by identity first, then by
+    value), so elements built over two equal PMQs are interchangeable; the
+    hash is the word's.  The empty word is the unit.
     """
 
     completion: "Completion" = field(compare=False, repr=False)
     word: Seq
     norm: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_pmq_id", id(self.completion.pmq))
-
     def __eq__(self, other):
-        return (
-            isinstance(other, HatElem)
-            and self._pmq_id == other._pmq_id
-            and self.word == other.word
-        )
+        if not isinstance(other, HatElem) or self.word != other.word:
+            return False
+        mine, theirs = self.completion.pmq, other.completion.pmq
+        return mine is theirs or mine == theirs
 
     def __hash__(self):
-        return hash((self._pmq_id, self.word))
+        return hash(self.word)
 
     @property
     def is_unit(self) -> bool:

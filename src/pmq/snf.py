@@ -4,17 +4,19 @@ by reduction.
 Matrices are sparse maps (row, col) -> int.  Both rings share one
 elimination loop.  Rows wait in a heap keyed by their length; the shortest
 row is taken, and among its unit entries the one whose column has the
-fewest nonzeros becomes the pivot (the Markowitz choice).  A row without a
-unit entry is set aside until a later row operation changes it.  Over F_p
-every nonzero entry is a unit; over Z the units are +-1.  When no row has a
-unit (only over Z) the pivot is the entry of least magnitude, then least
-fill-in.  Its column is cleared by row operations with the floor quotient,
-so any remainder, smaller than the pivot, stays in its row.  Once the
-column is clear, column operations touch only the pivot row: if the pivot
-divides that row, the pivot row and column drop out; otherwise they leave
-the remainders modulo the pivot there and the loop picks again.  The least
-entry shrinks at every pick that drops nothing, so the loop ends.  Over F_p
-the number of pivots is the rank.  Over Z the pivots are the diagonal of an
+fewest nonzeros becomes the pivot (the Markowitz choice), the first in row
+order on ties.  The scan stops at a column holding only this row, as no
+column has fewer, and such a pivot has no other row to clear.  A row
+without a unit entry is set aside until a later row operation changes it.
+Over F_p every nonzero entry is a unit; over Z the units are +-1.  When no
+row has a unit (only over Z) the pivot is the entry of least magnitude,
+then least fill-in.  Its column is cleared by row operations with the
+floor quotient, so any remainder, smaller than the pivot, stays in its
+row.  Once the column is clear, column operations touch only the pivot
+row: if the pivot divides that row, the pivot row and column drop out;
+otherwise they leave the remainders modulo the pivot there and the loop
+picks again.  The least entry shrinks at every pick that drops nothing,
+so the loop ends.  Over F_p the number of pivots is the rank.  Over Z the pivots are the diagonal of an
 equivalent matrix, made a divisibility chain (elementary divisors) by a
 gcd/lcm fix-up, so ranks and torsion read off directly.  On the
 incidence-style matrices of chain complexes the unit pivots do nearly all
@@ -90,8 +92,16 @@ def _eliminate(
             row0 = rows.get(r0)
             if row0 is None or len(row0) != length:
                 continue  # stale entry: the row was dropped or changed since
-            units = (c for c, v in row0.items() if p or v in (1, -1))
-            c0 = min(units, key=lambda c: len(cols[c]), default=None)
+            # the unit whose column is shortest, the first in row order on
+            # ties; a column of one nonzero holds only this row, so stop there
+            c0, least = None, 0
+            for c, v in row0.items():
+                if p or v in (1, -1):
+                    count = len(cols[c])
+                    if c0 is None or count < least:
+                        c0, least = c, count
+                        if count == 1:
+                            break
             if c0 is None:
                 continue  # no unit: set aside until a row operation changes it
         else:
@@ -104,30 +114,32 @@ def _eliminate(
             )
             row0 = rows[r0]
         v0 = row0[c0]
-        inv = pow(v0, -1, p) if p else 0
-        for r in list(cols[c0]):
-            if r == r0:
-                continue
-            row = rows[r]
-            # over Z the floor quotient leaves a remainder smaller than the pivot
-            f = row[c0] * inv % p if p else row[c0] // v0
-            for c, v in row0.items():
-                nv = row.get(c, 0) - f * v
-                if p:
-                    nv %= p
-                if nv:
-                    if c not in row:
-                        cols[c].add(r)
-                    row[c] = nv
+        col0 = cols[c0]
+        if len(col0) > 1:   # else the pivot is alone in its column: nothing to clear
+            inv = pow(v0, -1, p) if p else 0
+            for r in list(col0):
+                if r == r0:
+                    continue
+                row = rows[r]
+                # over Z the floor quotient leaves a remainder smaller than the pivot
+                f = row[c0] * inv % p if p else row[c0] // v0
+                for c, v in row0.items():
+                    nv = row.get(c, 0) - f * v
+                    if p:
+                        nv %= p
+                    if nv:
+                        if c not in row:
+                            cols[c].add(r)
+                        row[c] = nv
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
+                if row:
+                    heappush(heap, (len(row), r))
                 else:
-                    del row[c]
-                    cols[c].discard(r)
-            if row:
-                heappush(heap, (len(row), r))
-            else:
-                del rows[r]
-        if len(cols[c0]) > 1:
-            continue  # remainders are left in the pivot column: pick again
+                    del rows[r]
+            if len(col0) > 1:
+                continue  # remainders are left in the pivot column: pick again
         # the column is clear, so column operations with the pivot touch no
         # other row; where it does not divide its row they leave remainders
         rest = () if p or v0 in (1, -1) else [c for c, v in row0.items() if v % v0]

@@ -14,6 +14,7 @@ from helpers import (
 from pmq.barhur import (
     BisimplexArray,
     _cells_of_grading,
+    _placement_faces,
     build_relative_complex,
     chain_map_commutes,
     enumerate_arrays,
@@ -200,6 +201,32 @@ def test_grids_by_construction_match_generate_and_filter(make, max_norm):
                 flat = [x for col in grid for x in col]
                 assert tuple(flat[c] for c in placed) == states[len(placed)][s]
                 assert flat.count(q.unit) == len(flat) - len(placed)
+
+
+def test_warm_placement_memo_builds_the_same_complex():
+    # placement faces are memoised per process and shared by every grading
+    # that reaches a placement: a build on a warm memo must equal one on a
+    # cold memo, and what the memo hands out must be immutable
+    q = sym_geodesic_pmq(3)
+    comp = Completion(q)
+    b = comp.of_labels(["213", "132", "213"])
+    _placement_faces.cache_clear()
+    cold = build_relative_complex(q, b)
+    misses = _placement_faces.cache_info().misses
+    warm = build_relative_complex(q, b)
+    info = _placement_faces.cache_info()
+    assert misses and info.misses == misses and info.hits >= misses
+    assert warm.basis == cold.basis
+    assert list(warm.differentials) == list(cold.differentials)
+    for n, d in cold.differentials.items():
+        assert list(warm.differentials[n].items()) == list(d.items())
+
+    def frozen(x):
+        return x is None or type(x) is int or (type(x) is tuple and all(map(frozen, x)))
+
+    for (width, height), group in _cells_of_grading(q, comp.class_states(b)).items():
+        for _, placed, _ in group:
+            assert frozen(_placement_faces(width, height, placed))
 
 
 FOURTH_POWERS = [[t] * 4 for t in ("213", "132", "321")]   # 196 cells each in S_3

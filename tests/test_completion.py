@@ -28,6 +28,29 @@ def test_unit_and_strip():
     assert c.of_labels([]).norm == 0
 
 
+def test_elements_over_equal_pmqs_are_equal():
+    # two separately built PMQs that compare equal give equal elements with
+    # equal hashes, so either stands for the other in a set or dict key
+    first, second = sym_geodesic_pmq(3), sym_geodesic_pmq(3)
+    assert first is not second and first == second
+    a = Completion(first).of_labels(["213"])
+    b = Completion(second).of_labels(["213"])
+    assert a == b and hash(a) == hash(b)
+    assert {a: "found"}[b] == "found"
+
+
+def test_elements_over_unequal_pmqs_are_unequal():
+    # the same word over a PMQ declared in another order names another
+    # element, so equal words alone do not make elements equal
+    q = sym_geodesic_pmq(3)
+    other = relabelled(q, reversed(q.labels))
+    assert other != q
+    a = Completion(q).of_sequence((1,))
+    b = Completion(other).of_sequence((1,))
+    assert a.word == b.word and a.labels() != b.labels()
+    assert a != b and not a == b
+
+
 def test_requires_norm():
     from pmq.catalog import group_pmq, cyclic_group
 

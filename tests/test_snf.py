@@ -207,6 +207,29 @@ def test_divisibility_chain():
             assert b % a == 0
 
 
+def test_markowitz_pivot_choice():
+    # rows of equal length are taken in row order, so row 0 goes first; of
+    # its unit entries the one whose column has the fewest nonzeros is the
+    # pivot, the first in row order on a tie
+    entries = {
+        (0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 2,   # column counts 3, 2, 2, 1
+        (1, 0): 1, (1, 1): 1, (1, 4): 1, (1, 5): 1,
+        (2, 0): 1, (2, 2): 1, (2, 5): 1, (2, 6): 1,
+    }
+    # over Z the 2 is no unit: columns 1 and 2 tie at two nonzeros and 1
+    # wins; clearing it leaves row 1 as columns 4, 5, 2, 3, so it comes
+    # next and takes column 4, the first alone in its column, and row 2
+    # takes column 0, whose entry in row 1 cancelled
+    pivot_cols = []
+    assert smith_normal_form(entries, pivot_cols=pivot_cols) == [1, 1, 1]
+    assert pivot_cols == [1, 4, 0]
+    # over F_5 the 2 is a unit alone in its column and beats both; rows 1
+    # and 2 then take their first single-entry unit column
+    pivot_cols = []
+    assert rank_mod_p(entries, 5, pivot_cols=pivot_cols) == 3
+    assert pivot_cols == [3, 1, 0]
+
+
 def test_homology_of_zero_complex():
     assert homology_groups({}, {0: 0, 1: 0}) == {
         0: {"rank": 0, "torsion": []},
