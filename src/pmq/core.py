@@ -11,9 +11,37 @@ identities
     ab defined  <=>  (a^c)(b^c) defined, and then (ab)^c = (a^c)(b^c).
 
 This module stores finite PMQs as explicit tables over string labels, checks
-every axiom exhaustively with minimal witnesses, and implements the basic
-constructions: a group as a PMQ, the semidirect PMQ of a right group action,
-the join of a PMQ-group pair, and the geodesic PMQ of a normed group.
+every axiom with minimal witnesses, and implements the basic constructions: a
+group as a PMQ, the semidirect PMQ of a right group action, the join of a
+PMQ-group pair, and the geodesic PMQ of a normed group.
+
+Validation scans each axiom over every element, except that the four cubic
+axioms (conj-distributivity, associativity, conj-of-product and
+product-equivariance) are first decided on a generating base B.  B holds
+every element that is not a product of two non-units; while closing B under
+defined products of non-units leaves an element unreached (possible without
+a norm: in a group every element is such a product), the lowest unreached one
+joins B.  Each axiom is a property
+good(c) of the third element c of its triples, and good is closed under
+defined products c = yz, as in Light's associativity test:
+
+* associativity, good(c): (ab)c ~ a(bc) for all a, b (Kleene equality), needs
+  nothing: (ab)(yz) ~ ((ab)y)z ~ (a(by))z ~ a((by)z) ~ a(b(yz));
+* conj-of-product, good(c): a^(bc) = (a^b)^c whenever bc is defined, needs
+  associativity: phi_(b(yz)) = phi_((by)z) = phi_z phi_y phi_b = phi_(yz) phi_b,
+  with phi_x = (-)^x;
+* conj-distributivity, good(c): phi_c is an endomorphism of (Q, ^), and
+  product-equivariance, good(c): phi_c and its inverse preserve defined
+  products, each need conj-of-product: phi_(yz) = phi_z phi_y, and such maps
+  compose.
+
+So an axiom whose assumption holds and which holds on B holds everywhere, and
+its scan is skipped.  Otherwise (it fails on B, or its assumption is not
+known to hold) the full scan runs, so reports, witnesses and ``stop_first``
+are those of the full scans on every input.  ``validate`` takes 0.05 s on the
+120 elements of ``sym_geodesic_pmq(5)`` and about 1.5 s on the 720 of
+``sym_geodesic_pmq(6)``, whose base is its 16 elements of norm <= 1 (0.2 s
+and 36 s scanning every triple; one run each, 2-CPU VM).
 
 Conventions
 -----------
@@ -30,6 +58,7 @@ concurrently on shared values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AxiomError, NormRequiredError, PreconditionError, StructureError
@@ -354,7 +383,10 @@ class ValidationReport:
 
 
 # One scan per axiom: a generator of (witness, detail) for its violations in
-# scan order, so the first one yielded is the minimal witness.
+# scan order, so the first one yielded is the minimal witness.  The scans of
+# the four cubic axioms take ``thirds``, the third elements c of the triples
+# they scan; by default every element, and a generating base in
+# ``_BaseDecisions``.
 
 def _conj_bijective(q: FinitePmq):
     # (-)^b is a bijection for every b.
@@ -380,12 +412,14 @@ def _conj_idempotence(q: FinitePmq):
             yield (a,), "a^a != a"
 
 
-def _conj_distributivity(q: FinitePmq):
+def _conj_distributivity(q: FinitePmq, thirds=None):
     # (a^b)^c = (a^c)^(b^c), via column composition.
     cols = tuple(zip(*q.conj))
     n = len(cols)
+    thirds = range(n) if thirds is None else thirds
     for b, colb in enumerate(cols):
-        for c, colc in enumerate(cols):
+        for c in thirds:
+            colc = cols[c]
             colbc = cols[colc[b]]
             for a in range(n):
                 if colc[colb[a]] != colbc[colc[a]]:
@@ -400,17 +434,20 @@ def _unit_product(q: FinitePmq):
             yield (a,), "1a and a1 must be defined and equal a"
 
 
-def _associativity(q: FinitePmq):
+def _associativity(q: FinitePmq, thirds=None):
     # Conditional associativity, both implications.
     prod, n = q.prod, len(q)
+    thirds = range(n) if thirds is None else thirds
     for (a, b), ab in prod.items():
-        for c in range(n):
+        for c in thirds:
             abc = prod.get((ab, c))
             if abc is not None:
                 bc = prod.get((b, c))
                 if bc is None or prod.get((a, bc)) != abc:
                     yield (a, b, c), "(ab)c defined but a(bc) missing or different"
     for (b, c), bc in prod.items():
+        if c not in thirds:
+            continue
         for a in range(n):
             abc = prod.get((a, bc))
             if abc is not None:
@@ -428,29 +465,35 @@ def _product_conj_swap(q: FinitePmq):
                 yield (a, b), "ab and b(a^b) disagree"
 
 
-def _conj_of_product(q: FinitePmq):
+def _conj_of_product(q: FinitePmq, thirds=None):
     # a^(bc) = (a^b)^c whenever bc is defined.
     cols = tuple(zip(*q.conj))
     n = len(cols)
+    thirds = range(n) if thirds is None else thirds
     for (b, c), bc in q.prod.items():
+        if c not in thirds:
+            continue
         colb, colc, colbc = cols[b], cols[c], cols[bc]
         for a in range(n):
             if colbc[a] != colc[colb[a]]:
                 yield (a, b, c), "a^(bc) != (a^b)^c"
 
 
-def _product_equivariance(q: FinitePmq):
+def _product_equivariance(q: FinitePmq, thirds=None):
     # ab defined <=> (a^c)(b^c) defined, with (ab)^c = (a^c)(b^c).
     prod = q.prod
     cols = tuple(zip(*q.conj))
+    thirds = range(len(cols)) if thirds is None else thirds
     for (a, b), ab in prod.items():
-        for c, colc in enumerate(cols):
+        for c in thirds:
+            colc = cols[c]
             if prod.get((colc[a], colc[b])) != colc[ab]:
                 yield (a, b, c), "(ab)^c != (a^c)(b^c)"
     if None in q.conj_inv:
         return
     for x, y in prod:
-        for c, icol in enumerate(q.conj_inv):
+        for c in thirds:
+            icol = q.conj_inv[c]
             if (icol[x], icol[y]) not in prod:
                 yield (icol[x], icol[y], c), "(a^c)(b^c) defined but ab is not"
 
@@ -491,20 +534,96 @@ NORM_AXIOMS = (
     ("norm-additive", _norm_additive),
     ("norm-conj-invariant", _norm_conj_invariant),
 )
+# The cubic axioms decided on a generating base, each with its full scan and
+# the axiom that its closure lemma assumes (see the module docstring).
+_BASE_DECIDED = {
+    "associativity": (_associativity, None),
+    "conj-of-product": (_conj_of_product, "associativity"),
+    "conj-distributivity": (_conj_distributivity, "conj-of-product"),
+    "product-equivariance": (_product_equivariance, "conj-of-product"),
+}
+
+
+def _generating_base(q: FinitePmq) -> list[int]:
+    """Every element that is not a product of two non-units, then, while
+    closing under defined products of non-units leaves an element unreached,
+    the lowest unreached one.  The closure is one worklist pass over the
+    products."""
+    n, unit = len(q), q.unit
+    by_factor: list[list] = [[] for _ in range(n)]   # (other factor, product)
+    products = set()
+    for (y, z), yz in q.prod.items():
+        if y != unit and z != unit:
+            by_factor[y].append((z, yz))
+            by_factor[z].append((y, yz))
+            products.add(yz)
+    base = [c for c in range(n) if c not in products]
+    reached = set(base)
+    todo = list(base)
+    lowest = 0
+    while True:
+        while todo:
+            for other, xy in by_factor[todo.pop()]:
+                if other in reached and xy not in reached:
+                    reached.add(xy)
+                    todo.append(xy)
+        while lowest < n and lowest in reached:
+            lowest += 1
+        if lowest == n:
+            return base
+        base.append(lowest)
+        reached.add(lowest)
+        todo.append(lowest)
+
+
+class _BaseDecisions:
+    """Whether each axiom of ``_BASE_DECIDED`` holds at every element of one
+    PMQ.  The base and each decision are worked out once, when first asked
+    for, so a validation shares them between axioms."""
+
+    def __init__(self, q: FinitePmq):
+        self.q = q
+        self.known: dict[str, bool] = {}
+
+    @cached_property
+    def base(self) -> frozenset:
+        return frozenset(_generating_base(self.q))
+
+    def holds(self, axiom: str) -> bool:
+        """True when the axiom's assumption holds and its scan over the base
+        finds nothing, so the axiom holds everywhere; False when that is not
+        known."""
+        if axiom not in self.known:
+            scan, assumes = _BASE_DECIDED[axiom]
+            self.known[axiom] = (
+                (assumes is None or self.holds(assumes))
+                and next(scan(self.q, self.base), None) is None
+            )
+        return self.known[axiom]
+
+    def scan(self, axiom: str):
+        """The violations of the axiom's full scan, in its order; none, and no
+        scan, when the axiom is decided to hold."""
+        if not self.holds(axiom):
+            yield from _BASE_DECIDED[axiom][0](self.q)
 
 
 def validate(q: FinitePmq, *, rack: bool = False, stop_first: bool = False) -> ValidationReport:
-    """Exhaustively check every axiom, reporting one witness per violated
-    axiom, in axiom order; ``stop_first`` stops at the first violated axiom.
+    """Check every axiom, reporting one witness per violated axiom, in axiom
+    order; ``stop_first`` stops at the first violated axiom.
 
     Witnesses are minimal in the scan order induced by the declaration order
-    of elements.  With ``rack=True`` the idempotence axiom a^a = a is skipped
-    (the remaining axioms define a partially multiplicative rack).  A PMQ
-    that passes without ``rack`` remembers it, and ``require_valid`` does
-    not scan it again.
+    of elements.  The cubic axioms are decided on a generating base first
+    and scanned over every triple only when that does not show that they
+    hold (see the module docstring); the report is the full scans' report
+    on every input.  With ``rack=True`` the idempotence axiom a^a = a is
+    skipped (the remaining axioms define a partially multiplicative rack).
+    A PMQ that passes without ``rack`` remembers it, and ``require_valid``
+    does not scan it again.
     """
-    scans = [(name, scan(q)) for name, scan in PMQ_AXIOMS
-             if not (rack and scan is _conj_idempotence)]
+    decisions = _BaseDecisions(q)
+    scans = [(name, decisions.scan(name) if name in _BASE_DECIDED else scan(q))
+             for name, scan in PMQ_AXIOMS if not (rack and scan is _conj_idempotence)]
     if q.norm is not None:
         scans += [(name, scan(q, q.norm)) for name, scan in NORM_AXIOMS]
     out: list[Violation] = []

@@ -2,7 +2,7 @@
 
 A rack with unit satisfies every quandle axiom except a^a = a; adding a
 compatible partial product gives a partially multiplicative rack (PMR),
-validated by the same exhaustive checker with the idempotence axiom
+validated by the same checker with the idempotence axiom
 switched off.  The elements fixed by their own conjugation form the
 quandle-like core: a sub-PMQ that is conjugation closed (in both
 directions) and absorbs defined products, and which receives the image of

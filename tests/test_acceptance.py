@@ -98,6 +98,14 @@ def test_criterion_01_axioms():
     budget.finish()
 
 
+def test_s6_geodesic_pmq_validates():
+    # the cubic axioms decided on the base of 16 elements (unit and
+    # transpositions); scanning all 720^3 triples took ~40 s
+    budget = Budget("S_6 geodesic PMQ built and validated (720 elements)", 20)
+    assert validate(sym_geodesic_pmq(6)).ok
+    budget.finish()
+
+
 def test_criterion_02_norm_formula():
     budget = Budget("2 norm formula vs Cayley-graph distance, d <= 6", 30)
     for d in range(2, 7):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 import re
@@ -11,6 +12,7 @@ from pmq.catalog import (
     cyclic_group,
     group_pmq,
     natural_truncation,
+    natural_with_double_one,
     rack_three_example,
     segre_pmq,
     sym_geodesic_pmq,
@@ -19,8 +21,18 @@ from pmq.catalog import (
 )
 from pmq.completion import Completion
 from pmq.core import (
+    NORM_AXIOMS,
+    PMQ_AXIOMS,
     FiniteGroup,
     FinitePmq,
+    ValidationReport,
+    Violation,
+    _BASE_DECIDED,
+    _BaseDecisions,
+    _conj_distributivity,
+    _conj_of_product,
+    _generating_base,
+    _product_equivariance,
     components,
     conjugacy_classes,
     geodesic_pmq,
@@ -325,3 +337,130 @@ def test_completion_rejects_unvalidated_and_rack_inputs():
     with pytest.raises(AxiomError) as exc:
         Completion(rack)
     assert exc.value.report.axioms() == ["conj-idempotence"]
+
+
+# ---------------------------------------------------------------------------
+# the cubic axioms decided on a generating base
+
+
+def full_scan_report(q, *, rack=False, stop_first=False):
+    """The report assembled from every axiom's full scan, the oracle for
+    ``validate`` with its decided scans."""
+    scans = [(name, scan(q)) for name, scan in PMQ_AXIOMS
+             if not (rack and name == "conj-idempotence")]
+    if q.norm is not None:
+        scans += [(name, scan(q, q.norm)) for name, scan in NORM_AXIOMS]
+    out = []
+    for name, scan in scans:
+        first = next(scan, None)
+        if first is not None:
+            out.append(Violation(name, q.to_labels(first[0]), first[1]))
+            if stop_first:
+                break
+    return ValidationReport(tuple(out))
+
+
+def test_generating_base_examples():
+    q = sym_geodesic_pmq(3)
+    assert q.to_labels(_generating_base(q)) == ("123", "132", "213", "321")
+    # 1 + 1 = 2 and 1 + 2 = 3: only the unit and 1 are irreducible
+    n3 = natural_truncation(3)
+    assert n3.to_labels(_generating_base(n3)) == ("0", "1")
+    # a total product makes every element reducible (the unit is 1 + 3),
+    # so the base comes from picks alone: the unit reaches nothing, 1 the rest
+    z4 = group_pmq(cyclic_group(4))
+    assert z4.to_labels(_generating_base(z4)) == ("0", "1")
+    # no products of non-units: every element is in the base
+    t3 = transposition_quandle(3)
+    assert _generating_base(t3) == list(range(len(t3)))
+
+
+ORACLE_PMQS = [
+    sym_geodesic_pmq(3),
+    sym_geodesic_pmq(4),
+    natural_truncation(3),
+    natural_with_double_one(3),
+    segre_pmq(),
+    transposition_quandle(3),
+    transposition_quandle(4),
+    rack_three_example(),
+    group_pmq(cyclic_group(4)),
+]
+
+
+def test_decided_scans_equal_the_full_scans_on_mutants():
+    """Each decided scan yields the complete violation list of its full
+    scan, and ``validate`` gives the full scans' report, on 2,250 single and
+    chained mutants of nine PMQs."""
+    rng = random.Random(19)
+    scans = dict(PMQ_AXIOMS)
+    outcomes = collections.Counter()
+    for q in ORACLE_PMQS:
+        for i in range(250):
+            m = q
+            for _ in range(1 + i % 3):      # one, two or three edits
+                m = mutate_once(m, rng)
+            decisions = _BaseDecisions(m)
+            for name in _BASE_DECIDED:
+                full = list(scans[name](m))
+                assert list(decisions.scan(name)) == full, (name, m)
+                outcomes[name, decisions.holds(name)] += 1
+            assert validate(m) == full_scan_report(m)
+            assert validate(m, stop_first=True) == full_scan_report(m, stop_first=True)
+            assert validate(m, rack=True) == full_scan_report(m, rack=True)
+    # every axiom is often decided to hold and often scanned in full
+    assert min(outcomes[name, held] for name in _BASE_DECIDED for held in (True, False)) >= 50, outcomes
+
+
+def _table(labels, products, conj_by):
+    """A PMQ on ``labels`` (unit first) with the unit products, the given
+    products (label triples a, b, ab) and a^b = a except a^b = conj_by[b][a]."""
+    n = len(labels)
+    ix = labels.index
+    prod = {(0, a): a for a in range(n)}
+    prod.update({(a, 0): a for a in range(n)})
+    prod.update({(ix(a), ix(b)): ix(ab) for a, b, ab in products})
+    conj = [[a] * n for a in range(n)]
+    for b, images in conj_by.items():
+        for a, img in images.items():
+            conj[ix(a)][ix(b)] = ix(img)
+    return FinitePmq.build(labels, 0, conj, prod)
+
+
+def test_conj_of_product_falls_back_when_associativity_fails():
+    # w = xy and v = xw but xx is undefined, so associativity fails at
+    # (x, x, y); conj-of-product holds at every base element but fails at
+    # (x, x, w): (-)^v swaps x and y while (-)^x and (-)^w are trivial
+    q = _table(["1", "x", "y", "w", "v"], [("x", "y", "w"), ("x", "w", "v")],
+               {"v": {"x": "y", "y": "x"}})
+    decisions = _BaseDecisions(q)
+    assert q.to_labels(sorted(decisions.base)) == ("1", "x", "y")
+    assert not decisions.holds("associativity")
+    assert next(_conj_of_product(q, decisions.base), None) is None
+    assert not decisions.holds("conj-of-product")
+    report = validate(q)
+    assert "conj-of-product" in report.axioms()
+    assert report == full_scan_report(q)
+    assert validate(q, stop_first=True) == full_scan_report(q, stop_first=True)
+
+
+def test_distributivity_and_equivariance_fall_back_when_conj_of_product_fails():
+    # w = xy, (-)^w swaps x and w and every other conjugation is trivial:
+    # conj-of-product fails at (x, x, y); distributivity and equivariance
+    # hold at the base elements 1, x, y and fail at w
+    q = _table(["1", "x", "y", "w"], [("x", "y", "w")], {"w": {"x": "w", "w": "x"}})
+    decisions = _BaseDecisions(q)
+    assert q.to_labels(sorted(decisions.base)) == ("1", "x", "y")
+    assert decisions.holds("associativity")
+    assert not decisions.holds("conj-of-product")
+    report = validate(q)
+    for name, scan in (("conj-distributivity", _conj_distributivity),
+                       ("product-equivariance", _product_equivariance)):
+        assert next(scan(q, decisions.base), None) is None
+        assert not decisions.holds(name)
+        assert name in report.axioms()
+    assert report == full_scan_report(q)
+    assert report.axioms() == [
+        "conj-idempotence", "conj-distributivity", "product-conj-swap", "conj-of-product",
+        "product-equivariance",
+    ]
