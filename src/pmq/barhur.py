@@ -243,6 +243,11 @@ def _cells_of_grading(q: FinitePmq, states: Mapping[int, Sequence[Seq]]) -> dict
                         flat = flat_of(state)
                         cols = [flat[i : i + height] for i in starts]
                         grids.append((tuple([keep(col, col) for col in cols]), cells, s))
+    # Grid order is kept for the reduction, which pivots in basis order.
+    # Left in (placement, state) order, S_3's 175,680-cell grading
+    # 132.231.231 reduced in a median 3.97 s instead of 3.64 s and peaked at
+    # 224 MB instead of 221 MB (8 alternating pairs, 2-CPU VM), repaying the
+    # ~0.3 s the sort costs here: removing it saves nothing end to end.
     for grids in out.values():
         grids.sort(key=itemgetter(0))
     return out

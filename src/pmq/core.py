@@ -15,9 +15,10 @@ every axiom with minimal witnesses, and implements the basic constructions: a
 group as a PMQ, the semidirect PMQ of a right group action, the join of a
 PMQ-group pair, and the geodesic PMQ of a normed group.
 
-Validation scans each axiom over every element, except that the four cubic
-axioms (conj-distributivity, associativity, conj-of-product and
-product-equivariance) are first decided on a generating base B.  B holds
+Validation decides every axiom exactly: for each one it finds the first
+violation of its full scan, or that there is none.  The four cubic axioms
+(conj-distributivity, associativity, conj-of-product and
+product-equivariance) are first scanned over a generating base B.  B holds
 every element that is not a product of two non-units; while closing B under
 defined products of non-units leaves an element unreached (possible without
 a norm: in a group every element is such a product), the lowest unreached one
@@ -35,13 +36,18 @@ defined products c = yz, as in Light's associativity test:
   products, each need conj-of-product: phi_(yz) = phi_z phi_y, and such maps
   compose.
 
-So an axiom whose assumption holds and which holds on B holds everywhere, and
-its scan is skipped.  Otherwise (it fails on B, or its assumption is not
-known to hold) the full scan runs, so reports, witnesses and ``stop_first``
-are those of the full scans on every input.  ``validate`` takes 0.05 s on the
-120 elements of ``sym_geodesic_pmq(5)`` and about 1.5 s on the 720 of
-``sym_geodesic_pmq(6)``, whose base is its 16 elements of norm <= 1 (0.2 s
-and 36 s scanning every triple; one run each, 2-CPU VM).
+So an axiom whose assumption holds and whose scan over B is clean holds
+everywhere.  Otherwise (its assumption fails, or B shows a violation) its
+full scan runs up to the first violation, which is the report's witness; a
+full scan that finds nothing settles the axiom as an assumption all the
+same.  Reports, witnesses and ``stop_first`` are those of the full scans on
+every input.  ``validate`` takes 0.03-0.04 s on the 120 elements of
+``sym_geodesic_pmq(5)`` and 1.2-1.6 s on the 720 of ``sym_geodesic_pmq(6)``,
+whose base is its 16 elements of norm <= 1.  With the middle non-unit
+product of that S_6 deleted, it reports associativity, product-conj-swap and
+product-equivariance in 4.2-4.8 s; 26-29 s when a failed base decision left
+the assumption unknown and sent every cubic axiom after it to a full scan
+(4 alternating pairs, 2-CPU VM).
 
 Conventions
 -----------
@@ -58,7 +64,7 @@ concurrently on shared values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AxiomError, NormRequiredError, PreconditionError, StructureError
@@ -385,8 +391,8 @@ class ValidationReport:
 # One scan per axiom: a generator of (witness, detail) for its violations in
 # scan order, so the first one yielded is the minimal witness.  The scans of
 # the four cubic axioms take ``thirds``, the third elements c of the triples
-# they scan; by default every element, and a generating base in
-# ``_BaseDecisions``.
+# they scan: every element by default, the generating base when ``validate``
+# decides the axiom on it.
 
 def _conj_bijective(q: FinitePmq):
     # (-)^b is a bijection for every b.
@@ -445,15 +451,16 @@ def _associativity(q: FinitePmq, thirds=None):
                 bc = prod.get((b, c))
                 if bc is None or prod.get((a, bc)) != abc:
                     yield (a, b, c), "(ab)c defined but a(bc) missing or different"
+    left: list[list] = [[] for _ in range(n)]   # (a, ax) for each x, a ascending
+    for (a, x), ax in sorted(prod.items()):
+        left[x].append((a, ax))
     for (b, c), bc in prod.items():
         if c not in thirds:
             continue
-        for a in range(n):
-            abc = prod.get((a, bc))
-            if abc is not None:
-                ab = prod.get((a, b))
-                if ab is None or prod.get((ab, c)) != abc:
-                    yield (a, b, c), "a(bc) defined but (ab)c missing or different"
+        for a, abc in left[bc]:
+            ab = prod.get((a, b))
+            if ab is None or prod.get((ab, c)) != abc:
+                yield (a, b, c), "a(bc) defined but (ab)c missing or different"
 
 
 def _product_conj_swap(q: FinitePmq):
@@ -534,13 +541,13 @@ NORM_AXIOMS = (
     ("norm-additive", _norm_additive),
     ("norm-conj-invariant", _norm_conj_invariant),
 )
-# The cubic axioms decided on a generating base, each with its full scan and
-# the axiom that its closure lemma assumes (see the module docstring).
-_BASE_DECIDED = {
-    "associativity": (_associativity, None),
-    "conj-of-product": (_conj_of_product, "associativity"),
-    "conj-distributivity": (_conj_distributivity, "conj-of-product"),
-    "product-equivariance": (_product_equivariance, "conj-of-product"),
+# The cubic axioms, decided on a generating base, each with the axiom that
+# its closure lemma assumes (see the module docstring).
+_ASSUMES = {
+    "associativity": None,
+    "conj-of-product": "associativity",
+    "conj-distributivity": "conj-of-product",
+    "product-equivariance": "conj-of-product",
 }
 
 
@@ -576,61 +583,41 @@ def _generating_base(q: FinitePmq) -> list[int]:
         todo.append(lowest)
 
 
-class _BaseDecisions:
-    """Whether each axiom of ``_BASE_DECIDED`` holds at every element of one
-    PMQ.  The base and each decision are worked out once, when first asked
-    for, so a validation shares them between axioms."""
-
-    def __init__(self, q: FinitePmq):
-        self.q = q
-        self.known: dict[str, bool] = {}
-
-    @cached_property
-    def base(self) -> frozenset:
-        return frozenset(_generating_base(self.q))
-
-    def holds(self, axiom: str) -> bool:
-        """True when the axiom's assumption holds and its scan over the base
-        finds nothing, so the axiom holds everywhere; False when that is not
-        known."""
-        if axiom not in self.known:
-            scan, assumes = _BASE_DECIDED[axiom]
-            self.known[axiom] = (
-                (assumes is None or self.holds(assumes))
-                and next(scan(self.q, self.base), None) is None
-            )
-        return self.known[axiom]
-
-    def scan(self, axiom: str):
-        """The violations of the axiom's full scan, in its order; none, and no
-        scan, when the axiom is decided to hold."""
-        if not self.holds(axiom):
-            yield from _BASE_DECIDED[axiom][0](self.q)
-
-
 def validate(q: FinitePmq, *, rack: bool = False, stop_first: bool = False) -> ValidationReport:
     """Check every axiom, reporting one witness per violated axiom, in axiom
     order; ``stop_first`` stops at the first violated axiom.
 
     Witnesses are minimal in the scan order induced by the declaration order
-    of elements.  The cubic axioms are decided on a generating base first
-    and scanned over every triple only when that does not show that they
-    hold (see the module docstring); the report is the full scans' report
-    on every input.  With ``rack=True`` the idempotence axiom a^a = a is
-    skipped (the remaining axioms define a partially multiplicative rack).
-    A PMQ that passes without ``rack`` remembers it, and ``require_valid``
-    does not scan it again.
+    of elements.  Each axiom is decided exactly, once per call: a cubic one
+    whose assumption holds is scanned over a generating base first, and over
+    every triple, up to its first violation, only when that base scan finds
+    one or the assumption fails (see the module docstring).  The report is
+    the full scans' report on every input.  With ``rack=True`` the
+    idempotence axiom a^a = a is skipped (the remaining axioms define a
+    partially multiplicative rack).  A PMQ that passes without ``rack``
+    remembers it, and ``require_valid`` does not scan it again.
     """
-    decisions = _BaseDecisions(q)
-    scans = [(name, decisions.scan(name) if name in _BASE_DECIDED else scan(q))
-             for name, scan in PMQ_AXIOMS if not (rack and scan is _conj_idempotence)]
+    scans = {name: scan for name, scan in PMQ_AXIOMS if not (rack and name == "conj-idempotence")}
     if q.norm is not None:
-        scans += [(name, scan(q, q.norm)) for name, scan in NORM_AXIOMS]
+        scans.update((name, partial(scan, norm=q.norm)) for name, scan in NORM_AXIOMS)
+    base = frozenset(_generating_base(q))
+    first: dict[str, Optional[tuple]] = {}   # axiom -> first violation of its full scan, or None
+
+    def first_violation(axiom: str) -> Optional[tuple]:
+        if axiom not in first:
+            scan, assumes = scans[axiom], _ASSUMES.get(axiom)
+            on_base = axiom in _ASSUMES and (assumes is None or first_violation(assumes) is None)
+            if on_base and next(scan(q, base), None) is None:
+                first[axiom] = None   # the closure lemma: it holds everywhere
+            else:
+                first[axiom] = next(scan(q), None)
+        return first[axiom]
+
     out: list[Violation] = []
-    for axiom, scan in scans:
-        first = next(scan, None)
-        if first is not None:
-            out.append(Violation(axiom, q.to_labels(first[0]), first[1]))
+    for axiom in scans:
+        found = first_violation(axiom)
+        if found is not None:
+            out.append(Violation(axiom, q.to_labels(found[0]), found[1]))
             if stop_first:
                 break
     if not out and not rack:

@@ -458,10 +458,11 @@ def clebsch_connect(s1: Sequence[Perm], s2: Sequence[Perm], d: Optional[int] = N
     if len(s1) == perm_norm(t1.sigma):
         log1, m1 = _monotone_normalise(s1)
         log2, m2 = _monotone_normalise(s2)
-        if m1 == m2:
-            moves = log1 + _invert_moves(log2)
-            assert apply_moves(s1, moves) == s2
-            return ("log", moves)
+        # both are the unique monotone factorisation of the product
+        assert m1 == m2
+        moves = log1 + _invert_moves(log2)
+        assert apply_moves(s1, moves) == s2
+        return ("log", moves)
 
     moves = _bidirectional_bfs(s1, s2)
     if moves is None:

@@ -27,8 +27,8 @@ from pmq.core import (
     FinitePmq,
     ValidationReport,
     Violation,
-    _BASE_DECIDED,
-    _BaseDecisions,
+    _ASSUMES,
+    _associativity,
     _conj_distributivity,
     _conj_of_product,
     _generating_base,
@@ -388,28 +388,86 @@ ORACLE_PMQS = [
 ]
 
 
-def test_decided_scans_equal_the_full_scans_on_mutants():
-    """Each decided scan yields the complete violation list of its full
-    scan, and ``validate`` gives the full scans' report, on 2,250 single and
-    chained mutants of nine PMQs."""
+def oracle_mutants():
+    """2,250 single and chained mutants of the nine ``ORACLE_PMQS``."""
     rng = random.Random(19)
-    scans = dict(PMQ_AXIOMS)
-    outcomes = collections.Counter()
     for q in ORACLE_PMQS:
         for i in range(250):
             m = q
             for _ in range(1 + i % 3):      # one, two or three edits
                 m = mutate_once(m, rng)
-            decisions = _BaseDecisions(m)
-            for name in _BASE_DECIDED:
-                full = list(scans[name](m))
-                assert list(decisions.scan(name)) == full, (name, m)
-                outcomes[name, decisions.holds(name)] += 1
-            assert validate(m) == full_scan_report(m)
-            assert validate(m, stop_first=True) == full_scan_report(m, stop_first=True)
-            assert validate(m, rack=True) == full_scan_report(m, rack=True)
-    # every axiom is often decided to hold and often scanned in full
-    assert min(outcomes[name, held] for name in _BASE_DECIDED for held in (True, False)) >= 50, outcomes
+            yield m
+
+
+@pytest.fixture
+def cubic_scans(monkeypatch):
+    """The cubic scans that ``validate`` runs, in order, as (axiom, thirds):
+    thirds is None for a full scan and the generating base for a base scan."""
+    calls = []
+
+    def recording(name, scan):
+        def scan_and_record(q, thirds=None):
+            calls.append((name, thirds))
+            return scan(q, thirds)
+        return scan_and_record
+
+    monkeypatch.setattr(pmq.core, "PMQ_AXIOMS", tuple(
+        (name, recording(name, scan) if name in _ASSUMES else scan) for name, scan in PMQ_AXIOMS
+    ))
+    return calls
+
+
+def thirds_of(calls, axiom):
+    """The ``thirds`` of each recorded scan of ``axiom``, in order."""
+    return [thirds for name, thirds in calls if name == axiom]
+
+
+def test_decided_scans_equal_the_full_scans_on_mutants(cubic_scans):
+    """``validate`` gives the full scans' report on 2,250 single and chained
+    mutants of nine PMQs, in default, ``stop_first`` and rack mode, and a
+    cubic axiom that it decides on the base has a clean full scan."""
+    scans = dict(PMQ_AXIOMS)
+    outcomes = collections.Counter()
+    for m in oracle_mutants():
+        cubic_scans.clear()
+        assert validate(m) == full_scan_report(m)
+        base = frozenset(_generating_base(m))
+        for name in _ASSUMES:
+            # each scan runs once at most, the base scan first
+            thirds = thirds_of(cubic_scans, name)
+            assert thirds in ([base], [base, None], [None]), (name, thirds)
+            if thirds == [base]:
+                assert list(scans[name](m)) == [], (name, m)
+            outcomes[name, thirds == [base]] += 1
+        assert validate(m, stop_first=True) == full_scan_report(m, stop_first=True)
+        assert validate(m, rack=True) == full_scan_report(m, rack=True)
+    # every axiom is often decided on the base and often scanned in full
+    assert min(outcomes[name, decided] for name in _ASSUMES for decided in (True, False)) >= 50, outcomes
+
+
+def naive_associativity(q):
+    """Conditional associativity over every triple, in ``_associativity``'s
+    order: (ab)c by the pairs (a, b) of ``q.prod`` then c, and a(bc) by the
+    pairs (b, c) then every a."""
+    prod, n = q.prod, len(q)
+    for (a, b), ab in prod.items():
+        for c in range(n):
+            abc = prod.get((ab, c))
+            if abc is not None and prod.get((a, prod.get((b, c)))) != abc:
+                yield (a, b, c), "(ab)c defined but a(bc) missing or different"
+    for (b, c), bc in prod.items():
+        for a in range(n):
+            abc = prod.get((a, bc))
+            if abc is not None and prod.get((prod.get((a, b)), c)) != abc:
+                yield (a, b, c), "a(bc) defined but (ab)c missing or different"
+
+
+def test_associativity_equals_the_naive_loop_on_mutants():
+    for m in oracle_mutants():
+        naive = list(naive_associativity(m))
+        assert list(_associativity(m)) == naive, m
+        base = frozenset(_generating_base(m))
+        assert list(_associativity(m, base)) == [v for v in naive if v[0][2] in base], m
 
 
 def _table(labels, products, conj_by):
@@ -427,40 +485,60 @@ def _table(labels, products, conj_by):
     return FinitePmq.build(labels, 0, conj, prod)
 
 
-def test_conj_of_product_falls_back_when_associativity_fails():
+def test_conj_of_product_falls_back_when_associativity_fails(cubic_scans):
     # w = xy and v = xw but xx is undefined, so associativity fails at
     # (x, x, y); conj-of-product holds at every base element but fails at
     # (x, x, w): (-)^v swaps x and y while (-)^x and (-)^w are trivial
     q = _table(["1", "x", "y", "w", "v"], [("x", "y", "w"), ("x", "w", "v")],
                {"v": {"x": "y", "y": "x"}})
-    decisions = _BaseDecisions(q)
-    assert q.to_labels(sorted(decisions.base)) == ("1", "x", "y")
-    assert not decisions.holds("associativity")
-    assert next(_conj_of_product(q, decisions.base), None) is None
-    assert not decisions.holds("conj-of-product")
+    base = frozenset(_generating_base(q))
+    assert q.to_labels(sorted(base)) == ("1", "x", "y")
+    assert next(_conj_of_product(q, base), None) is None
     report = validate(q)
+    assert thirds_of(cubic_scans, "associativity") == [base, None]
+    assert thirds_of(cubic_scans, "conj-of-product") == [None]
     assert "conj-of-product" in report.axioms()
     assert report == full_scan_report(q)
     assert validate(q, stop_first=True) == full_scan_report(q, stop_first=True)
 
 
-def test_distributivity_and_equivariance_fall_back_when_conj_of_product_fails():
+def test_distributivity_and_equivariance_fall_back_when_conj_of_product_fails(cubic_scans):
     # w = xy, (-)^w swaps x and w and every other conjugation is trivial:
     # conj-of-product fails at (x, x, y); distributivity and equivariance
     # hold at the base elements 1, x, y and fail at w
     q = _table(["1", "x", "y", "w"], [("x", "y", "w")], {"w": {"x": "w", "w": "x"}})
-    decisions = _BaseDecisions(q)
-    assert q.to_labels(sorted(decisions.base)) == ("1", "x", "y")
-    assert decisions.holds("associativity")
-    assert not decisions.holds("conj-of-product")
+    base = frozenset(_generating_base(q))
+    assert q.to_labels(sorted(base)) == ("1", "x", "y")
     report = validate(q)
+    assert thirds_of(cubic_scans, "associativity") == [base]
+    assert thirds_of(cubic_scans, "conj-of-product") == [base, None]
     for name, scan in (("conj-distributivity", _conj_distributivity),
                        ("product-equivariance", _product_equivariance)):
-        assert next(scan(q, decisions.base), None) is None
-        assert not decisions.holds(name)
+        assert next(scan(q, base), None) is None
+        assert thirds_of(cubic_scans, name) == [None]
         assert name in report.axioms()
     assert report == full_scan_report(q)
     assert report.axioms() == [
         "conj-idempotence", "conj-distributivity", "product-conj-swap", "conj-of-product",
         "product-equivariance",
+    ]
+
+
+def test_a_clean_full_scan_lets_distributivity_and_equivariance_use_the_base(cubic_scans):
+    # commuting products w = xy = yx and v = xw = wx with xx undefined, and
+    # trivial conjugation: associativity fails at (x, x, y), so
+    # conj-of-product is scanned in full; that scan is clean, which settles
+    # the assumption of distributivity and equivariance
+    q = _table(["1", "x", "y", "w", "v"],
+               [("x", "y", "w"), ("y", "x", "w"), ("x", "w", "v"), ("w", "x", "v")], {})
+    base = frozenset(_generating_base(q))
+    assert q.to_labels(sorted(base)) == ("1", "x", "y")
+    report = validate(q)
+    assert report == full_scan_report(q)
+    assert report.axioms() == ["associativity"]
+    assert cubic_scans == [
+        ("associativity", base), ("associativity", None),
+        ("conj-of-product", None),
+        ("conj-distributivity", base),
+        ("product-equivariance", base),
     ]
