@@ -117,23 +117,25 @@ def orbits(items: Iterable, step: Callable) -> Iterator[set]:
             yield found
 
 
-def components(nodes: Iterable, edges: Iterable[tuple]) -> list[list]:
-    """The connected components of the graph on ``nodes`` with the given
-    undirected ``edges`` (pairs of nodes), by union-find with path halving.
-    Each component lists its nodes in the given order, and the components
-    come in the order of their first node."""
-    parent = {v: v for v in nodes}
-
-    def find(v):
+def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The connected components of the graph on the nodes 0..n-1 with the
+    given undirected ``edges`` (pairs of nodes), by union-find over a list
+    of parents with path halving.  Each component lists its nodes in
+    ascending order, and the components come in the order of their least
+    node."""
+    parent = list(range(n))
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
-        return v
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    out: dict = {}
-    for v in parent:
-        out.setdefault(find(v), []).append(v)
+        parent[u] = v
+    out: dict[int, list[int]] = {}
+    for v in range(n):
+        root = v
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        out.setdefault(root, []).append(v)
     return list(out.values())
 
 
@@ -444,13 +446,13 @@ def _associativity(q: FinitePmq, thirds=None):
     # Conditional associativity, both implications.
     prod, n = q.prod, len(q)
     thirds = range(n) if thirds is None else thirds
+    # (c, xc) for each x and each c in thirds with xc defined, in thirds order
+    right = [[(c, prod[x, c]) for c in thirds if (x, c) in prod] for x in range(n)]
     for (a, b), ab in prod.items():
-        for c in thirds:
-            abc = prod.get((ab, c))
-            if abc is not None:
-                bc = prod.get((b, c))
-                if bc is None or prod.get((a, bc)) != abc:
-                    yield (a, b, c), "(ab)c defined but a(bc) missing or different"
+        for c, abc in right[ab]:
+            bc = prod.get((b, c))
+            if bc is None or prod.get((a, bc)) != abc:
+                yield (a, b, c), "(ab)c defined but a(bc) missing or different"
     left: list[list] = [[] for _ in range(n)]   # (a, ax) for each x, a ascending
     for (a, x), ax in sorted(prod.items()):
         left[x].append((a, ax))

@@ -213,13 +213,13 @@ def quadratic_quotient_dimensions(
     over every field and over Z (Eisenbud-Sturmfels, "Binomial ideals",
     Duke Math. J. 84, 1996): no linear algebra is needed.
 
-    Degree by degree: node j * k + y is basis monomial j of degree n-1
-    followed by generator y, and one more node stands for zero.
+    Degree by degree: node 1 + j * k + y is basis monomial j of degree n-1
+    followed by generator y, and node 0 stands for zero.
     ``below[i][x]`` is the basis monomial that basis monomial i of degree
     n-2 followed by x reduces to, or None where that is zero.  Each relator,
     multiplied on the left by i, joins its two sides (a pair relator) or its
     side and zero (a zero relator); a side (x, y) is node
-    below[i][x] * k + y, or zero where ``below[i][x]`` is None.  The
+    1 + below[i][x] * k + y, or zero where ``below[i][x]`` is None.  The
     components without zero are the basis of degree n, and give the next
     ``below``.
     """
@@ -229,10 +229,10 @@ def quadratic_quotient_dimensions(
     k = len(pres.generators)
     census = [len(q.elements_of_norm(d)) for d in range(max_degree + 1)]
 
-    zero = -1
+    zero = 0
 
     def node(j: Optional[int], y: int) -> int:
-        return zero if j is None else j * k + y
+        return zero if j is None else 1 + j * k + y
 
     out = [(0, 1, census[0])]
     size = 1   # the dimension of the degree below
@@ -243,12 +243,12 @@ def quadratic_quotient_dimensions(
             edges += [(node(row[a], b), node(row[c], e)) for (a, b), (c, e) in pres.pair_relators]
             edges += [(node(row[a], b), zero) for a, b in pres.zero_relators]
         # the zero node comes first, so its component is the first one
-        live = components(range(zero, size * k), edges)[1:]
-        cls: list[Optional[int]] = [None] * (size * k)
+        live = components(1 + size * k, edges)[1:]
+        cls: list[Optional[int]] = [None] * (1 + size * k)
         for i, members in enumerate(live):
             for v in members:
                 cls[v] = i
-        below = [cls[j * k : (j + 1) * k] for j in range(size)]
+        below = [cls[1 + j * k : 1 + (j + 1) * k] for j in range(size)]
         size = len(live)
         out.append((degree, size, census[degree]))
     return out

@@ -290,7 +290,8 @@ def seq_to_triple(seq: Sequence[Perm], d: Optional[int] = None) -> GeoHatElem:
 
 def _join_partitions(p1, p2, d: int) -> list[list[int]]:
     edges = [(p[0], x) for p in (*p1, *p2) for x in p[1:]]
-    return components(range(1, d + 1), edges)
+    # the points are 1..d, so node 0 is alone and its component comes first
+    return components(d + 1, edges)[1:]
 
 
 def geo_hat_mul(a: GeoHatElem, b: GeoHatElem) -> GeoHatElem:

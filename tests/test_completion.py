@@ -15,6 +15,7 @@ from pmq.catalog import (
     unit_pmq,
 )
 from pmq.completion import Completion, verify_embedding
+from pmq.core import orbits
 from pmq.errors import AxiomError, NormRequiredError
 from pmq.symgeo import sym_geodesic_pair, triples_of_weight
 
@@ -320,6 +321,57 @@ def test_nodes_per_level_are_letters_times_lower_classes():
         nodes = sum(map(len, c._nodes[n]))
         assert nodes == sum(len(c.classes_of_norm(n - q.norm[a])) for a in letters)
     assert nodes == 960
+
+
+def _levels_by_orbits(q, top):
+    """Every norm level's class words and node lists rebuilt with no
+    union-find: the classes of norm m are the orbits (``core.orbits``, by
+    search) of the node graph over (a, w) tuples, whose braid and
+    contraction edges are read off the levels below, in both directions."""
+    letters = [a for a in range(len(q)) if a != q.unit]
+    words, nodes, node_class = [[()]], [[[]]], [{}]
+    for m in range(1, top + 1):
+        level = [
+            (a, w) for a in letters if q.norm[a] <= m for w in range(len(words[m - q.norm[a]]))
+        ]
+        adjacency = {v: set() for v in level}
+        for v in level:
+            a, w = v
+            for x, u in nodes[m - q.norm[a]][w]:
+                ends = [(x, node_class[m - q.norm[x]][q.conj[a][x], u])]
+                if (a, x) in q.prod:
+                    ends.append((q.prod[a, x], u))
+                for e in ends:
+                    adjacency[v].add(e)
+                    adjacency[e].add(v)
+
+        def key(v):
+            word = (v[0],) + words[m - q.norm[v[0]]][v[1]]
+            return len(word), word
+
+        ranked = sorted((min(map(key, c)), sorted(c)) for c in orbits(level, adjacency.__getitem__))
+        words.append([word for (_, word), _ in ranked])
+        nodes.append([c for _, c in ranked])
+        node_class.append({v: i for i, (_, c) in enumerate(ranked) for v in c})
+    return words, nodes
+
+
+@pytest.mark.parametrize(
+    "q, top", [(sym_geodesic_pmq(4), 6), (natural_truncation(3), 5)], ids=["S4", "nat3"]
+)
+def test_levels_match_orbits_of_the_node_graph(q, top):
+    c = Completion(q)
+    c.classes_of_norm(top)
+    words, nodes = _levels_by_orbits(q, top)
+    assert c._words[: top + 1] == words
+    assert c._nodes[: top + 1] == nodes
+
+
+def test_s5_census_to_norm_7_matches_triples():
+    c = Completion(sym_geodesic_pmq(5))
+    counts = [len(c.classes_of_norm(n)) for n in range(8)]
+    assert counts == [len(triples_of_weight(5, n)) for n in range(8)]
+    assert sum(counts) == 1414
 
 
 _ORACLE = [

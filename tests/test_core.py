@@ -52,20 +52,26 @@ from helpers import axiom_holds_at, mutate_once
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_components_match_orbits_of_the_symmetrised_graph(data):
-    nodes = data.draw(st.permutations(range(data.draw(st.integers(1, 12)))))
-    node = st.sampled_from(nodes)
-    edges = data.draw(st.lists(st.tuples(node, node), max_size=15))
+    n = data.draw(st.integers(0, 12))
+    nodes = range(n)
+    node = st.integers(0, max(n - 1, 0))
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=15 if n else 0))
     adjacency = {v: set() for v in nodes}
     for u, v in edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
-    found = components(nodes, edges)
+    found = components(n, edges)
     assert [set(c) for c in found] == list(orbits(nodes, adjacency.__getitem__))
-    # members in the given node order, components by their first node
-    position = {v: i for i, v in enumerate(nodes)}
+    # members ascending, components by their least node
     for c in found:
-        assert [position[v] for v in c] == sorted(position[v] for v in c)
-    assert [position[c[0]] for c in found] == sorted(position[c[0]] for c in found)
+        assert c == sorted(c)
+    assert [c[0] for c in found] == sorted(c[0] for c in found)
+
+
+def test_components_of_no_nodes_and_of_self_loops():
+    assert components(0, []) == []
+    assert components(3, [(1, 1), (2, 2), (1, 1)]) == [[0], [1], [2]]
+    assert components(4, [(3, 3), (3, 0), (2, 2)]) == [[0, 3], [1], [2]]
 
 
 def test_unit_pmq_valid():
