@@ -13,6 +13,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 structural error, 2 axiom violation,
 3 precondition failure.  ``--csv`` switches tabular sections to CSV.
+``ring`` prints the quadratic presentation (``--present``) by default.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ring", help="quadratic ring data")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--present", action="store_true")
+    group.add_argument("--present", action="store_true", help="the presentation (the default)")
     group.add_argument("--dual", action="store_true")
     group.add_argument("--hilbert", type=int, default=None, metavar="D")
     p.set_defaults(func=cmd_ring)

@@ -44,8 +44,10 @@ nodes at norm 7) takes about 0.5 s.
 ``class_states`` recurses down the same tables: every state of a class is
 a.t for exactly one of its nodes (a, w), with t a state of w.  The states
 are the arrays of that grading read column-major (``barhur``), and
-``verify_embedding`` walks them.  ``sequences_of_norm`` lists every
-sequence of a norm, for the tests and the benchmark harness.
+``verify_embedding`` walks them.  ``nodes`` lists a class's nodes as
+(a, tail class) pairs, from which ``pmq.properties`` reads the leading
+pairs of the move classes of norm-one sequences.  ``sequences_of_norm``
+lists every sequence of a norm, for the tests and the benchmark harness.
 
 Class sizes grow exponentially with the total norm (the number of
 sequences of norm n over a fixed alphabet does), so keep the norms of the
@@ -214,6 +216,17 @@ class Completion:
             nodes.append([[level[i] for i in c] for _, c in ranked])
             firsts.append(first)
             node_class.append(cls)
+
+    def nodes(self, h: HatElem) -> list[tuple[int, HatElem]]:
+        """The nodes (a, t) of the class of ``h``, a letter and a tail
+        class: the states of ``h`` are the a.s over its nodes, with s a
+        state of t, each state once.  The unit has none."""
+        norm, words = self.pmq.norm, self._words
+        level, c = self._locate(h.word)
+        return [
+            (a, HatElem(self, words[level - norm[a]][w], level - norm[a]))
+            for a, w in self._nodes[level][c]
+        ]
 
     def class_states(self, h: HatElem) -> dict[int, list[Seq]]:
         """Every sequence of non-unit elements in the class of ``h`` (the

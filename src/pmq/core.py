@@ -65,13 +65,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import AxiomError, NormRequiredError, PreconditionError, StructureError
 
 __all__ = [
     "orbit",
-    "orbits",
     "components",
     "braid_act",
     "apply_moves",
@@ -104,17 +103,6 @@ def orbit(starts: Iterable, step: Callable) -> set:
                 seen.add(y)
                 todo.append(y)
     return seen
-
-
-def orbits(items: Iterable, step: Callable) -> Iterator[set]:
-    """Each orbit of ``step`` that meets ``items``, once, in the order of the
-    first item it contains."""
-    seen: set = set()
-    for x in items:
-        if x not in seen:
-            found = orbit((x,), step)
-            seen |= found
-            yield found
 
 
 def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -651,15 +639,12 @@ def conjugacy_classes(q: FinitePmq) -> list[tuple[str, ...]]:
 
 
 def _class_partition(q: FinitePmq) -> list[tuple[int, ...]]:
-    n = len(q.labels)
-
-    def step(a: int):
-        row = q.conj[a]
-        for b in range(n):
-            yield row[b]
-            yield q.conjugate_inv(a, b)
-
-    return [tuple(sorted(cls)) for cls in orbits(range(n), step)]
+    """The components of the edges a -- a^b: once every (-)^b is a
+    bijection, (-)^(b^-1) walks the same edges back."""
+    for b in range(len(q)):
+        q.conjugate_inv(b, b)   # AxiomError when (-)^b is not a bijection
+    edges = ((a, c) for a, row in enumerate(q.conj) for c in set(row))
+    return [tuple(cls) for cls in components(len(q), edges)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import FiniteGroup, FinitePmq, orbits, semidirect_pmq
+from .core import FiniteGroup, FinitePmq, components, semidirect_pmq
 from .errors import StructureError
 
 Relator = tuple[int, ...]   # signed 1-based generator indices
@@ -136,8 +136,10 @@ def env_semidirect(
     q = semidirect_pmq(g, points, action)
     ng = len(g)
 
+    index = {s: i for i, s in enumerate(points)}
+    edges = ((index[s], index[action[(s, x)]]) for s in points for x in g.labels)
     point_orbits = tuple(
-        tuple(sorted(o)) for o in orbits(points, lambda s: [action[(s, x)] for x in g.labels])
+        tuple(sorted(points[i] for i in o)) for o in components(len(points), edges)
     )
     orbit_of = {s: i for i, o in enumerate(point_orbits) for s in o}
 

@@ -12,15 +12,24 @@
   moved until its two leading entries already fail to multiply.  The
   definition quantifies over sequences of every length; the checker verifies
   lengths 3..r_max and says so in its verdict.
+
+Move classes of norm-one sequences are the classes of the completion of
+the norm-one truncation (``catalog.norm_one_truncation``): no product of
+non-units is defined there and it keeps the declaration order, so its
+classes of norm m are the move classes of the sequences of length m, in
+the order of their least members, the canonical words.  A class's leading
+pairs are the (a, x) over its nodes (a, t) (``Completion.nodes``) and the
+nodes (x, u) of t; no sequence is listed and no orbit searched.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import NORM_AXIOMS, FinitePmq, orbit, orbits
+from .catalog import norm_one_truncation
+from .completion import Completion
+from .core import NORM_AXIOMS, FinitePmq, orbit
 from .errors import PreconditionError
 
 __all__ = [
@@ -93,48 +102,30 @@ def intrinsic_pseudonorm(q: FinitePmq, bound: Optional[int] = None):
 # ---------------------------------------------------------------------------
 # decompositions into norm-one elements
 
-def _decompositions_by_product(q: FinitePmq, top: int) -> dict[int, list[tuple[int, ...]]]:
-    """The decompositions of every element of norm <= top, each in
-    lexicographic order: one walk of the norm-one prefix tree, level by
-    level, grouping the words by their product."""
-    ones, prod = q.elements_of_norm(1), q.prod
-    level = [((), q.unit)]
-    out = {q.unit: [()]}
-    for _ in range(top):
-        level = [(w + (x,), c) for w, acc in level for x in ones if (c := prod.get((acc, x))) is not None]
-        for w, c in level:
-            out.setdefault(c, []).append(w)
-    return out
-
-
-def decompositions(q: FinitePmq, a: int) -> list[tuple[int, ...]]:
-    """All sequences over the norm-one part with defined product equal to a."""
-    return _decompositions_by_product(q, q.require_norm()[a]).get(a, [])
-
-
-def _moves(q: FinitePmq):
-    """Step of the standard-move orbit of a sequence.  Only positive moves are
-    generated: each permutes the finite set of sequences of a length, so its
-    inverse is one of its powers."""
-    return lambda seq: [q.braid_act(seq, i, 1) for i in range(1, len(seq))]
-
-
-def _move_classes(q: FinitePmq, words: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Standard-move components of a set of words closed under the moves,
-    in the order of their lexicographically least members."""
-    todo = sorted(words)
-    all_set = set(todo)
-    classes: list[list[tuple[int, ...]]] = []
-    for comp in orbits(todo, _moves(q)):
-        assert comp <= all_set, "move broke the product"
-        classes.append(sorted(comp))
-    return classes
+def _norm_one_completion(q: FinitePmq) -> tuple[Completion, list[int]]:
+    """The completion of the norm-one truncation of q (see the module
+    docstring) and the element of q behind each of its elements."""
+    norm = q.require_norm()
+    return Completion(norm_one_truncation(q)), [a for a in range(len(q)) if norm[a] <= 1]
 
 
 def decomposition_classes(q: FinitePmq, a: int) -> list[list[tuple[int, ...]]]:
-    """Standard-move components of the norm-one decompositions of a, in the
-    order of their lexicographically least members."""
-    return _move_classes(q, decompositions(q, a))
+    """Standard-move components of the norm-one decompositions of a, each
+    sorted, in the order of their lexicographically least members.  Moves
+    keep the product, so a class either multiplies to a or holds no
+    decomposition of a."""
+    comp, up = _norm_one_completion(q)
+    return [
+        [tuple(up[x] for x in s) for s in comp.class_states(h)[h.norm]]
+        for h in comp.classes_of_norm(q.norm[a])
+        if q.product_word(up[x] for x in h.word) == a
+    ]
+
+
+def decompositions(q: FinitePmq, a: int) -> list[tuple[int, ...]]:
+    """All sequences over the norm-one part with defined product equal to a,
+    in lexicographic order."""
+    return sorted(s for c in decomposition_classes(q, a) for s in c)
 
 
 def is_maximally_decomposable(q: FinitePmq) -> tuple[bool, Optional[str]]:
@@ -159,18 +150,22 @@ def is_coconnected(q: FinitePmq) -> tuple[bool, dict[str, int]]:
         raise PreconditionError(
             f"not maximally decomposable at {witness}", failed="maximally_decomposable"
         )
-    grouped = _decompositions_by_product(q, max(q.norm))
-    counts = {q.labels[a]: len(_move_classes(q, grouped.get(a, []))) for a in range(len(q))}
-    return all(v == 1 for v in counts.values()), counts
+    comp, up = _norm_one_completion(q)
+    counts = [0] * len(q)
+    for h in comp.classes_up_to(max(q.norm)):
+        p = q.product_word(up[x] for x in h.word)
+        if p is not None:
+            counts[p] += 1
+    return all(v == 1 for v in counts), dict(zip(q.labels, counts))
 
 
 def is_pairwise_determined(q: FinitePmq, r_max: Optional[int] = None):
-    """Bounded verdict: for 3 <= r <= r_max, every move-orbit of norm-one
+    """Bounded verdict: for 3 <= r <= r_max, every move class of norm-one
     sequences without a product contains a member whose two leading entries
     already fail to multiply.
 
     Returns (status, r_max, witness) where status is True (up to the bound)
-    or False with a frozen witness orbit representative.  The property
+    or False with the least member of the first frozen class.  The property
     itself quantifies over all r; no finite reduction is attempted, which is
     why the bound is part of the verdict.
     """
@@ -182,14 +177,14 @@ def is_pairwise_determined(q: FinitePmq, r_max: Optional[int] = None):
         )
     if r_max is None:
         r_max = max(norm) + 1
-    ones = q.elements_of_norm(1)
+    comp, up = _norm_one_completion(q)
     for r in range(3, r_max + 1):
-        unmultipliable = (
-            seq for seq in itertools.product(ones, repeat=r) if q.product_word(seq) is None
-        )
-        for found in orbits(unmultipliable, _moves(q)):
-            if all((s[0], s[1]) in q.prod for s in found):
-                return False, r_max, q.to_labels(min(found))
+        for h in comp.classes_of_norm(r):
+            word = [up[x] for x in h.word]
+            if q.product_word(word) is None and all(
+                (up[a], up[x]) in q.prod for a, t in comp.nodes(h) for x, _ in comp.nodes(t)
+            ):
+                return False, r_max, q.to_labels(word)
     return True, r_max, None
 
 

@@ -11,12 +11,14 @@ face assembly, and homology from every full differential eliminated on its
 own, the reference for the reduction in ``pmq.snf.homology_groups``.
 
 And the same PMQ declared in another element order, for the tests that a
-result does not depend on that order.
+result does not depend on that order, and the orbits of a step function by
+breadth-first search, the reference for the union-find closures.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from pmq.barhur import BisimplexArray
 from pmq.core import FinitePmq
@@ -38,6 +40,24 @@ def shuffled_orders(q: FinitePmq):
         order = list(q.labels)
         random.Random(seed).shuffle(order)
         yield relabelled(q, order)
+
+
+def orbits(items, step):
+    """Each orbit of ``step`` (``step(x)`` lists the neighbours of x) that
+    meets ``items``, once, as a set, in the order of the first item it
+    contains: a breadth-first search from each item not yet seen."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            continue
+        found, todo = {x}, deque([x])
+        while todo:
+            for y in step(todo.popleft()):
+                if y not in found:
+                    found.add(y)
+                    todo.append(y)
+        seen |= found
+        yield found
 
 
 def axiom_holds_at(q: FinitePmq, axiom: str, witness: tuple[str, ...]) -> bool:

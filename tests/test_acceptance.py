@@ -221,6 +221,17 @@ def test_criterion_06_coconnectedness():
     budget.finish()
 
 
+def test_s6_geodesic_pmq_is_coconnected_and_pairwise_determined():
+    # move classes from the completion of the norm-one truncation; a search
+    # over the 15^6 norm-one words takes ~94 s and 1.8 GB, so the budget
+    # catches a return to it
+    budget = Budget("S_6 coconnected and pairwise determined to r = 6", 10)
+    q = sym_geodesic_pmq(6)
+    assert is_pairwise_determined(q) == (True, 6, None)
+    assert is_coconnected(q)[0] is True
+    budget.finish()
+
+
 def test_criterion_07_quadratic_ring():
     budget = Budget("7 quadratic ring dimensions, relations, class sums", 60)
     for d in (3, 4):

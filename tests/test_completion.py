@@ -15,11 +15,10 @@ from pmq.catalog import (
     unit_pmq,
 )
 from pmq.completion import Completion, verify_embedding
-from pmq.core import orbits
 from pmq.errors import AxiomError, NormRequiredError
 from pmq.symgeo import sym_geodesic_pair, triples_of_weight
 
-from helpers import relabelled, shuffled_orders
+from helpers import orbits, relabelled, shuffled_orders
 
 
 def test_unit_and_strip():
@@ -325,9 +324,9 @@ def test_nodes_per_level_are_letters_times_lower_classes():
 
 def _levels_by_orbits(q, top):
     """Every norm level's class words and node lists rebuilt with no
-    union-find: the classes of norm m are the orbits (``core.orbits``, by
-    search) of the node graph over (a, w) tuples, whose braid and
-    contraction edges are read off the levels below, in both directions."""
+    union-find: the classes of norm m are the orbits (breadth-first search)
+    of the node graph over (a, w) tuples, whose braid and contraction edges
+    are read off the levels below, in both directions."""
     letters = [a for a in range(len(q)) if a != q.unit]
     words, nodes, node_class = [[()]], [[[]]], [{}]
     for m in range(1, top + 1):

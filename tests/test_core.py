@@ -37,7 +37,6 @@ from pmq.core import (
     conjugacy_classes,
     geodesic_pmq,
     join_pmq_group,
-    orbits,
     require_valid,
     semidirect_pmq,
     validate,
@@ -46,7 +45,7 @@ from pmq.errors import AxiomError, PreconditionError, StructureError
 from pmq.serialize import pmq_from_json
 from pmq.symgeo import sym_geodesic_pair, symmetric_group
 
-from helpers import axiom_holds_at, mutate_once
+from helpers import axiom_holds_at, mutate_once, orbits, shuffled_orders
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,6 +101,26 @@ def test_conjugacy_classes_examples():
     # symmetric geodesic: unit / transpositions / 3-cycles
     sizes = sorted(len(c) for c in conjugacy_classes(sym_geodesic_pmq(3)))
     assert sizes == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [sym_geodesic_pmq(4), natural_with_double_one(3), transposition_quandle(4), rack_three_example()],
+    ids=["S4", "double_one3", "tq4", "rack3"],
+)
+def test_conjugacy_classes_match_orbits_of_both_conjugations(q):
+    for p in shuffled_orders(q):
+        n = len(p)
+        step = lambda a: [c for b in range(n) for c in (p.conj[a][b], p.conjugate_inv(a, b))]
+        expected = [tuple(p.labels[i] for i in sorted(o)) for o in orbits(range(n), step)]
+        assert conjugacy_classes(p) == expected
+
+
+def test_conjugacy_classes_reject_a_non_bijective_column():
+    # conjugation by b sends both a and b to b
+    q = FinitePmq.build(["1", "a", "b"], 0, [[0, 0, 0], [1, 1, 2], [2, 2, 2]], {})
+    with pytest.raises(AxiomError, match="conjugation by 'b' is not a bijection"):
+        conjugacy_classes(q)
 
 
 def test_semidirect_transitive_action_one_class():

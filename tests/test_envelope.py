@@ -76,6 +76,16 @@ def test_env_semidirect_two_swapped_pairs():
     assert image["s"] == image["t"] != image["u"] == image["v"]
 
 
+def test_env_semidirect_orbits_in_declaration_order():
+    # orbits come by their first declared point, labels sorted within one
+    g = cyclic_group(2)
+    swap = {"v": "u", "u": "v", "t": "s", "s": "t", "w": "w"}
+    action = {(s, "0"): s for s in swap} | {(s, "1"): t for s, t in swap.items()}
+    env = env_semidirect(g, list(swap), action)
+    assert env.ok
+    assert env.orbits == (("u", "v"), ("s", "t"), ("w",))
+
+
 def test_env_semidirect_trivial_group_free_abelian():
     from pmq.core import FiniteGroup
 

@@ -131,11 +131,14 @@ def test_property_report_shapes():
     assert rep2.class_counts["2"] == 3
 
 
-def test_moves_preserve_products_inside_orbit_builder():
-    # exercised by the assertion inside decomposition_classes
+def test_decomposition_classes_partition_the_decompositions():
     for q in (sym_geodesic_pmq(4), natural_truncation(3)):
         for a in range(len(q)):
-            decomposition_classes(q, a)
+            classes = decomposition_classes(q, a)
+            assert all(q.product_word(s) == a for c in classes for s in c)
+            members = [s for c in classes for s in c]
+            assert len(members) == len(set(members))
+            assert set(members) == set(_reference_decompositions(q, a))
 
 
 def _reference_orbit(q, start):
@@ -181,20 +184,22 @@ def _reference_pairwise(q, r_max):
 
 
 @pytest.mark.parametrize(
-    "q",
+    "q, r_max",
     [
-        sym_geodesic_pmq(3),
-        sym_geodesic_pmq(4),
-        natural_truncation(3),
-        natural_with_double_one(3),
-        transposition_quandle(3),
+        (sym_geodesic_pmq(3), 4),
+        (sym_geodesic_pmq(4), 4),
+        (natural_truncation(3), 4),
+        (natural_with_double_one(3), 4),
+        (transposition_quandle(3), 4),
+        (sym_geodesic_pmq(5), 5),
+        (sym_geodesic_pmq(4), 6),
     ],
-    ids=["S3", "S4", "nat3", "double_one3", "tq3"],
+    ids=["S3", "S4", "nat3", "double_one3", "tq3", "S5-r5", "S4-r6"],
 )
-def test_orbits_match_two_sided_reference_bfs(q):
+def test_orbits_match_two_sided_reference_bfs(q, r_max):
     for a in range(len(q)):
         assert decomposition_classes(q, a) == _reference_classes(q, a)
-    assert is_pairwise_determined(q, r_max=4) == _reference_pairwise(q, 4)
+    assert is_pairwise_determined(q, r_max=r_max) == _reference_pairwise(q, r_max)
 
 
 def _is_witness(q, prop, witness):
