@@ -31,7 +31,10 @@ an admissible non-degenerate inner grid of grading b is a state of b's move
 component (``Completion.class_states``); conversely a state of length L
 written in that order into L cells of a w x h grid meeting every row and
 column, units elsewhere, is such a grid.  So the grids are the states of
-b's class times the placements of their length.
+b's class times the placements of their length.  A grid column depends
+only on the state and on which state positions the placement puts in it,
+so each such column pattern is tabulated once over the states of a length
+and a placement's grids are its columns' tables zipped together.
 
 Faces act on the two factors separately: the face of the cell (placement
 P, state s) is the cell (P', t(s)).  The face placement P' and the sign
@@ -44,13 +47,22 @@ off two tables; no product is taken and no grid is hashed per cell.  Like
 the placements themselves, the faces of a placement are memoised per
 process: gradings of one PMQ, and of different PMQs, reach the same
 placements again and again.
+
+No two inner faces of a basis array coincide, so each matrix entry is the
+sign of one face, written rather than summed.  A horizontal and a vertical
+face have different shapes.  For horizontal faces d_i, d_j with i < j,
+d_i merges columns i and i+1 while d_j leaves column i as it is, so
+column i of the two faces differs in total norm by N(column i+1) > 0, as
+every inner column holds a non-unit and norms add under merging; rows
+likewise.  The build counts the face hits per degree and raises if the
+entries fall short of them, so the argument is checked on every build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
@@ -221,33 +233,40 @@ def _cells_of_grading(q: FinitePmq, states: Mapping[int, Sequence[Seq]]) -> dict
     whose class has ``states`` (``Completion.class_states``): each state of
     length L written on each placement of L cells.  Every bidegree lists its
     cells (grid, placement, index of the state in its length group), sorted
-    by grid."""
+    by grid.
+
+    A grid column depends only on the state and on its pattern: which state
+    position, if any, each of its rows holds.  So each pattern's column is
+    tabulated once over the states of a length, with one ``itemgetter``,
+    and a placement's grids are its columns' tables zipped together;
+    grids of one length share their column tuples."""
     out: dict[tuple[int, int], list[Cell]] = {}
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}   # grids share columns: memory
-    keep = shared.setdefault
     for length, group in states.items():
         if not length:   # the unit grading: the empty grid
             out[(0, 0)] = [((), (), 0)]
         padded = [state + (q.unit,) for state in group]   # index `length` reads the unit
+        tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}   # pattern -> column per state
         for width in range(1, length + 1):
             for height in range(-(-length // width), length + 1):
-                size = width * height
-                starts = range(0, size, height)
                 for cells in _placements(width, height, length):
-                    grids = out.setdefault((width, height), [])
                     where = dict(zip(cells, range(length)))
-                    # the flat grid in one call; the trailing unit makes even
-                    # a 1 x 1 grid a tuple, and the column slices drop it
-                    flat_of = itemgetter(*(where.get(c, length) for c in range(size)), length)
-                    for s, state in enumerate(padded):
-                        flat = flat_of(state)
-                        cols = [flat[i : i + height] for i in starts]
-                        grids.append((tuple([keep(col, col) for col in cols]), cells, s))
+                    columns = []
+                    for start in range(0, width * height, height):
+                        pattern = tuple(where.get(c, length) for c in range(start, start + height))
+                        column = tables.get(pattern)
+                        if column is None:
+                            read = map(itemgetter(*pattern), padded)
+                            # a one-row getter returns the entry: zip wraps it
+                            column = tables[pattern] = list(read if height > 1 else zip(read))
+                        columns.append(column)
+                    out.setdefault((width, height), []).extend(
+                        zip(zip(*columns), repeat(cells), range(len(group)))
+                    )
     # Grid order is kept for the reduction, which pivots in basis order.
     # Left in (placement, state) order, S_3's 175,680-cell grading
-    # 132.231.231 reduced in a median 3.97 s instead of 3.64 s and peaked at
-    # 224 MB instead of 221 MB (8 alternating pairs, 2-CPU VM), repaying the
-    # ~0.3 s the sort costs here: removing it saves nothing end to end.
+    # 132.231.231 reduced in a median 2.63 s instead of 2.35 s and peaked at
+    # 216 MB instead of 213 MB (8 alternating pairs, 2-CPU VM), repaying the
+    # ~0.2 s the sort costs here: removing it saves nothing end to end.
     for grids in out.values():
         grids.sort(key=itemgetter(0))
     return out
@@ -320,7 +339,7 @@ def _composite_vanishes(lower: Mapping[int, list], upper: Mapping[int, list], mo
         for r, v in column:
             for rr, vv in column_of(r, ()):
                 comp[rr] = get(rr, 0) + v * vv
-        if any(x % mod for x in comp.values()) if mod else any(comp.values()):
+        if any(map(mod.__rmod__, comp.values())) if mod else any(comp.values()):
             return False
     return True
 
@@ -426,8 +445,8 @@ def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComp
 
     On bidegree (p, q) the face merging array columns i, i+1 has sign
     (-1)^i and the one merging rows j, j+1 has sign (-1)^(p+j); a face
-    that is not again an admissible non-degenerate array is zero.  Entries
-    are reduced mod ``mod`` and zeros dropped."""
+    that is not again an admissible non-degenerate array is zero.  Each
+    entry is one face's sign, reduced mod ``mod``, so none is zero."""
     if mod and not is_prime(mod):
         raise PreconditionError(f"modulus {mod} is not a prime", failed="prime")
     _require_grading_over(q, b)
@@ -443,14 +462,18 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]], mod: int):
     A cell is a state s on a placement P, and its face is the state
     table[s] on the face placement of P: face placements and signs are
     worked out once per (placement, face), and each table once per recipe
-    over the states of its length.  Entries are summed column by column in
-    basis order, faces in index order.  The cell lists and tables are
-    freed on return, before the caller's d∘d gate."""
+    over the states of its length.  No two faces of a cell coincide (see
+    the module docstring), so each entry is one face's sign, reduced once
+    per face and written, not summed; entries go in column by column in
+    basis order, faces in index order.  Every (placement, state) pair is a
+    cell, so a degree's face hits are counted off the tables, and an entry
+    count short of them raises.  The cell lists and tables are freed on
+    return, before the caller's d∘d gate."""
     cells = _cells_of_grading(q, states)
     basis: dict[int, list[tuple[int, int, Grid]]] = {}
     shapes: dict[int, list[tuple[int, int]]] = {}   # degree -> its bidegrees in basis order
     # shape -> placement -> degree position of its cell for each state index,
-    # filled as the shape's columns are summed, before the next degree reads it
+    # filled as the shape's columns are written, before the next degree reads it
     place: dict[tuple[int, int], dict[tuple[int, ...], list[int]]] = {}
     start: dict[tuple[int, int], int] = {}   # shape -> degree position of its first cell
     for (p, qq), group in sorted(cells.items()):
@@ -464,12 +487,13 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]], mod: int):
         start[p, qq] = len(column)
         column.extend((p, qq, grid) for grid, _, _ in group)
     index = {length: {state: k for k, state in enumerate(group)} for length, group in states.items()}
-    # recipe -> face table; a recipe names every state position, so it fixes the length
-    tables: dict[tuple, list[Optional[int]]] = {}
+    # recipe -> (face table, number of states it sends into the PMQ); a
+    # recipe names every state position, so it fixes the length
+    tables: dict[tuple, tuple[list[Optional[int]], int]] = {}
     differentials: dict[int, dict[tuple[int, int], int]] = {}
     for n in sorted(shapes):
         entries: dict[tuple[int, int], int] = {}
-        get = entries.get
+        hits = 0
         for shape in shapes[n]:
             at = place[shape]
             faces = {}
@@ -478,20 +502,21 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]], mod: int):
                 for sign, face_shape, face_placed, recipe in _placement_faces(*shape, placed):
                     if len(face_placed) not in index:
                         continue   # no state that short: every product here is undefined
-                    table = tables.get(recipe)
-                    if table is None:
-                        table = tables[recipe] = _face_table(
-                            q, states[len(placed)], index[len(face_placed)], recipe
-                        )
-                    faces[placed].append((sign, table, place[face_shape][face_placed]))
+                    known = tables.get(recipe)
+                    if known is None:
+                        table = _face_table(q, states[len(placed)], index[len(face_placed)], recipe)
+                        known = tables[recipe] = table, len(table) - table.count(None)
+                    table, count = known
+                    hits += count
+                    faces[placed].append((sign % mod if mod else sign, table, place[face_shape][face_placed]))
             for col, (_, placed, s) in enumerate(cells[shape], start[shape]):
                 at[placed][s] = col   # one int per position, shared with d_(n+1)'s rows
                 for sign, table, rows in faces[placed]:
                     t = table[s]
                     if t is not None:
-                        key = (rows[t], col)
-                        entries[key] = get(key, 0) + sign
-        entries = {k: r for k, v in entries.items() if (r := v % mod if mod else v)}
+                        entries[rows[t], col] = sign
+        if len(entries) != hits:
+            raise AssertionError("two faces of one cell coincide")
         if entries:
             differentials[n] = entries
     return basis, differentials

@@ -33,16 +33,17 @@ unimodular; a kernel vector of ``d_n`` is then fixed by its coordinates
 outside ``S``.  As ``d_n∘d_(n+1) = 0``, deleting the rows ``S`` of
 ``d_(n+1)`` keeps its rank and elementary divisors, and each such pair of
 cells is eliminated once, not once as a column of ``d_n`` and again as a
-row of ``d_(n+1)``.  This is chain-complex reduction (Kaczynski-Mrozek-
-Slusarek, "Homology computation by reduction of chain complexes",
-Comput. Math. Appl. 35, 1998).
+row of ``d_(n+1)``.  The elimination skips those rows as it reads the
+entries, so no filtered copy of ``d_(n+1)`` is made.  This is
+chain-complex reduction (Kaczynski-Mrozek-Slusarek, "Homology computation
+by reduction of chain complexes", Comput. Math. Appl. 35, 1998).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
-from typing import Mapping
+from typing import Collection, Mapping
 
 Entries = Mapping[tuple[int, int], int]
 
@@ -61,7 +62,11 @@ def is_prime(p: int) -> bool:
 
 
 def _eliminate(
-    entries: Entries, p: int = 0, *, pivot_cols: list[int] | None = None
+    entries: Entries,
+    p: int = 0,
+    *,
+    pivot_cols: list[int] | None = None,
+    skip_rows: Collection[int] = (),
 ) -> list[int]:
     """Markowitz elimination; ``p`` = 0 works over Z, a prime p over F_p.
     Returns the magnitude of each pivot dropped, so over F_p their number is
@@ -70,13 +75,16 @@ def _eliminate(
     ``pivot_cols``, when given, receives the column of each unit pivot
     dropped before the first non-unit pivot is picked (over F_p, of every
     pivot).  Until then only exact row operations have been applied, so
-    these columns and their pivot rows form a minor of determinant +-1."""
+    these columns and their pivot rows form a minor of determinant +-1.
+
+    The rows in ``skip_rows`` are passed over as the entries are read, so
+    the matrix eliminated is ``entries`` without them, with no copy made."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
         if p:
             v %= p
-        if v:
+        if v and r not in skip_rows:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
 
@@ -161,12 +169,15 @@ def _eliminate(
 
 
 def smith_normal_form(
-    entries: Entries, *, pivot_cols: list[int] | None = None
+    entries: Entries,
+    *,
+    pivot_cols: list[int] | None = None,
+    skip_rows: Collection[int] = (),
 ) -> list[int]:
     """Elementary divisors (positive, each dividing the next) of the integer
-    matrix with the given sparse entries.  ``pivot_cols`` is filled as in
-    ``_eliminate``."""
-    pivots = _eliminate(entries, pivot_cols=pivot_cols)
+    matrix with the given sparse entries.  ``pivot_cols`` and
+    ``skip_rows`` act as in ``_eliminate``."""
+    pivots = _eliminate(entries, pivot_cols=pivot_cols, skip_rows=skip_rows)
     # enforce the divisibility chain
     divisors = sorted(v for v in pivots if v != 1)
     changed = True
@@ -187,13 +198,17 @@ def integer_rank(entries: Entries) -> int:
 
 
 def rank_mod_p(
-    entries: Entries, p: int, *, pivot_cols: list[int] | None = None
+    entries: Entries,
+    p: int,
+    *,
+    pivot_cols: list[int] | None = None,
+    skip_rows: Collection[int] = (),
 ) -> int:
-    """Rank over the field with p elements (p prime).  ``pivot_cols`` is
-    filled as in ``_eliminate``."""
+    """Rank over the field with p elements (p prime).  ``pivot_cols`` and
+    ``skip_rows`` act as in ``_eliminate``."""
     if not is_prime(p):
         raise ValueError(f"rank_mod_p needs a prime modulus, not {p}")
-    return len(_eliminate(entries, p, pivot_cols=pivot_cols))
+    return len(_eliminate(entries, p, pivot_cols=pivot_cols, skip_rows=skip_rows))
 
 
 def homology_groups(
@@ -210,14 +225,15 @@ def homology_groups(
     dimensions.
 
     Degrees are reduced in ascending order, and the rows of ``d_(n+1)`` at
-    the unit-pivot columns ``S`` of ``d_n`` (see ``_eliminate``) are dropped
-    before it is eliminated.  With their pivot rows ``T`` those columns form
-    a minor of determinant +-1, so a kernel vector of ``d_n`` is determined
-    over Z by its coordinates outside ``S``: dropping them maps ``ker d_n``
-    isomorphically onto a saturated lattice.  As ``d∘d = 0`` puts the image
-    of ``d_(n+1)`` inside ``ker d_n``, the ranks and elementary divisors of
-    ``d_(n+1)`` do not change, and each such pair of cells is eliminated
-    once instead of twice.  This is the reduction of Kaczynski-Mrozek-
+    the unit-pivot columns ``S`` of ``d_n`` (see ``_eliminate``) are
+    skipped as its entries are read (``skip_rows``), not copied out.  With
+    their pivot rows ``T`` those columns form a minor of determinant +-1,
+    so a kernel vector of ``d_n`` is determined over Z by its coordinates
+    outside ``S``: dropping them maps ``ker d_n`` isomorphically onto a
+    saturated lattice.  As ``d∘d = 0`` puts the image of ``d_(n+1)`` inside
+    ``ker d_n``, the ranks and elementary divisors of ``d_(n+1)`` do not
+    change, and each such pair of cells is eliminated once instead of
+    twice.  This is the reduction of Kaczynski-Mrozek-
     Slusarek, "Homology computation by reduction of chain complexes"
     (Comput. Math. Appl. 35, 1998), on the unit pivots of Dumas-Saunders-
     Villard's elimination.  The columns of ``d_n`` carry over to degree
@@ -230,15 +246,13 @@ def homology_groups(
     pivot_cols: list[int] = []   # unit-pivot columns of the degree just reduced
     for n in degrees:
         d = differentials.get(n, {})
-        if pivot_cols and n - 1 in ranks:
-            drop = set(pivot_cols)
-            d = {k: v for k, v in d.items() if k[0] not in drop}
+        skip = set(pivot_cols) if n - 1 in ranks else ()
         pivot_cols = []
         if mod:
-            ranks[n] = rank_mod_p(d, mod, pivot_cols=pivot_cols)
+            ranks[n] = rank_mod_p(d, mod, pivot_cols=pivot_cols, skip_rows=skip)
             torsion_in[n] = []
         else:
-            divisors = smith_normal_form(d, pivot_cols=pivot_cols)
+            divisors = smith_normal_form(d, pivot_cols=pivot_cols, skip_rows=skip)
             ranks[n] = len(divisors)
             torsion_in[n] = [v for v in divisors if v != 1]
     for n in degrees:

@@ -229,6 +229,25 @@ def test_warm_placement_memo_builds_the_same_complex():
             assert frozen(_placement_faces(width, height, placed))
 
 
+def test_coinciding_faces_are_caught(monkeypatch):
+    # each entry is written as one face's sign, not summed, because no two
+    # faces of a basis array coincide; the build counts face hits against
+    # entries, so a placement listing one face twice must not pass silently
+    import pmq.barhur
+
+    faces_of = pmq.barhur._placement_faces
+
+    def doubled(width, height, cells):
+        faces = faces_of(width, height, cells)
+        return faces + faces[:1]
+
+    monkeypatch.setattr(pmq.barhur, "_placement_faces", doubled)
+    q = sym_geodesic_pmq(3)
+    b = Completion(q).of_labels(["213", "132", "213"])
+    with pytest.raises(AssertionError, match="two faces of one cell coincide"):
+        build_relative_complex(q, b)
+
+
 FOURTH_POWERS = [[t] * 4 for t in ("213", "132", "321")]   # 196 cells each in S_3
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import uct_ranks
 from pmq.snf import (
+    _eliminate,
     homology_groups,
     integer_rank,
     rank_mod_p,
@@ -228,6 +229,37 @@ def test_markowitz_pivot_choice():
     pivot_cols = []
     assert rank_mod_p(entries, 5, pivot_cols=pivot_cols) == 3
     assert pivot_cols == [3, 1, 0]
+
+
+def with_pivot_cols(fn, *args, **kwargs):
+    pivot_cols = []
+    return fn(*args, pivot_cols=pivot_cols, **kwargs), pivot_cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(matrix_strategy, unit_weighted_strategy, unit_free_strategy),
+    st.sets(st.integers(0, 7), max_size=4),
+)
+# row 0 holds the only unit of column 0 over Z and F_2, the only nonzero
+# of column 3 everywhere
+@example({(0, 0): 1, (1, 0): 2, (1, 1): 1, (0, 2): -1, (2, 2): 3, (0, 3): 1}, {0})
+@example({(0, 0): 1, (1, 0): 2, (1, 1): 1, (0, 2): -1, (2, 2): 3, (0, 3): 1}, set())
+def test_skipped_rows_match_deleted_rows(entries, skip):
+    # skipping rows as they are read must eliminate exactly the matrix
+    # without them: the same pivots, in the same order, at the same columns
+    kept = {k: v for k, v in entries.items() if k[0] not in skip}
+    for p in (0, 2, 5):
+        assert with_pivot_cols(_eliminate, entries, p, skip_rows=skip) == with_pivot_cols(
+            _eliminate, kept, p
+        )
+    assert with_pivot_cols(smith_normal_form, entries, skip_rows=skip) == with_pivot_cols(
+        smith_normal_form, kept
+    )
+    for p in (2, 5):
+        assert with_pivot_cols(rank_mod_p, entries, p, skip_rows=skip) == with_pivot_cols(
+            rank_mod_p, kept, p
+        )
 
 
 def test_homology_of_zero_complex():
