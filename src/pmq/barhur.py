@@ -69,11 +69,7 @@ from typing import Mapping, Optional, Sequence
 from .completion import Completion, HatElem, Seq
 from .core import FinitePmq
 from .errors import PreconditionError, StructureError
-from .properties import (
-    intrinsic_pseudonorm,
-    is_coconnected,
-    is_maximally_decomposable,
-)
+from .properties import property_report
 from .snf import homology_groups, is_prime
 
 Grid = tuple[tuple[int, ...], ...]   # inner columns, each a tuple of entries
@@ -299,8 +295,8 @@ class GradedComplex:
     """Finitely generated integer chain complex with array basis.
 
     ``basis[n]`` lists (p, q, grid) in a fixed order; ``differentials[n]``
-    holds the sparse matrix of the degree-n differential into degree n-1;
-    coefficients are integers (``mod`` = 0) or mod-p classes.
+    holds the sparse matrix of the degree-n differential into degree n-1,
+    integer for every ``mod``, which picks the homology's ring: Z or F_p.
     """
 
     pmq: FinitePmq
@@ -313,23 +309,23 @@ class GradedComplex:
         return {n: len(cells) for n, cells in self.basis.items()}
 
     def check_boundary_squared(self) -> bool:
-        """Whether every composite d_n∘d_(n+1) is zero, each entry reduced
-        mod ``mod``.  Each differential is grouped by column once, and the
+        """Whether every composite d_n∘d_(n+1) is zero over Z, whatever
+        ``mod`` is.  Each differential is grouped by column once, and the
         composite is summed one column of d_(n+1) at a time."""
         lower_n, lower = None, {}   # d_n by column, for the degree it holds
         for n in sorted(self.basis):
             if lower_n != n:
                 lower = _by_column(self.differentials.get(n, {}))
             upper = _by_column(self.differentials.get(n + 1, {}))
-            if lower and not _composite_vanishes(lower, upper, self.mod):
+            if lower and not _composite_vanishes(lower, upper):
                 return False
             lower_n, lower = n + 1, upper
         return True
 
 
-def _composite_vanishes(lower: Mapping[int, list], upper: Mapping[int, list], mod: int) -> bool:
+def _composite_vanishes(lower: Mapping[int, list], upper: Mapping[int, list]) -> bool:
     """Whether the product of two matrices grouped by column (``_by_column``)
-    is zero, reduced mod ``mod`` once per column of the product.  A function
+    is zero.  A function
     of its own, so that its bound lookups die with the call instead of
     keeping d_n alive while the next degree is grouped."""
     column_of = lower.get
@@ -339,7 +335,7 @@ def _composite_vanishes(lower: Mapping[int, list], upper: Mapping[int, list], mo
         for r, v in column:
             for rr, vv in column_of(r, ()):
                 comp[rr] = get(rr, 0) + v * vv
-        if any(map(mod.__rmod__, comp.values())) if mod else any(comp.values()):
+        if any(comp.values()):
             return False
     return True
 
@@ -441,34 +437,34 @@ def _face_table(q: FinitePmq, group: Sequence[Seq], index: Mapping[Seq, int], re
 
 def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComplex:
     """The chain complex of admissible non-degenerate arrays of grading b,
-    over Z for ``mod`` 0 and over F_p for a prime ``mod``.
+    with homology over Z for ``mod`` 0 and over F_p for a prime ``mod``.
 
     On bidegree (p, q) the face merging array columns i, i+1 has sign
     (-1)^i and the one merging rows j, j+1 has sign (-1)^(p+j); a face
     that is not again an admissible non-degenerate array is zero.  Each
-    entry is one face's sign, reduced mod ``mod``, so none is zero."""
+    entry is one face's sign, +-1 for every ``mod``, so d∘d is gated over Z."""
     if mod and not is_prime(mod):
         raise PreconditionError(f"modulus {mod} is not a prime", failed="prime")
     _require_grading_over(q, b)
-    out = GradedComplex(q, b, *_assemble(q, b.completion.class_states(b), mod), mod)
+    out = GradedComplex(q, b, *_assemble(q, b.completion.class_states(b)), mod)
     if not out.check_boundary_squared():
         raise AssertionError("differential does not square to zero")
     return out
 
 
-def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]], mod: int):
+def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     """(basis, differentials) of the grading whose class has ``states``.
 
     A cell is a state s on a placement P, and its face is the state
     table[s] on the face placement of P: face placements and signs are
     worked out once per (placement, face), and each table once per recipe
     over the states of its length.  No two faces of a cell coincide (see
-    the module docstring), so each entry is one face's sign, reduced once
-    per face and written, not summed; entries go in column by column in
-    basis order, faces in index order.  Every (placement, state) pair is a
-    cell, so a degree's face hits are counted off the tables, and an entry
-    count short of them raises.  The cell lists and tables are freed on
-    return, before the caller's d∘d gate."""
+    the module docstring), so each entry is one face's sign, written, not
+    summed; entries go in column by column in basis order, faces in index
+    order.  Every (placement, state) pair is a cell, so a degree's face
+    hits are counted off the tables, and an entry count short of them
+    raises.  The cell lists and tables are freed on return, before the
+    caller's d∘d gate."""
     cells = _cells_of_grading(q, states)
     basis: dict[int, list[tuple[int, int, Grid]]] = {}
     shapes: dict[int, list[tuple[int, int]]] = {}   # degree -> its bidegrees in basis order
@@ -508,7 +504,7 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]], mod: int):
                         known = tables[recipe] = table, len(table) - table.count(None)
                     table, count = known
                     hits += count
-                    faces[placed].append((sign % mod if mod else sign, table, place[face_shape][face_placed]))
+                    faces[placed].append((sign, table, place[face_shape][face_placed]))
             for col, (_, placed, s) in enumerate(cells[shape], start[shape]):
                 at[placed][s] = col   # one int per position, shared with d_(n+1)'s rows
                 for sign, table, rows in faces[placed]:
@@ -533,21 +529,16 @@ def homology(complex_: GradedComplex) -> dict[int, dict]:
 def poincare_report(q: FinitePmq, budget: int) -> dict:
     """Necessary conditions for every grading component to be a manifold.
 
-    Checks that the PMQ is maximally decomposable with its norm equal to the
-    intrinsic pseudonorm, that it is coconnected, and that for every grading
-    of norm at most the budget the top homology sits in degree twice the
-    norm and is free of rank one.  Passing is necessary, never sufficient;
+    Reads off ``property_report`` whether the PMQ is maximally decomposable
+    with its norm equal to the intrinsic pseudonorm and coconnected, and
+    checks that for every grading of norm at most the budget the top
+    homology sits in degree twice the norm and is free of rank one.  Passing is necessary, never sufficient;
     the report says which condition broke and where.
     """
     norm = q.require_norm()
-    maxdec, md_witness = is_maximally_decomposable(q)
-    h = intrinsic_pseudonorm(q)
-    intrinsic_matches = isinstance(h, dict) and all(
-        h[q.labels[a]] == norm[a] for a in range(len(q))
-    )
-    cocon = None
-    if maxdec:
-        cocon, _ = is_coconnected(q)
+    report = property_report(q)
+    maxdec, cocon = report.maximally_decomposable, report.coconnected
+    intrinsic_matches = report.intrinsic_norm == dict(zip(q.labels, norm))
     comp = Completion(q)
     gradings = {}
     all_ok = maxdec and intrinsic_matches and bool(cocon)

@@ -142,15 +142,23 @@ def is_maximally_decomposable(q: FinitePmq) -> tuple[bool, Optional[str]]:
     return True, None
 
 
-def is_coconnected(q: FinitePmq) -> tuple[bool, dict[str, int]]:
-    """Connectedness of each element's decomposition graph; returns the
-    per-element class counts."""
+def _decomposable_completion(q: FinitePmq) -> tuple[Completion, list[int]]:
+    """``_norm_one_completion``, refused unless q is maximally decomposable."""
     ok, witness = is_maximally_decomposable(q)
     if not ok:
         raise PreconditionError(
             f"not maximally decomposable at {witness}", failed="maximally_decomposable"
         )
-    comp, up = _norm_one_completion(q)
+    return _norm_one_completion(q)
+
+
+def is_coconnected(q: FinitePmq) -> tuple[bool, dict[str, int]]:
+    """Connectedness of each element's decomposition graph; returns the
+    per-element class counts."""
+    return _coconnected(q, *_decomposable_completion(q))
+
+
+def _coconnected(q: FinitePmq, comp: Completion, up: list[int]) -> tuple[bool, dict[str, int]]:
     counts = [0] * len(q)
     for h in comp.classes_up_to(max(q.norm)):
         p = q.product_word(up[x] for x in h.word)
@@ -169,15 +177,12 @@ def is_pairwise_determined(q: FinitePmq, r_max: Optional[int] = None):
     itself quantifies over all r; no finite reduction is attempted, which is
     why the bound is part of the verdict.
     """
-    norm = q.require_norm()
-    ok, witness = is_maximally_decomposable(q)
-    if not ok:
-        raise PreconditionError(
-            f"not maximally decomposable at {witness}", failed="maximally_decomposable"
-        )
+    return _pairwise_determined(q, *_decomposable_completion(q), r_max)
+
+
+def _pairwise_determined(q: FinitePmq, comp: Completion, up: list[int], r_max: Optional[int]):
     if r_max is None:
-        r_max = max(norm) + 1
-    comp, up = _norm_one_completion(q)
+        r_max = max(q.norm) + 1
     for r in range(3, r_max + 1):
         for h in comp.classes_of_norm(r):
             word = [up[x] for x in h.word]
@@ -213,6 +218,13 @@ class PropertyReport:
     intrinsic_norm: Optional[dict] = None
     witnesses: dict = field(default_factory=dict)
 
+    def first_failed(self) -> Optional[str]:
+        """The first tameness hypothesis that fails, or None."""
+        for name in ("maximally_decomposable", "coconnected", "pairwise_determined"):
+            if not getattr(self, name):
+                return name
+        return None
+
     def to_json(self) -> dict:
         out = {
             "augmented": self.augmented,
@@ -233,7 +245,8 @@ class PropertyReport:
 
 
 def property_report(q: FinitePmq, r_max: Optional[int] = None) -> PropertyReport:
-    """Run every checker that applies; normed structures get the full suite."""
+    """Run every checker that applies; normed structures get the full suite,
+    its coconnected count and pairwise check on one norm-one completion."""
     witnesses = {}
     aug, aug_witness = is_augmented(q)
     if aug_witness:
@@ -256,8 +269,9 @@ def property_report(q: FinitePmq, r_max: Optional[int] = None) -> PropertyReport
     pairwise = None
     used_rmax = None
     if maxdec:
-        cocon, counts = is_coconnected(q)
-        pairwise, used_rmax, pw_witness = is_pairwise_determined(q, r_max)
+        comp, up = _norm_one_completion(q)
+        cocon, counts = _coconnected(q, comp, up)
+        pairwise, used_rmax, pw_witness = _pairwise_determined(q, comp, up, r_max)
         if pw_witness:
             witnesses["pairwise_determined"] = pw_witness
     return PropertyReport(

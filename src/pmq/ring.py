@@ -10,9 +10,11 @@ relations
     <a><b> = 0               whenever ab is undefined,
 
 and the graded dimensions of the quadratic quotient equal the number of
-elements of each norm.  The dimension check is reported rather than
-assumed, so near-misses (structures lacking one of the hypotheses) can be
-inspected honestly.  Every relator is a difference of two monomials or a
+elements of each norm.  ``pmq.properties.property_report`` decides those
+hypotheses; the presentation and the dual refuse with the first that
+fails.  The dimension check is reported rather than assumed, so
+near-misses (structures lacking one of the hypotheses) can be inspected
+honestly.  Every relator is a difference of two monomials or a
 single monomial, so each degree of the quotient is free on the classes of
 monomials that hold no killed monomial.  This holds over every field and
 over Z (Eisenbud-Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996), so
@@ -37,7 +39,7 @@ from typing import Optional, Sequence
 
 from .core import FinitePmq, components, conjugacy_classes
 from .errors import PreconditionError
-from .properties import is_coconnected, is_maximally_decomposable, is_pairwise_determined
+from .properties import is_maximally_decomposable, property_report
 from .snf import integer_rank
 from .symgeo import all_transpositions, height, identity, perm_mul, perm_norm
 
@@ -145,35 +147,20 @@ class QuadraticPresentation:
         return out
 
 
-def _tameness(q: FinitePmq, r_max: Optional[int] = None) -> Optional[str]:
-    if q.norm is None:
-        return "norm"
-    ok, _ = is_maximally_decomposable(q)
-    if not ok:
-        return "maximally_decomposable"
-    cocon, _ = is_coconnected(q)
-    if not cocon:
-        return "coconnected"
-    pw, _, _ = is_pairwise_determined(q, r_max)
-    if not pw:
-        return "pairwise_determined"
-    return None
-
-
 def quadratic_presentation(
     q: FinitePmq, *, require_tame: bool = True, r_max: Optional[int] = None
 ) -> QuadraticPresentation:
     """The generators-and-relations data of the ring in degree <= 2.
 
     With ``require_tame`` (the default) the four hypotheses that make the
-    presentation exhaustive are checked first and a failure refuses with the
-    property's name; pass False to emit the same relator families for any
-    normed, maximally decomposable structure, then judge the quotient by its
-    graded dimensions.
+    presentation exhaustive are read off ``property_report(q, r_max)`` and
+    the first failure refuses with the property's name; pass False to emit
+    the same relator families for any normed, maximally decomposable
+    structure, then judge the quotient by its graded dimensions.
     """
     q.require_norm()
     if require_tame:
-        failed = _tameness(q, r_max)
+        failed = property_report(q, r_max).first_failed()
         if failed:
             raise PreconditionError(f"ring is not known quadratic: {failed} fails", failed=failed)
     else:
@@ -297,7 +284,7 @@ class DualPresentation:
 def quadratic_dual(q: FinitePmq, *, require_tame: bool = True) -> DualPresentation:
     q.require_norm()
     if require_tame:
-        failed = _tameness(q)
+        failed = property_report(q).first_failed()
         if failed:
             raise PreconditionError(f"dual presentation needs tameness: {failed} fails", failed=failed)
     ones = q.elements_of_norm(1)

@@ -133,10 +133,12 @@ def pmq_to_json(q: FinitePmq, *, rack: bool = False) -> dict[str, Any]:
 
 
 def load_pmq(path: str) -> tuple[FinitePmq, bool]:
+    """Read a PMQ document; a file that cannot be opened, decoded as UTF-8 or
+    parsed (or nests past the recursion limit) raises ``StructureError``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StructureError(f"cannot read {path}: {exc}") from None
     return pmq_from_json(data)
 

@@ -214,12 +214,12 @@ def grids_by_filter(q: FinitePmq, comp, b) -> dict:
     return out
 
 
-def differentials_by_array_faces(comp, basis, mod: int = 0) -> dict:
+def differentials_by_array_faces(comp, basis) -> dict:
     """Reference for ``build_relative_complex(...).differentials`` on the
     given basis, from the full-array faces ``h_face(i)``, 0 <= i <= p, and
     ``v_face(j)``, 0 <= j <= q, outer faces included.  A face that is not
     admissible or is degenerate is zero; the others have signs (-1)^i and
-    (-1)^(p+j), and entries are reduced mod ``mod`` with zeros dropped."""
+    (-1)^(p+j), and entries are summed over Z with zeros dropped."""
     arrays = {
         n: [BisimplexArray.from_inner(comp, grid) for _, _, grid in cells]
         for n, cells in basis.items()
@@ -238,7 +238,6 @@ def differentials_by_array_faces(comp, basis, mod: int = 0) -> dict:
                 if face.is_admissible() and not face.is_degenerate():
                     key = (index[face], col)
                     entries[key] = entries.get(key, 0) + sign
-        entries = {k: v % mod if mod else v for k, v in entries.items()}
         entries = {k: v for k, v in entries.items() if v}
         if entries:
             out[n] = entries

@@ -23,12 +23,17 @@ from pmq.barhur import (
 )
 from pmq.catalog import (
     natural_truncation,
+    natural_with_double_one,
+    norm_one_truncation,
+    pointed_set_pmq,
     segre_pmq,
     sym_geodesic_pmq,
     transposition_quandle,
+    unit_pmq,
 )
 from pmq.completion import Completion
 from pmq.errors import PreconditionError
+from pmq.properties import intrinsic_pseudonorm, property_report
 from pmq.serialize import pmq_from_json, pmq_to_json
 
 
@@ -270,8 +275,9 @@ def test_fast_faces_match_array_faces(make, max_norm, extra):
     comp = Completion(q)
     for b in comp.classes_up_to(max_norm) + [comp.of_labels(labels) for labels in extra]:
         for mod in (0, 2):
+            # the stored entries are the integer signs whatever the modulus
             cx = build_relative_complex(q, b, mod)
-            want = differentials_by_array_faces(comp, cx.basis, mod)
+            want = differentials_by_array_faces(comp, cx.basis)
             assert _items(cx.differentials) == _items(want), (b.labels(), mod)
 
 
@@ -301,7 +307,7 @@ def test_fast_faces_match_array_faces_in_any_declaration_order(case_and_order, m
     comp = Completion(q)
     for b in comp.classes_up_to(top):
         cx = build_relative_complex(q, b, mod)
-        want = differentials_by_array_faces(comp, cx.basis, mod)
+        want = differentials_by_array_faces(comp, cx.basis)
         assert _items(cx.differentials) == _items(want), (b.labels(), mod)
 
 
@@ -432,6 +438,33 @@ def test_poincare_reports():
     assert not rep["passed"]
     assert rep["coconnected"] is False
     assert rep["gradings"]["c"]["top_rank"] == 2
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        unit_pmq(),
+        natural_truncation(3),
+        natural_with_double_one(3),
+        segre_pmq(),
+        pointed_set_pmq({"x": 2}),
+        pointed_set_pmq({"x": 1, "y": 3}),
+        transposition_quandle(3),
+        sym_geodesic_pmq(3),
+        norm_one_truncation(sym_geodesic_pmq(3)),
+    ],
+    ids=["unit", "natural3", "double-one3", "segre", "pointed-x2", "pointed-x1y3",
+         "transpositions3", "S3", "S3-norm-one"],
+)
+def test_poincare_report_hypotheses_match_property_report(q):
+    rep = property_report(q)
+    got = poincare_report(q, 1)
+    assert got["maximally_decomposable"] == rep.maximally_decomposable
+    assert got["coconnected"] == rep.coconnected
+    h = intrinsic_pseudonorm(q)
+    assert got["intrinsic_norm_equals_norm"] == all(
+        h[label] == q.norm[a] for a, label in enumerate(q.labels)
+    )
 
 
 def test_fundamental_class_sdgeo4_small_norms():

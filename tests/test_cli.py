@@ -100,6 +100,21 @@ def test_malformed_document_exit_1_without_traceback(tmp_path, capsys, doc):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf-8", "nested-100000-deep"],
+)
+def test_unreadable_file_exit_1_without_traceback(tmp_path, capsys, raw):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(raw)
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == "structural"
+    assert "Traceback" not in captured.err
+
+
 def test_precondition_exit_3(files, capsys):
     # the Segre structure is not coconnected, so the quadratic gate refuses
     code, out = run(capsys, "ring", files["segre"], "--present")

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+import pmq.properties
+from pmq.barhur import poincare_report
 from pmq.catalog import (
     cyclic_group,
     group_pmq,
     natural_truncation,
     natural_with_double_one,
+    norm_one_truncation,
     pointed_set_pmq,
     segre_pmq,
     sym_geodesic_pmq,
@@ -28,6 +31,7 @@ from pmq.properties import (
     property_report,
     validate_norm,
 )
+from pmq.ring import quadratic_dual, quadratic_presentation
 
 from helpers import relabelled, shuffled_orders
 
@@ -129,6 +133,24 @@ def test_property_report_shapes():
     rep2 = property_report(natural_with_double_one(3), r_max=3)
     assert rep2.coconnected is False
     assert rep2.class_counts["2"] == 3
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [property_report, quadratic_presentation, quadratic_dual, lambda q: poincare_report(q, 1)],
+    ids=["property_report", "quadratic_presentation", "quadratic_dual", "poincare_report"],
+)
+def test_one_norm_one_completion_per_tameness_decision(monkeypatch, decide):
+    # the coconnected count and the pairwise check share one completion
+    truncations = []
+
+    def counting(q):
+        truncations.append(q)
+        return norm_one_truncation(q)
+
+    monkeypatch.setattr(pmq.properties, "norm_one_truncation", counting)
+    decide(sym_geodesic_pmq(3))
+    assert len(truncations) == 1
 
 
 def test_decomposition_classes_partition_the_decompositions():

@@ -7,12 +7,14 @@ import pytest
 from pmq.catalog import (
     natural_truncation,
     natural_with_double_one,
+    pointed_set_pmq,
     segre_pmq,
     sym_geodesic_pmq,
     transposition_quandle,
     unit_pmq,
 )
 from pmq.errors import PreconditionError
+from pmq.properties import property_report
 from pmq.ring import (
     augmentation,
     class_sum,
@@ -246,9 +248,29 @@ def test_segre_needs_the_extra_relator():
     assert relator_span_dimension(pres.relator_vectors(), 4) == 16 - 2
 
 
-def test_quadratic_presentation_refuses_non_maxdec():
-    from pmq.catalog import pointed_set_pmq
+@pytest.mark.parametrize(
+    "make,failed",
+    [
+        (lambda: pointed_set_pmq({"x": 2}), "maximally_decomposable"),
+        (segre_pmq, "coconnected"),
+        (lambda: natural_truncation(3), "pairwise_determined"),
+        (lambda: sym_geodesic_pmq(3), None),
+    ],
+    ids=["pointed-set", "segre", "natural3", "S3"],
+)
+def test_tame_refusal_names_the_first_failed_hypothesis(make, failed):
+    q = make()
+    assert property_report(q).first_failed() == failed
+    for build in (quadratic_presentation, quadratic_dual):
+        if failed is None:
+            build(q)
+            continue
+        with pytest.raises(PreconditionError) as err:
+            build(q)
+        assert err.value.failed == failed
 
+
+def test_quadratic_presentation_refuses_non_maxdec():
     with pytest.raises(PreconditionError):
         quadratic_presentation(pointed_set_pmq({"x": 2}), require_tame=False)
 
