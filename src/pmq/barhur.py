@@ -31,7 +31,9 @@ an admissible non-degenerate inner grid of grading b is a state of b's move
 component (``Completion.class_states``); conversely a state of length L
 written in that order into L cells of a w x h grid meeting every row and
 column, units elsewhere, is such a grid.  So the grids are the states of
-b's class times the placements of their length.  A grid column depends
+b's class times the placements of their length, built column by column
+(each a nonempty row set, a branch cut once the rows not yet met outnumber
+the cells left), not filtered from every cell subset.  A grid column depends
 only on the state and on which state positions the placement puts in it,
 so each such column pattern is tabulated once over the states of a length
 and a placement's grids are its columns' tables zipped together.
@@ -67,7 +69,7 @@ from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .completion import Completion, HatElem, Seq
-from .core import FinitePmq
+from .core import FinitePmq, map_violation
 from .errors import PreconditionError, StructureError
 from .properties import property_report
 from .snf import homology_groups, is_prime
@@ -216,12 +218,27 @@ class BisimplexArray:
 @cache
 def _placements(width: int, height: int, length: int) -> tuple[tuple[int, ...], ...]:
     """The sets of ``length`` cells of a width x height grid, as increasing
-    column-major positions i*height + j, that meet every row and column."""
-    return tuple(
-        cells for cells in combinations(range(width * height), length)
-        if len({c // height for c in cells}) == width
-        and len({c % height for c in cells}) == height
-    )
+    column-major positions i*height + j, that meet every row and column, in
+    increasing order.  The column-by-column build (see the module docstring)
+    cuts a branch once the cells left cannot fill the columns left or meet
+    the rows not yet met, so every branch ends in a placement."""
+    rows_by_size = [[(rows, sum(1 << j for j in rows)) for rows in combinations(range(height), k)]
+                    for k in range(height + 1)]   # (rows, bit mask) by number of rows
+    out = []
+
+    def extend(column: int, cells: tuple[int, ...], met: int, left: int) -> None:
+        later = width - column - 1   # columns after this one, each needing a cell
+        if later < 0:
+            if not left and met.bit_count() == height:   # fails only on a grid with no column
+                out.append(cells)
+            return
+        for k in range(max(1, left - later * height), min(height, left - later) + 1):
+            for rows, mask in rows_by_size[k]:
+                if height - (now := met | mask).bit_count() <= left - k:
+                    extend(column + 1, cells + tuple(column * height + j for j in rows), now, left - k)
+
+    extend(0, (), 0, length)
+    return tuple(sorted(out))
 
 
 def _cells_of_grading(q: FinitePmq, states: Mapping[int, Sequence[Seq]]) -> dict[tuple[int, int], list[Cell]]:
@@ -584,8 +601,11 @@ def induced_array_map(qa: FinitePmq, qb: FinitePmq, mapping: Sequence[int]):
     completions.  It need not send non-admissible arrays to non-admissible
     ones (an undefined product may map to a defined one), so it induces a
     map of *relative* complexes only at gradings where that does not occur;
-    ``chain_map_commutes`` checks a given grading.
+    ``chain_map_commutes`` checks a given grading.  A mapping that is not
+    a PMQ map (``core.map_violation``) raises ``StructureError`` first.
     """
+    if why := map_violation(qa, qb, mapping):
+        raise StructureError(f"mapping {why}")
     comp_b = Completion(qb)
 
     def hat_map(h: HatElem) -> HatElem:
@@ -603,7 +623,7 @@ def induced_faces_commute(
     qa: FinitePmq, qb: FinitePmq, mapping: Sequence[int], arr: BisimplexArray
 ) -> bool:
     """Entrywise image of every face/degeneracy equals face/degeneracy of
-    the entrywise image."""
+    the entrywise image; a non-map raises as in ``induced_array_map``."""
     _, array_map = induced_array_map(qa, qb, mapping)
     img = array_map(arr)
     for i in range(arr.p + 1):
@@ -628,10 +648,9 @@ def chain_map_commutes(
     True exactly when the zero-rules agree on both sides there; gradings
     whose arrays have faces that fall out of the source PMQ but not out of
     the target one make it fail, which mirrors the fact that the induced map
-    of pairs does not exist in general."""
-    comp_b = Completion(qb)
-    image_word = tuple(mapping[x] for x in b.word)
-    b2 = comp_b.of_sequence(image_word)
+    of pairs does not exist in general; a non-map raises first."""
+    hat_map, _ = induced_array_map(qa, qb, mapping)
+    b2 = hat_map(b)
     ca = build_relative_complex(qa, b)
     cb = build_relative_complex(qb, b2)
     index_b = {grid: pos for cells in cb.basis.values() for pos, (_, _, grid) in enumerate(cells)}

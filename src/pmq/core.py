@@ -81,6 +81,7 @@ __all__ = [
     "PmqGroupPair",
     "validate",
     "require_valid",
+    "map_violation",
     "conjugacy_classes",
     "semidirect_pmq",
     "join_pmq_group",
@@ -625,6 +626,24 @@ def require_valid(q: FinitePmq, *, rack: bool = False) -> None:
         raise AxiomError(f"invalid structure: {report}", report)
 
 
+def map_violation(source: FinitePmq, target: FinitePmq, mapping: Sequence[int]) -> Optional[str]:
+    """The first condition by which ``mapping`` (a -> ``mapping[a]``) fails
+    to be a PMQ or PMR map ``source`` -> ``target``, or None: range, unit,
+    conjugation, defined products, in that order."""
+    if len(mapping) != len(source) or any(not 0 <= x < len(target) for x in mapping):
+        return "is not a map into the target"
+    if mapping[source.unit] != target.unit:
+        return "does not preserve the unit"
+    for a, row in enumerate(source.conj):
+        for b, ab in enumerate(row):
+            if mapping[ab] != target.conj[mapping[a]][mapping[b]]:
+                return "does not preserve conjugation"
+    for (a, b), c in source.prod.items():
+        if target.prod.get((mapping[a], mapping[b])) != mapping[c]:
+            return "does not preserve a defined product"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # conjugacy classes
 
@@ -709,7 +728,8 @@ class PmqGroupPair:
     """A PMQ Q, a group G, a PMQ map e: Q -> G and a right action r of G on Q
     by PMQ automorphisms, with r(e(b)) = (-)^b and e(r(g)(a)) = g^-1 e(a) g.
 
-    ``r_action[g][a]`` is the image of element a under r(g).
+    ``r_action[g][a]`` is the image of element a under r(g).  ``check``
+    decides the conditions, Q's own axioms among them, on the join.
     """
 
     pmq: FinitePmq
@@ -718,48 +738,8 @@ class PmqGroupPair:
     r_action: tuple[tuple[int, ...], ...]
 
     def check(self) -> None:
-        q, g, e, r = self.pmq, self.group, self.e_map, self.r_action
-        nq, ng = len(q), len(g)
-        if len(e) != nq or any(not 0 <= x < ng for x in e):
-            raise StructureError("e_map is not a map into the group")
-        if len(r) != ng or any(len(row) != nq for row in r):
-            raise StructureError("r_action must give a map of Q per group element")
-        if e[q.unit] != g.unit:
-            raise AxiomError("e does not preserve the unit")
-        for a in range(nq):
-            for b in range(nq):
-                if e[q.conj[a][b]] != g.conj(e[a], e[b]):
-                    raise AxiomError("e does not preserve conjugation")
-        for (a, b), ab in q.prod.items():
-            if e[ab] != g.mult[e[a]][e[b]]:
-                raise AxiomError("e does not preserve defined products")
-        for x in range(ng):
-            row = r[x]
-            if sorted(row) != list(range(nq)):
-                raise AxiomError("r(g) is not a bijection of the PMQ")
-            if row[q.unit] != q.unit:
-                raise AxiomError("r(g) does not fix the unit")
-            for a in range(nq):
-                for b in range(nq):
-                    if r[x][q.conj[a][b]] != q.conj[row[a]][row[b]]:
-                        raise AxiomError("r(g) is not a quandle automorphism")
-            for (a, b), ab in q.prod.items():
-                if q.prod.get((row[a], row[b])) != row[ab]:
-                    raise AxiomError("r(g) is not a partial-monoid automorphism")
-        for x in range(ng):
-            for y in range(ng):
-                xy = g.mult[x][y]
-                for a in range(nq):
-                    if r[xy][a] != r[y][r[x][a]]:
-                        raise AxiomError("r is not a right action")
-        for b in range(nq):
-            for a in range(nq):
-                if r[e[b]][a] != q.conj[a][b]:
-                    raise AxiomError("r(e(b)) differs from conjugation by b")
-        for x in range(ng):
-            for a in range(nq):
-                if e[self.r_action[x][a]] != g.conj(e[a], x):
-                    raise AxiomError("e is not equivariant")
+        """``join_pmq_group`` with its result dropped: raises unless a pair."""
+        join_pmq_group(self)
 
 
 def join_pmq_group(pair: PmqGroupPair) -> FinitePmq:
@@ -770,36 +750,45 @@ def join_pmq_group(pair: PmqGroupPair) -> FinitePmq:
     Product (total): gbar hbar = (gh)bar, abar gbar = (e(a)g)bar,
     gbar abar = (g e(a))bar, abar bbar = (ab)bar when ab is defined in Q and
     (e(a)e(b))bar otherwise.
+
+    A wrongly shaped e_map or r_action (not one group element per element
+    of Q, not one map of Q to itself per group element) raises
+    ``StructureError`` before any table is built; the tables then go
+    through ``require_valid``.  The join is a PMQ exactly when Q is one and
+    (e, r) is a pair on it: the join of a pair is a PMQ by the paper's
+    theorem, and each pair condition is one join axiom at some elements,
+    with [g] the adjoined copy of g and [1] that of the group unit:
+
+    * e(1) = 1 is unit-product at [1], as 1[1] = [e(1)];
+    * e keeps defined products: associativity at (a, b, [1]);
+    * e keeps conjugation: product-equivariance at (a, [1], b); e is
+      equivariant: the same axiom at (a, [1], [g]);
+    * each r(g) is a bijection that fixes 1 and keeps conjugation and
+      defined products: conj-bijective, conj-unit, conj-distributivity and
+      product-equivariance, each with [g] as the third element;
+    * r is a right action: conj-of-product at (a, [g], [h]); r(1) is then
+      an idempotent bijection, so r(1) = id;
+    * r(e(b)) is conjugation by b: conj-of-product at (a, b, [1]), as
+      b[1] = [e(b)].
     """
-    pair.check()
     q, g, e, r = pair.pmq, pair.group, pair.e_map, pair.r_action
     nq, ng = len(q), len(g)
+    if len(e) != nq or any(not 0 <= x < ng for x in e):
+        raise StructureError("e_map is not a map into the group")
+    if len(r) != ng or any(len(row) != nq or any(not 0 <= a < nq for a in row) for row in r):
+        raise StructureError("r_action must give a map of Q per group element")
     labels = tuple(q.labels) + tuple(f"[{x}]" for x in g.labels)
-    n = nq + ng
-    conj = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a < nq and b < nq:
-                conj[a][b] = q.conj[a][b]
-            elif a < nq:
-                conj[a][b] = r[b - nq][a]
-            elif b < nq:
-                conj[a][b] = nq + g.conj(a - nq, e[b])
-            else:
-                conj[a][b] = nq + g.conj(a - nq, b - nq)
-    prod: dict[tuple[int, int], int] = {}
-    for a in range(n):
-        for b in range(n):
-            if a < nq and b < nq:
-                ab = q.prod.get((a, b))
-                prod[(a, b)] = ab if ab is not None else nq + g.mult[e[a]][e[b]]
-            elif a < nq:
-                prod[(a, b)] = nq + g.mult[e[a]][b - nq]
-            elif b < nq:
-                prod[(a, b)] = nq + g.mult[a - nq][e[b]]
-            else:
-                prod[(a, b)] = nq + g.mult[a - nq][b - nq]
-    return FinitePmq.build(labels, q.unit, conj, prod)
+    to_g = tuple(e) + tuple(range(ng))   # e on Q, the identity on G
+    conj = [q.conj[a] + tuple(row[a] for row in r) for a in range(nq)]
+    conj += [tuple(nq + g.conj(x, y) for y in to_g) for x in range(ng)]
+    prod = {
+        (a, b): q.prod.get((a, b), nq + g.mult[x][y])   # no key of q.prod holds an index >= nq
+        for a, x in enumerate(to_g)
+        for b, y in enumerate(to_g)
+    }
+    joined = FinitePmq.build(labels, q.unit, conj, prod)
+    require_valid(joined)
+    return joined
 
 
 def group_norm_report(g: FiniteGroup, norm: Sequence[int]) -> Optional[tuple[str, tuple[str, ...]]]:

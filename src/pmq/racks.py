@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import FinitePmq, ValidationReport, validate
+from .core import FinitePmq, ValidationReport, map_violation, validate
 from .errors import AxiomError, StructureError
 
 __all__ = ["validate_pmr", "quandle_like_core", "map_lands_in_core"]
@@ -55,20 +55,12 @@ def quandle_like_core(r: FinitePmq) -> FinitePmq:
 def map_lands_in_core(source: FinitePmq, target: FinitePmq, mapping: Sequence[int]) -> bool:
     """Check that a map of PMRs out of a PMQ has quandle-like image.
 
-    ``mapping[a]`` is the image of element a.  The map must preserve unit,
-    conjugation and defined products; a structure error is raised when it
-    does not.  Images of a PMQ are always quandle-like, which is what makes
-    the core the largest PMQ inside a rack; the return value reports it.
+    ``mapping[a]`` is the image of element a.  A mapping that is not a map
+    (``core.map_violation``: range, unit, conjugation, defined products)
+    raises ``StructureError`` naming the first failed condition.  Images
+    of a PMQ are always quandle-like, which is what makes the core the
+    largest PMQ inside a rack; the return value reports it.
     """
-    if len(mapping) != len(source) or any(not 0 <= x < len(target) for x in mapping):
-        raise StructureError("mapping is not a map into the target")
-    if mapping[source.unit] != target.unit:
-        raise StructureError("mapping does not preserve the unit")
-    for a in range(len(source)):
-        for b in range(len(source)):
-            if mapping[source.conj[a][b]] != target.conj[mapping[a]][mapping[b]]:
-                raise StructureError("mapping does not preserve conjugation")
-    for (a, b), c in source.prod.items():
-        if target.prod.get((mapping[a], mapping[b])) != mapping[c]:
-            raise StructureError("mapping does not preserve a defined product")
+    if why := map_violation(source, target, mapping):
+        raise StructureError(f"mapping {why}")
     return all(target.conj[x][x] == x for x in mapping)

@@ -147,20 +147,19 @@ class QuadraticPresentation:
         return out
 
 
-def quadratic_presentation(
-    q: FinitePmq, *, require_tame: bool = True, r_max: Optional[int] = None
-) -> QuadraticPresentation:
+def quadratic_presentation(q: FinitePmq, *, require_tame: bool = True) -> QuadraticPresentation:
     """The generators-and-relations data of the ring in degree <= 2.
 
     With ``require_tame`` (the default) the four hypotheses that make the
-    presentation exhaustive are read off ``property_report(q, r_max)`` and
-    the first failure refuses with the property's name; pass False to emit
-    the same relator families for any normed, maximally decomposable
-    structure, then judge the quotient by its graded dimensions.
+    presentation exhaustive are read off ``property_report(q)``, as
+    ``quadratic_dual`` reads them, and the first failure refuses with the
+    property's name; pass False to emit the same relator families for any
+    normed, maximally decomposable structure, then judge the quotient by
+    its graded dimensions.
     """
     q.require_norm()
     if require_tame:
-        failed = property_report(q, r_max).first_failed()
+        failed = property_report(q).first_failed()
         if failed:
             raise PreconditionError(f"ring is not known quadratic: {failed} fails", failed=failed)
     else:

@@ -4,11 +4,15 @@ Used by the mutation tests: when the validator rejects a structure naming
 an axiom and a witness, the named axiom is re-evaluated here directly from
 the tables, so a wrong axiom name cannot slip through.
 
-Also the generate-and-filter enumeration of array grids, the reference the
-constructed basis of ``pmq.barhur`` is compared with, the differentials
+Also the generate-and-filter enumerations of array grids and of cell
+placements, the references the constructed basis of ``pmq.barhur`` and its
+placements are compared with, the differentials
 assembled from the faces of ``BisimplexArray``, the reference for its fast
 face assembly, and homology from every full differential eliminated on its
 own, the reference for the reduction in ``pmq.snf.homology_groups``.
+
+The conditions of a PMQ-group pair written out one by one, the reference
+for ``PmqGroupPair.check``, which decides them by validating the join.
 
 And the same PMQ declared in another element order, for the tests that a
 result does not depend on that order, and the orbits of a step function by
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import combinations
 
 from pmq.barhur import BisimplexArray
 from pmq.core import FinitePmq
@@ -214,6 +219,17 @@ def grids_by_filter(q: FinitePmq, comp, b) -> dict:
     return out
 
 
+def placements_by_filter(width: int, height: int, length: int) -> tuple:
+    """Reference for ``pmq.barhur._placements``: every set of ``length``
+    column-major cells of a width x height grid, kept when it meets every
+    row and column."""
+    return tuple(
+        cells for cells in combinations(range(width * height), length)
+        if len({c // height for c in cells}) == width
+        and len({c % height for c in cells}) == height
+    )
+
+
 def differentials_by_array_faces(comp, basis) -> dict:
     """Reference for ``build_relative_complex(...).differentials`` on the
     given basis, from the full-array faces ``h_face(i)``, 0 <= i <= p, and
@@ -276,3 +292,47 @@ def homology_by_full_differentials(differentials, dims, mod: int = 0) -> dict:
             entry["torsion"] = torsion_in.get(n + 1, [])
         out[n] = entry
     return out
+
+
+def pair_violation(pair) -> str | None:
+    """The first failed condition of a PMQ-group pair whose e_map and
+    r_action have the right shape, checked directly from the tables, or
+    None.  Q's own axioms are not checked here."""
+    q, g, e, r = pair.pmq, pair.group, pair.e_map, pair.r_action
+    nq, ng = len(q), len(g)
+    if e[q.unit] != g.unit:
+        return "e does not preserve the unit"
+    for a in range(nq):
+        for b in range(nq):
+            if e[q.conj[a][b]] != g.conj(e[a], e[b]):
+                return "e does not preserve conjugation"
+    for (a, b), ab in q.prod.items():
+        if e[ab] != g.mult[e[a]][e[b]]:
+            return "e does not preserve defined products"
+    for row in r:
+        if sorted(row) != list(range(nq)):
+            return "r(g) is not a bijection of the PMQ"
+        if row[q.unit] != q.unit:
+            return "r(g) does not fix the unit"
+        for a in range(nq):
+            for b in range(nq):
+                if row[q.conj[a][b]] != q.conj[row[a]][row[b]]:
+                    return "r(g) is not a quandle automorphism"
+        for (a, b), ab in q.prod.items():
+            if q.prod.get((row[a], row[b])) != row[ab]:
+                return "r(g) is not a partial-monoid automorphism"
+    for x in range(ng):
+        for y in range(ng):
+            xy = g.mult[x][y]
+            for a in range(nq):
+                if r[xy][a] != r[y][r[x][a]]:
+                    return "r is not a right action"
+    for b in range(nq):
+        for a in range(nq):
+            if r[e[b]][a] != q.conj[a][b]:
+                return "r(e(b)) differs from conjugation by b"
+    for x in range(ng):
+        for a in range(nq):
+            if e[r[x][a]] != g.conj(e[a], x):
+                return "e is not equivariant"
+    return None

@@ -9,16 +9,19 @@ from helpers import (
     differentials_by_array_faces,
     grids_by_filter,
     homology_by_full_differentials,
+    placements_by_filter,
     uct_ranks,
 )
 from pmq.barhur import (
     BisimplexArray,
     _cells_of_grading,
     _placement_faces,
+    _placements,
     build_relative_complex,
     chain_map_commutes,
     enumerate_arrays,
     homology,
+    induced_faces_commute,
     poincare_report,
 )
 from pmq.catalog import (
@@ -32,9 +35,10 @@ from pmq.catalog import (
     unit_pmq,
 )
 from pmq.completion import Completion
-from pmq.errors import PreconditionError
+from pmq.errors import PreconditionError, StructureError
 from pmq.properties import intrinsic_pseudonorm, property_report
 from pmq.serialize import pmq_from_json, pmq_to_json
+from pmq.snf import homology_groups
 
 
 def random_array(comp, rng, p, q, support=3, max_entry_norm=2):
@@ -333,6 +337,33 @@ def predicted_cells(comp, b):
     return out
 
 
+def test_placements_match_inclusion_exclusion_to_length_7():
+    # the uncached builder, so the 361,792 placements of length 7 are not
+    # kept for the rest of the test run
+    totals = []
+    for length in range(1, 8):
+        total = 0
+        for w in range(1, length + 1):
+            for h in range(1, length + 1):
+                placed = _placements.__wrapped__(w, h, length)
+                assert len(placed) == placement_count(w, h, length), (w, h, length)
+                assert list(placed) == sorted(set(placed))
+                for cells in placed:
+                    assert len(cells) == length and list(cells) == sorted(cells)
+                    assert len({c // h for c in cells}) == w and len({c % h for c in cells}) == h
+                    assert 0 <= cells[0] and cells[-1] < w * h
+                total += len(placed)
+        totals.append(total)
+    assert totals == [1, 4, 24, 196, 2016, 24976, 361792]
+
+
+def test_placements_equal_generate_and_filter():
+    for length in range(0, 6):
+        for w in range(0, length + 2):
+            for h in range(0, length + 2):
+                assert _placements(w, h, length) == placements_by_filter(w, h, length), (w, h, length)
+
+
 @pytest.mark.parametrize("d,max_norm", [(3, 4), (4, 3)])
 def test_cell_counts_match_inclusion_exclusion(d, max_norm):
     q = sym_geodesic_pmq(d)
@@ -480,6 +511,19 @@ def test_fundamental_class_sdgeo4_small_norms():
         assert h[6] == {"rank": 1, "torsion": []}
 
 
+def test_s3_t6_full_complex():
+    # the 24,976 cells of the grading t^6, t = 213, over Z and over F_2, F_3
+    q = sym_geodesic_pmq(3)
+    cx = build_relative_complex(q, Completion(q).of_labels(["213"] * 6))
+    assert sum(cx.dims().values()) == 24_976
+    h = homology(cx)
+    nonzero = {n: (d["rank"], d["torsion"]) for n, d in h.items() if d["rank"] or d["torsion"]}
+    assert nonzero == {7: (0, [3]), 8: (0, [2]), 9: (0, [2]), 11: (1, []), 12: (1, [])}
+    for p in (2, 3):
+        hp = homology_groups(cx.differentials, cx.dims(), p)
+        assert {n: d["rank"] for n, d in hp.items()} == uct_ranks(h, p), p
+
+
 def test_face_index_errors(comp3):
     q = comp3.pmq
     arr = BisimplexArray.from_inner(comp3, [(q.index("213"),)])
@@ -509,6 +553,21 @@ def test_functoriality_of_inclusion():
     # ... but not where a product undefined in the source becomes defined in
     # the target: there the map of pairs does not exist
     assert not chain_map_commutes(qa, qb, mapping, comp_a.of_labels(["1", "1"]))
+
+
+@pytest.mark.parametrize(
+    "mapping,why",
+    [([0, 1, 1], "does not preserve a defined product"), ([0, 1], "is not a map into the target")],
+)
+def test_induced_maps_refuse_a_mapping_that_is_not_a_map(mapping, why):
+    # 2 -> 1 does not keep 1 + 1 = 2, and a short list maps nothing to 2
+    q = natural_truncation(2)
+    comp = Completion(q)
+    arr = BisimplexArray.from_inner(comp, [(q.index("1"),)])
+    with pytest.raises(StructureError, match=f"mapping {why}"):
+        induced_faces_commute(q, q, mapping, arr)
+    with pytest.raises(StructureError, match=f"mapping {why}"):
+        chain_map_commutes(q, q, mapping, comp.of_labels(["1"]))
 
 
 @pytest.mark.parametrize(

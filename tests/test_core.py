@@ -36,6 +36,7 @@ from pmq.core import (
     components,
     conjugacy_classes,
     geodesic_pmq,
+    PmqGroupPair,
     join_pmq_group,
     require_valid,
     semidirect_pmq,
@@ -45,7 +46,7 @@ from pmq.errors import AxiomError, PreconditionError, StructureError
 from pmq.serialize import pmq_from_json
 from pmq.symgeo import sym_geodesic_pair, symmetric_group
 
-from helpers import axiom_holds_at, mutate_once, orbits, shuffled_orders
+from helpers import axiom_holds_at, mutate_once, orbits, pair_violation, shuffled_orders
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,6 +213,71 @@ def test_join_unit_pmq_trivial_group():
     assert validate(joined).ok
     assert len(joined) == 2
     assert joined.prod[(0, 1)] == 1  # unit times the adjoined element
+
+
+def test_pair_check_agrees_with_the_pair_conditions_on_mutants():
+    # single-entry mutants of e_map and r_action, the new value drawn from
+    # every group or PMQ element (so some draws keep the pair): the join's
+    # validation must accept exactly the mutants that meet the conditions
+    # written out one by one
+    rng = random.Random(25)
+    verdicts = collections.Counter()
+    for d in (2, 3, 4):
+        pair = sym_geodesic_pair(d)
+        n = len(pair.group)
+        for _ in range(200):
+            e, r = list(pair.e_map), [list(row) for row in pair.r_action]
+            if rng.randrange(2):
+                e[rng.randrange(n)] = rng.randrange(n)
+            else:
+                r[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            mutant = dataclasses.replace(pair, e_map=tuple(e), r_action=tuple(map(tuple, r)))
+            try:
+                mutant.check()
+                accepted = True
+            except AxiomError:
+                accepted = False
+            assert accepted == (pair_violation(mutant) is None), (d, e, r)
+            verdicts[accepted, mutant == pair] += 1
+    assert verdicts[True, False]   # S_2 with e(t) = 1 is a pair
+    assert verdicts[True, False] + verdicts[True, True] >= 100
+    assert verdicts[False, False] >= 100
+
+
+def test_pair_over_a_structure_that_is_not_a_pmq_is_refused():
+    # natural_truncation(3) without 1 + 2 fails associativity and
+    # product-conj-swap; with the trivial group, e and r meet every pair
+    # condition, and only the join's validation sees that Q is no PMQ
+    q = natural_truncation(3)
+    prod = dict(q.prod)
+    del prod[q.index("1"), q.index("2")]
+    cut = FinitePmq.build(q.labels, q.unit, q.conj, prod)
+    assert validate(cut).axioms()[:2] == ["associativity", "product-conj-swap"]
+    pair = PmqGroupPair(cut, cyclic_group(1), (0,) * 4, (tuple(range(4)),))
+    assert pair_violation(pair) is None
+    with pytest.raises(AxiomError, match="associativity"):
+        pair.check()
+    with pytest.raises(AxiomError, match="associativity"):
+        join_pmq_group(pair)
+
+
+@pytest.mark.parametrize(
+    "e_map,r_action",
+    [
+        ((0, 6, 2, 3, 4, 5), None),                      # e_map entry outside G
+        ((0, 1, 2), None),                               # e_map too short
+        (None, ((0, 1, 2, 3, 4, 5),) * 5 + ((0, 1),)),   # ragged r_action
+        (None, ((0, 1, 2, 3, 4, 5),) * 5),               # r_action misses a group element
+        (None, ((0, 1, 2, 3, 4, 6),) * 6),               # r_action entry outside Q
+    ],
+)
+def test_pair_of_the_wrong_shape_is_a_structure_error(e_map, r_action):
+    pair = sym_geodesic_pair(3)
+    bad = dataclasses.replace(pair, e_map=e_map or pair.e_map, r_action=r_action or pair.r_action)
+    with pytest.raises(StructureError):
+        bad.check()
+    with pytest.raises(StructureError):
+        join_pmq_group(bad)
 
 
 def test_geodesic_pmq_s3():
