@@ -58,6 +58,17 @@ column i of the two faces differs in total norm by N(column i+1) > 0, as
 every inner column holds a non-unit and norms add under merging; rows
 likewise.  The build counts the face hits per degree and raises if the
 entries fall short of them, so the argument is checked on every build.
+
+The same tables gate d∘d = 0, exactly and per placement rather than per
+cell.  Entries are written only from the (sign, table, rows) triples of
+each placement's faces, and the hits guard rules out an entry written
+twice, so the stored matrices are the operator the tables define.  For
+it, d∘d of the cell (P, s) is the sum of e_f e_g [P''_fg, t_g(t_f(s))]
+over the face pairs (f, g) of P.  Grouping the pairs by target P'' and
+composite table t_g∘t_f, a group whose signs sum to zero contributes zero
+on every state of P at once, so if all groups cancel, d∘d = 0.  A group
+that does not cancel proves nothing (different composites may meet on
+some states), and only then are the stored matrices multiplied out.
 """
 
 from __future__ import annotations
@@ -459,18 +470,22 @@ def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComp
     On bidegree (p, q) the face merging array columns i, i+1 has sign
     (-1)^i and the one merging rows j, j+1 has sign (-1)^(p+j); a face
     that is not again an admissible non-degenerate array is zero.  Each
-    entry is one face's sign, +-1 for every ``mod``, so d∘d is gated over Z."""
+    entry is one face's sign, +-1 for every ``mod``, so d∘d is gated over
+    Z: on the face tables (``_assemble``), and on the stored matrices
+    (``check_boundary_squared``) only where the tables do not decide it."""
     if mod and not is_prime(mod):
         raise PreconditionError(f"modulus {mod} is not a prime", failed="prime")
     _require_grading_over(q, b)
-    out = GradedComplex(q, b, *_assemble(q, b.completion.class_states(b)), mod)
-    if not out.check_boundary_squared():
+    basis, differentials, cancels = _assemble(q, b.completion.class_states(b))
+    out = GradedComplex(q, b, basis, differentials, mod)
+    if not cancels and not out.check_boundary_squared():
         raise AssertionError("differential does not square to zero")
     return out
 
 
 def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
-    """(basis, differentials) of the grading whose class has ``states``.
+    """(basis, differentials, cancels) of the grading whose class has
+    ``states``; ``cancels`` is True when the face tables prove d∘d = 0.
 
     A cell is a state s on a placement P, and its face is the state
     table[s] on the face placement of P: face placements and signs are
@@ -480,8 +495,15 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     summed; entries go in column by column in basis order, faces in index
     order.  Every (placement, state) pair is a cell, so a degree's face
     hits are counted off the tables, and an entry count short of them
-    raises.  The cell lists and tables are freed on return, before the
-    caller's d∘d gate."""
+    raises.
+
+    Entries are written only from each placement's (sign, table, rows)
+    triples, and the hits guard rules out an entry written twice, so the
+    stored matrices are exactly the operator those triples define.  Its
+    d∘d is read off the same triples, one placement at a time
+    (``_pairs_cancel``): if every group of face pairs cancels, d∘d is zero
+    on every state of every placement, and the stored matrices need no
+    check.  The cell lists and tables are freed on return."""
     cells = _cells_of_grading(q, states)
     basis: dict[int, list[tuple[int, int, Grid]]] = {}
     shapes: dict[int, list[tuple[int, int]]] = {}   # degree -> its bidegrees in basis order
@@ -503,15 +525,21 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     # recipe -> (face table, number of states it sends into the PMQ); a
     # recipe names every state position, so it fixes the length
     tables: dict[tuple, tuple[list[Optional[int]], int]] = {}
+    # shape -> placement -> its faces (sign, table, rows, face placement),
+    # kept for the next degree's gate
+    faces: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
+    memo: dict[tuple[int, int], Optional[int]] = {}   # see ``_pairs_cancel``
+    interned: dict[tuple, int] = {}
+    cancels = True
     differentials: dict[int, dict[tuple[int, int], int]] = {}
     for n in sorted(shapes):
         entries: dict[tuple[int, int], int] = {}
         hits = 0
         for shape in shapes[n]:
             at = place[shape]
-            faces = {}
+            listed = faces[shape] = {}
             for placed in at:
-                faces[placed] = []
+                listed[placed] = []
                 for sign, face_shape, face_placed, recipe in _placement_faces(*shape, placed):
                     if len(face_placed) not in index:
                         continue   # no state that short: every product here is undefined
@@ -521,10 +549,12 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
                         known = tables[recipe] = table, len(table) - table.count(None)
                     table, count = known
                     hits += count
-                    faces[placed].append((sign, table, place[face_shape][face_placed]))
+                    rows = place[face_shape][face_placed]
+                    listed[placed].append((sign, table, rows, (face_shape, face_placed)))
+                cancels = cancels and _pairs_cancel(listed[placed], faces, memo, interned)
             for col, (_, placed, s) in enumerate(cells[shape], start[shape]):
                 at[placed][s] = col   # one int per position, shared with d_(n+1)'s rows
-                for sign, table, rows in faces[placed]:
+                for sign, table, rows, _ in listed[placed]:
                     t = table[s]
                     if t is not None:
                         entries[rows[t], col] = sign
@@ -532,7 +562,40 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
             raise AssertionError("two faces of one cell coincide")
         if entries:
             differentials[n] = entries
-    return basis, differentials
+    return basis, differentials, cancels
+
+
+def _pairs_cancel(listed: Sequence[tuple], faces: Mapping, memo: dict, interned: dict) -> bool:
+    """Whether d∘d vanishes on every state of one placement P, read off
+    its faces ``listed`` and theirs in ``faces`` (both as in ``_assemble``).
+
+    d∘d of the cell (P, s) is the sum of e_f e_g [P''_fg, t_g(t_f(s))] over
+    the face pairs (f, g).  Pairs with the same target P'' and the same
+    composite table t_g∘t_f give the same cell on every state, so if each
+    such group's signs sum to zero, d∘d(P, s) = 0 for every s.  A group
+    that does not cancel proves nothing, as different composites may
+    agree on some states; the caller then checks the stored matrices.
+
+    ``memo`` holds each composite per pair of tables (one table per recipe
+    within a build, so an ``id`` names it) as its int in ``interned``, one
+    per distinct composite, or None when it sends every state out of the
+    PMQ and so adds nothing."""
+    sums: dict[tuple, int] = {}
+    for sign, table, _, (shape, placed) in listed:
+        for sign_g, table_g, _, target in faces[shape][placed]:
+            key = id(table), id(table_g)
+            if key in memo:
+                made = memo[key]
+            else:
+                composed = tuple(None if t is None else table_g[t] for t in table)
+                made = memo[key] = (
+                    None if composed.count(None) == len(composed)
+                    else interned.setdefault(composed, len(interned))
+                )
+            if made is not None:
+                group = target, made
+                sums[group] = sums.get(group, 0) + sign * sign_g
+    return not any(sums.values())
 
 
 def homology(complex_: GradedComplex) -> dict[int, dict]:

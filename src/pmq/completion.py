@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core import FinitePmq, components, require_valid
+from .errors import PreconditionError
 
 Seq = tuple[int, ...]
 
@@ -314,8 +315,12 @@ def verify_embedding(q: FinitePmq, pair=None, budget: Optional[int] = None) -> d
     norm budget stays outside the PMQ under product and conjugation by PMQ
     elements, and, when a PMQ-group pair is supplied, (iii) the injectivity
     is cross-checked in the complete PMQ built from the pair by adjoining
-    the group.
+    the group.  The join is read by q's indices, so a pair over another
+    PMQ (identity is tested first, then equality) raises
+    ``PreconditionError`` before any work.
     """
+    if pair is not None and pair.pmq is not q and pair.pmq != q:
+        raise PreconditionError("pair is not over this PMQ", failed="pair")
     comp = Completion(q)
     norm = q.require_norm()
     if budget is None:

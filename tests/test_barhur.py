@@ -1,3 +1,5 @@
+import hashlib
+import pickle
 import random
 from math import comb
 
@@ -14,6 +16,8 @@ from helpers import (
 )
 from pmq.barhur import (
     BisimplexArray,
+    GradedComplex,
+    _assemble,
     _cells_of_grading,
     _placement_faces,
     _placements,
@@ -614,6 +618,76 @@ def test_boundary_squared_check_sees_one_sign_flip(comp3, mod):
                 d[key] = v
                 flips += 1
     assert flips > 50
+
+
+# the graded complexes of every grading up to the norm, pickled (protocol
+# 4) one after another in ``classes_up_to`` order: basis and differentials,
+# dict order included, as built before d∘d was gated on the face tables
+_GATE_CASES = {
+    "S3": (lambda: sym_geodesic_pmq(3), 4,
+           "1cdbddf718e88816ceeebe0a8fb6085e900dba3d41ede6b9d35b3a88bb6dd6cd"),
+    "S4": (lambda: sym_geodesic_pmq(4), 3,
+           "396735d1eaecd9e087d2e431e54a6bd7ecfede32ed5c64a219db18ca100ca491"),
+    "natural3": (lambda: natural_truncation(3), 4,
+                 "02e91c7e04d35688ba46c748f018dc57dda97ac0f09db3ba08b193ced2bc7ae2"),
+    "transpositions3": (lambda: transposition_quandle(3), 3,
+                        "fb3015a16165bc6f5e22746a0415d5c56129b7fcc38d5f0972e6c617835d80fc"),
+    "segre": (segre_pmq, 2,
+              "b87381d3bdacaefe0225fa84a287270084bccb30547a90170b6dc47cf2bc0519"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GATE_CASES))
+def test_face_table_gate_agrees_with_stored_matrices(case):
+    # the gate read off the face tables and the product of the stored
+    # matrices give the same verdict (here every group cancels), and the
+    # complexes are those built before the gate
+    make, max_norm, digest = _GATE_CASES[case]
+    q = make()
+    comp = Completion(q)
+    h = hashlib.sha256()
+    for b in comp.classes_up_to(max_norm):
+        basis, differentials, cancels = _assemble(q, comp.class_states(b))
+        stored = GradedComplex(q, b, basis, differentials).check_boundary_squared()
+        assert cancels is stored is True, b.labels()
+        h.update(pickle.dumps((basis, differentials), protocol=4))
+    assert h.hexdigest() == digest
+
+
+def test_one_flipped_face_sign_fails_through_the_stored_matrices(monkeypatch):
+    # a build whose face pairs all cancel never multiplies the stored
+    # matrices out; with one face sign of one placement flipped, a group
+    # no longer cancels, and the stored matrices decide, and refuse
+    import pmq.barhur
+
+    q = sym_geodesic_pmq(3)
+    b = Completion(q).of_labels(["213", "132", "213"])
+    checks = []
+    check = GradedComplex.check_boundary_squared
+
+    def recorded(self):
+        checks.append(check(self))
+        return checks[-1]
+
+    monkeypatch.setattr(GradedComplex, "check_boundary_squared", recorded)
+    build_relative_complex(q, b)
+    assert checks == []
+
+    faces_of = pmq.barhur._placement_faces
+    target = (2, 2, (0, 1, 3))   # 213.132.213 on three cells of a 2 x 2 grid
+
+    def flipped(width, height, cells):
+        faces = faces_of(width, height, cells)
+        if (width, height, cells) == target:
+            sign, *rest = faces[0]
+            return ((-sign, *rest),) + faces[1:]
+        return faces
+
+    monkeypatch.setattr(pmq.barhur, "_placement_faces", flipped)
+    assert not _assemble(q, b.completion.class_states(b))[2]
+    with pytest.raises(AssertionError, match="differential does not square to zero"):
+        build_relative_complex(q, b)
+    assert checks == [False]
 
 
 def test_universal_coefficients_link_integer_and_mod_p_homology(comp3):

@@ -15,7 +15,7 @@ from pmq.catalog import (
     unit_pmq,
 )
 from pmq.completion import Completion, verify_embedding
-from pmq.errors import AxiomError, NormRequiredError
+from pmq.errors import AxiomError, NormRequiredError, PreconditionError
 from pmq.symgeo import sym_geodesic_pair, triples_of_weight
 
 from helpers import orbits, relabelled, shuffled_orders
@@ -139,6 +139,22 @@ def test_verify_embedding_examples():
     report = verify_embedding(sym_geodesic_pmq(3), pair=sym_geodesic_pair(3))
     assert report["ok"] and report["injective"] and report["join_cross_check"]
     assert verify_embedding(transposition_quandle(3))["ok"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: relabelled(sym_geodesic_pmq(3), sym_geodesic_pmq(3).labels[::-1]),
+     lambda: natural_truncation(5)],
+    ids=["S3-reversed", "natural5"],
+)
+def test_verify_embedding_refuses_a_pair_over_another_pmq(make):
+    # the join is read by q's indices: S_3 declared in reverse order would
+    # compare the wrong elements, natural_truncation(5) unrelated ones
+    q = make()
+    assert len(q) == len(sym_geodesic_pmq(3))
+    with pytest.raises(PreconditionError) as err:
+        verify_embedding(q, pair=sym_geodesic_pair(3), budget=3)
+    assert err.value.failed == "pair"
 
 
 def test_join_cross_check_walks_every_sequence_once(monkeypatch):
