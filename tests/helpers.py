@@ -9,7 +9,11 @@ placements, the references the constructed basis of ``pmq.barhur`` and its
 placements are compared with, the differentials
 assembled from the faces of ``BisimplexArray``, the reference for its fast
 face assembly, and homology from every full differential eliminated on its
-own, the reference for the reduction in ``pmq.snf.homology_groups``.
+own, the reference for the reduction in ``pmq.snf.homology_groups``.  The
+dense textbook Smith and mod-p rank reductions, which share no code with
+``pmq.snf``, and homology from them; and the Fuks count of
+``H^*(B_n; F_2)``, an oracle for the gradings ``t^n`` that reads no
+complex.
 
 The conditions of a PMQ-group pair written out one by one, the reference
 for ``PmqGroupPair.check``, which decides them by validating the join.
@@ -274,15 +278,99 @@ def homology_by_full_differentials(differentials, dims, mod: int = 0) -> dict:
     """Reference for ``pmq.snf.homology_groups``: each differential is
     eliminated whole and on its own, with no rows dropped, so every cell is
     eliminated once as a column of d_n and once as a row of d_(n+1)."""
+    return _homology_of_each_differential(
+        differentials, dims, mod,
+        lambda d, shape: smith_normal_form(d),
+        lambda d, shape, p: rank_mod_p(d, p),
+    )
+
+
+def dense_rank_mod_p_oracle(entries, nrows, ncols, p) -> int:
+    mat = [[entries.get((r, c), 0) % p for c in range(ncols)] for r in range(nrows)]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if mat[r][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        for r in range(nrows):
+            if r != rank and mat[r][c]:
+                f = mat[r][c] * inv
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def dense_smith_oracle(entries, nrows, ncols) -> list[int]:
+    """Textbook Smith reduction of the dense matrix: move the smallest entry
+    to the corner, divide it out of its row and column, and when it fails to
+    divide the rest, add the offending row to the pivot row and repeat."""
+    a = [[entries.get((r, c), 0) for c in range(ncols)] for r in range(nrows)]
+    divisors = []
+    for t in range(min(nrows, ncols)):
+        while True:
+            nonzero = [
+                (abs(a[r][c]), r, c)
+                for r in range(t, nrows)
+                for c in range(t, ncols)
+                if a[r][c]
+            ]
+            if not nonzero:
+                return divisors
+            _, r0, c0 = min(nonzero)
+            a[t], a[r0] = a[r0], a[t]
+            for row in a:
+                row[t], row[c0] = row[c0], row[t]
+            pivot = a[t][t]
+            for r in range(t + 1, nrows):
+                f = a[r][t] // pivot
+                a[r] = [x - f * y for x, y in zip(a[r], a[t])]
+            for c in range(t + 1, ncols):
+                f = a[t][c] // pivot
+                for row in a:
+                    row[c] -= f * row[t]
+            if any(a[r][t] for r in range(t + 1, nrows)) or any(
+                a[t][c] for c in range(t + 1, ncols)
+            ):
+                continue  # a remainder is now the smallest entry
+            bad = next(
+                (r for r in range(t + 1, nrows) for c in range(t + 1, ncols) if a[r][c] % pivot),
+                None,
+            )
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+        divisors.append(abs(a[t][t]))
+    return divisors
+
+
+def homology_by_dense_oracles(differentials, dims, mod: int = 0) -> dict:
+    """Reference for ``pmq.snf.homology_groups`` that does not use it: each
+    differential is written out as a dense matrix and reduced by the
+    textbook Smith reduction over Z, or by Gaussian elimination over F_p."""
+    return _homology_of_each_differential(
+        differentials, dims, mod,
+        lambda d, shape: dense_smith_oracle(d, *shape),
+        lambda d, shape, p: dense_rank_mod_p_oracle(d, *shape, p),
+    )
+
+
+def _homology_of_each_differential(differentials, dims, mod, smith, rank) -> dict:
+    """The homology table from each differential d_n reduced on its own:
+    ``smith(d, shape)`` gives its elementary divisors over Z and
+    ``rank(d, shape, p)`` its rank over F_p, where ``shape`` is
+    (dims[n - 1], dims[n])."""
     ranks = {}
     torsion_in = {}
     for n in dims:
         d = differentials.get(n, {})
+        shape = (dims.get(n - 1, 0), dims[n])
         if mod:
-            ranks[n] = rank_mod_p(d, mod)
+            ranks[n] = rank(d, shape, mod)
             torsion_in[n] = []
         else:
-            divisors = smith_normal_form(d)
+            divisors = smith(d, shape)
             ranks[n] = len(divisors)
             torsion_in[n] = [v for v in divisors if v != 1]
     out = {}
@@ -292,6 +380,22 @@ def homology_by_full_differentials(differentials, dims, mod: int = 0) -> dict:
             entry["torsion"] = torsion_in.get(n + 1, [])
         out[n] = entry
     return out
+
+
+def fuks_count(n: int, q: int) -> int:
+    """dim H^q(B_n; F_2) for the braid group on n >= 1 strands (Fuks 1970):
+    the number of partitions of n into powers of 2 with n - (number of
+    parts) = q."""
+    def count(m: int, parts: int, largest: int) -> int:
+        # partitions of m into ``parts`` powers of 2, each at most ``largest``
+        if m == 0 or largest == 0:
+            return int(m == 0 and parts == 0)
+        total = count(m, parts, largest // 2)
+        if largest <= m and parts:
+            total += count(m - largest, parts - 1, largest)
+        return total
+
+    return count(n, n - q, 1 << n.bit_length()) if 0 <= q < n else 0
 
 
 def pair_violation(pair) -> str | None:

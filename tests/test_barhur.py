@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     differentials_by_array_faces,
+    fuks_count,
     grids_by_filter,
+    homology_by_dense_oracles,
     homology_by_full_differentials,
     placements_by_filter,
     uct_ranks,
@@ -526,6 +528,54 @@ def test_s3_t6_full_complex():
     for p in (2, 3):
         hp = homology_groups(cx.differentials, cx.dims(), p)
         assert {n: d["rank"] for n, d in hp.items()} == uct_ranks(h, p), p
+        if p == 2:
+            assert_braid_group_cohomology(6, h, hp)
+
+
+def assert_braid_group_cohomology(n, h, h2):
+    """The relative homology of a transposition's ``t^n`` is ``H^*(B_n)``
+    read downwards from degree 2n (ROADMAP item 10).  ``h`` is the integer
+    table: rank 1 in degrees 2n and 2n - 1 and 0 elsewhere (Arnold; B_1
+    has no H^1).  ``h2`` is the F_2 table: rank the Fuks count at
+    q = 2n - degree."""
+    top = {2 * n, 2 * n - 1} if n > 1 else {2}
+    assert {m for m, e in h.items() if e["rank"]} == top, n
+    assert all(h[m]["rank"] == 1 for m in top), n
+    assert {m: e["rank"] for m, e in h2.items()} == {m: fuks_count(n, 2 * n - m) for m in h2}, n
+
+
+def test_braid_group_cohomology_of_s2_t_n():
+    # S_2's t = 21 has t·t undefined and t^t = t, so the grading t^n is the
+    # configuration space of n unordered points in the plane, a K(B_n, 1)
+    q = sym_geodesic_pmq(2)
+    comp = Completion(q)
+    for n in range(1, 6):
+        b = comp.of_labels(["21"] * n)
+        h = homology(build_relative_complex(q, b))
+        h2 = homology(build_relative_complex(q, b, 2))
+        assert_braid_group_cohomology(n, h, h2)
+        assert {m: e["rank"] for m, e in h2.items()} == uct_ranks(h, 2), n
+
+
+@pytest.mark.parametrize(
+    "make,max_norm",
+    [
+        (lambda: sym_geodesic_pmq(3), 3),
+        (lambda: sym_geodesic_pmq(4), 2),
+        (lambda: natural_truncation(3), 3),
+    ],
+    ids=["S3", "S4", "natural3"],
+)
+def test_homology_matches_dense_oracles(make, max_norm):
+    # real chain complexes against dense reductions that share no code
+    # with pmq.snf, over Z, F_2 and F_5
+    q = make()
+    comp = Completion(q)
+    for b in comp.classes_up_to(max_norm):
+        for mod in (0, 2, 5):
+            cx = build_relative_complex(q, b, mod)
+            want = homology_by_dense_oracles(cx.differentials, cx.dims(), mod)
+            assert homology(cx) == want, (b.labels(), mod)
 
 
 def test_face_index_errors(comp3):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import uct_ranks
+from helpers import dense_rank_mod_p_oracle, dense_smith_oracle, uct_ranks
 from pmq.snf import (
     _eliminate,
     homology_groups,
@@ -31,66 +31,6 @@ def dense_rank_oracle(entries, nrows, ncols) -> int:
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
-
-
-def dense_rank_mod_p_oracle(entries, nrows, ncols, p) -> int:
-    mat = [[entries.get((r, c), 0) % p for c in range(ncols)] for r in range(nrows)]
-    rank = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if mat[r][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        for r in range(nrows):
-            if r != rank and mat[r][c]:
-                f = mat[r][c] * inv
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def dense_smith_oracle(entries, nrows, ncols) -> list[int]:
-    """Textbook Smith reduction of the dense matrix: move the smallest entry
-    to the corner, divide it out of its row and column, and when it fails to
-    divide the rest, add the offending row to the pivot row and repeat."""
-    a = [[entries.get((r, c), 0) for c in range(ncols)] for r in range(nrows)]
-    divisors = []
-    for t in range(min(nrows, ncols)):
-        while True:
-            nonzero = [
-                (abs(a[r][c]), r, c)
-                for r in range(t, nrows)
-                for c in range(t, ncols)
-                if a[r][c]
-            ]
-            if not nonzero:
-                return divisors
-            _, r0, c0 = min(nonzero)
-            a[t], a[r0] = a[r0], a[t]
-            for row in a:
-                row[t], row[c0] = row[c0], row[t]
-            pivot = a[t][t]
-            for r in range(t + 1, nrows):
-                f = a[r][t] // pivot
-                a[r] = [x - f * y for x, y in zip(a[r], a[t])]
-            for c in range(t + 1, ncols):
-                f = a[t][c] // pivot
-                for row in a:
-                    row[c] -= f * row[t]
-            if any(a[r][t] for r in range(t + 1, nrows)) or any(
-                a[t][c] for c in range(t + 1, ncols)
-            ):
-                continue  # a remainder is now the smallest entry
-            bad = next(
-                (r for r in range(t + 1, nrows) for c in range(t + 1, ncols) if a[r][c] % pivot),
-                None,
-            )
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        divisors.append(abs(a[t][t]))
-    return divisors
 
 
 def det_oracle(entries, n) -> int:
@@ -209,26 +149,52 @@ def test_divisibility_chain():
 
 
 def test_markowitz_pivot_choice():
-    # rows of equal length are taken in row order, so row 0 goes first; of
-    # its unit entries the one whose column has the fewest nonzeros is the
-    # pivot, the first in row order on a tie
+    # the elimination runs on the transpose: no column has one entry, and
+    # columns of equal length are taken in column order, so column 0 goes
+    # first; of its unit entries the one whose row has the fewest nonzeros
+    # is the pivot, the first met on a tie, and the scan stops at a row
+    # holding only this column
     entries = {
-        (0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 2,   # column counts 3, 2, 2, 1
-        (1, 0): 1, (1, 1): 1, (1, 4): 1, (1, 5): 1,
-        (2, 0): 1, (2, 2): 1, (2, 5): 1, (2, 6): 1,
+        (0, 0): 2, (1, 0): 1, (2, 0): 1,              # row counts 1, 3, 2
+        (2, 1): 1, (5, 1): 1, (6, 1): 1,
+        (1, 2): 1, (3, 2): 1, (4, 2): 1,
+        (1, 3): 1, (3, 3): 1, (5, 3): 1, (7, 3): 1,
     }
-    # over Z the 2 is no unit: columns 1 and 2 tie at two nonzeros and 1
-    # wins; clearing it leaves row 1 as columns 4, 5, 2, 3, so it comes
-    # next and takes column 4, the first alone in its column, and row 2
-    # takes column 0, whose entry in row 1 cancelled
+    # over Z the 2 is no unit and row 2 beats row 1; clearing row 2 from
+    # column 1 leaves it as rows 5, 6, 0, 1, so column 2 (rows 1, 3, 4)
+    # comes before it and takes row 4, alone in its row, then column 1
+    # takes row 6 and column 3 row 1
     pivot_cols = []
-    assert smith_normal_form(entries, pivot_cols=pivot_cols) == [1, 1, 1]
-    assert pivot_cols == [1, 4, 0]
-    # over F_5 the 2 is a unit alone in its column and beats both; rows 1
-    # and 2 then take their first single-entry unit column
+    assert smith_normal_form(entries, pivot_cols=pivot_cols) == [1, 1, 1, 1]
+    assert pivot_cols == [0, 2, 1, 3]
+    # over F_5 the 2 is a unit alone in its row, so column 0 drops out
+    # without touching another column and the rest go in column order
     pivot_cols = []
-    assert rank_mod_p(entries, 5, pivot_cols=pivot_cols) == 3
-    assert pivot_cols == [3, 1, 0]
+    assert rank_mod_p(entries, 5, pivot_cols=pivot_cols) == 4
+    assert pivot_cols == [0, 1, 2, 3]
+
+
+def test_one_face_columns_and_the_no_unit_fallback():
+    entries = {
+        (0, 0): 1, (1, 0): 1, (2, 0): 1,
+        (0, 1): 1, (1, 1): 1,
+        (1, 2): 2,                                    # one face
+        (0, 3): 1, (2, 3): 1, (3, 3): 1,
+    }
+    # over F_5 column 2's one face is a unit, so it is paired first: row 1
+    # leaves columns 0 and 1, column 1 is left with row 0 alone and is
+    # paired next, which leaves column 0 with row 2 alone, then column 3
+    pivot_cols = []
+    assert rank_mod_p(entries, 5, pivot_cols=pivot_cols) == 4
+    assert pivot_cols == [2, 1, 0, 3]
+    # over Z the 2 is set aside; column 1 takes row 0 (rows 0 and 1 tie at
+    # three nonzeros), which leaves column 0 with row 2 alone, paired next,
+    # and column 3 with rows 3 and 1; it takes row 3.  No column then has
+    # a unit, so the fallback takes the 2, which is not recorded: the
+    # determinant is 2
+    pivot_cols = []
+    assert smith_normal_form(entries, pivot_cols=pivot_cols) == [1, 1, 1, 2]
+    assert pivot_cols == [1, 0, 3]
 
 
 def with_pivot_cols(fn, *args, **kwargs):
