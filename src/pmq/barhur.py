@@ -36,7 +36,10 @@ b's class times the placements of their length, built column by column
 the cells left), not filtered from every cell subset.  A grid column depends
 only on the state and on which state positions the placement puts in it,
 so each such column pattern is tabulated once over the states of a length
-and a placement's grids are its columns' tables zipped together.
+and a placement's grids are its columns' tables zipped together.  The basis
+keeps that construction order: by bidegree, then by placement, then by
+state, so each placement's cells sit at consecutive positions of their
+degree.
 
 Faces act on the two factors separately: the face of the cell (placement
 P, state s) is the cell (P', t(s)).  The face placement P' and the sign
@@ -75,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
@@ -86,7 +89,6 @@ from .properties import property_report
 from .snf import homology_groups, is_prime
 
 Grid = tuple[tuple[int, ...], ...]   # inner columns, each a tuple of entries
-Cell = tuple[Grid, tuple[int, ...], int]   # grid, placement, state index
 
 __all__ = [
     "BisimplexArray",
@@ -252,22 +254,25 @@ def _placements(width: int, height: int, length: int) -> tuple[tuple[int, ...], 
     return tuple(sorted(out))
 
 
-def _cells_of_grading(q: FinitePmq, states: Mapping[int, Sequence[Seq]]) -> dict[tuple[int, int], list[Cell]]:
+def _cells_of_grading(
+    q: FinitePmq, states: Mapping[int, Sequence[Seq]]
+) -> dict[tuple[int, int], list[tuple[tuple[int, ...], list[Grid]]]]:
     """Admissible non-degenerate inner grids by bidegree, for the grading
     whose class has ``states`` (``Completion.class_states``): each state of
-    length L written on each placement of L cells.  Every bidegree lists its
-    cells (grid, placement, index of the state in its length group), sorted
-    by grid.
+    length L written on each placement of L cells.  Every bidegree lists
+    (placement, grids) in construction order, lengths as in ``states`` and
+    placements as in ``_placements``, with one grid per state in its
+    length group's order.
 
     A grid column depends only on the state and on its pattern: which state
     position, if any, each of its rows holds.  So each pattern's column is
     tabulated once over the states of a length, with one ``itemgetter``,
     and a placement's grids are its columns' tables zipped together;
     grids of one length share their column tuples."""
-    out: dict[tuple[int, int], list[Cell]] = {}
+    out: dict[tuple[int, int], list[tuple[tuple[int, ...], list[Grid]]]] = {}
     for length, group in states.items():
         if not length:   # the unit grading: the empty grid
-            out[(0, 0)] = [((), (), 0)]
+            out[(0, 0)] = [((), [()])]
         padded = [state + (q.unit,) for state in group]   # index `length` reads the unit
         tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}   # pattern -> column per state
         for width in range(1, length + 1):
@@ -283,16 +288,7 @@ def _cells_of_grading(q: FinitePmq, states: Mapping[int, Sequence[Seq]]) -> dict
                             # a one-row getter returns the entry: zip wraps it
                             column = tables[pattern] = list(read if height > 1 else zip(read))
                         columns.append(column)
-                    out.setdefault((width, height), []).extend(
-                        zip(zip(*columns), repeat(cells), range(len(group)))
-                    )
-    # Grid order is kept for the reduction, which pivots in basis order.
-    # Left in (placement, state) order, S_3's 175,680-cell grading
-    # 132.231.231 reduced in a median 2.63 s instead of 2.35 s and peaked at
-    # 216 MB instead of 213 MB (8 alternating pairs, 2-CPU VM), repaying the
-    # ~0.2 s the sort costs here: removing it saves nothing end to end.
-    for grids in out.values():
-        grids.sort(key=itemgetter(0))
+                    out.setdefault((width, height), []).append((cells, list(zip(*columns))))
     return out
 
 
@@ -306,12 +302,14 @@ def _require_grading_over(q: FinitePmq, b: HatElem) -> None:
 def enumerate_arrays(q: FinitePmq, b: HatElem) -> list[BisimplexArray]:
     """Every admissible non-degenerate array with total grading b, each a
     state of b's class placed on cells meeting every inner row and column;
-    bidegrees are bounded by the norm of b in each direction."""
+    bidegrees are bounded by the norm of b in each direction.  Bidegrees
+    come in ascending order, each in the construction order of the
+    complex's basis: placement by placement, states in class order."""
     _require_grading_over(q, b)
     comp = b.completion
     out = []
-    for _, cells in sorted(_cells_of_grading(q, comp.class_states(b)).items()):
-        out.extend(BisimplexArray.from_inner(comp, grid) for grid, _, _ in cells)
+    for _, group in sorted(_cells_of_grading(q, comp.class_states(b)).items()):
+        out.extend(BisimplexArray.from_inner(comp, grid) for _, grids in group for grid in grids)
     return out
 
 
@@ -322,7 +320,9 @@ def enumerate_arrays(q: FinitePmq, b: HatElem) -> list[BisimplexArray]:
 class GradedComplex:
     """Finitely generated integer chain complex with array basis.
 
-    ``basis[n]`` lists (p, q, grid) in a fixed order; ``differentials[n]``
+    ``basis[n]`` lists (p, q, grid) in construction order (bidegrees
+    ascending, then placements, then the states of the grading's class on
+    each, as ``Completion.class_states`` lists them); ``differentials[n]``
     holds the sparse matrix of the degree-n differential into degree n-1,
     integer for every ``mod``, which picks the homology's ring: Z or F_p.
     """
@@ -490,7 +490,10 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     A cell is a state s on a placement P, and its face is the state
     table[s] on the face placement of P: face placements and signs are
     worked out once per (placement, face), and each table once per recipe
-    over the states of its length.  No two faces of a cell coincide (see
+    over the states of its length.  The basis is in construction order,
+    so P's cells take consecutive positions, kept as one list per
+    placement; the face of the cell at P's position list [s] is at the face
+    placement's list [table[s]].  No two faces of a cell coincide (see
     the module docstring), so each entry is one face's sign, written, not
     summed; entries go in column by column in basis order, faces in index
     order.  Every (placement, state) pair is a cell, so a degree's face
@@ -501,33 +504,29 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     triples, and the hits guard rules out an entry written twice, so the
     stored matrices are exactly the operator those triples define.  Its
     d∘d is read off the same triples, one placement at a time
-    (``_pairs_cancel``): if every group of face pairs cancels, d∘d is zero
-    on every state of every placement, and the stored matrices need no
-    check.  The cell lists and tables are freed on return."""
-    cells = _cells_of_grading(q, states)
+    (``_pairs_cancel``), with only the degree below's triples kept: if
+    every group of face pairs cancels, d∘d is zero on every state of every
+    placement, and the stored matrices need no check.  The position lists
+    and tables are freed on return."""
     basis: dict[int, list[tuple[int, int, Grid]]] = {}
     shapes: dict[int, list[tuple[int, int]]] = {}   # degree -> its bidegrees in basis order
-    # shape -> placement -> degree position of its cell for each state index,
-    # filled as the shape's columns are written, before the next degree reads it
+    # shape -> placement -> the degree positions of its cells, one per state:
+    # the same int objects key d_n's columns and d_(n+1)'s rows
     place: dict[tuple[int, int], dict[tuple[int, ...], list[int]]] = {}
-    start: dict[tuple[int, int], int] = {}   # shape -> degree position of its first cell
-    for (p, qq), group in sorted(cells.items()):
+    for (p, qq), group in sorted(_cells_of_grading(q, states).items()):
         column = basis.setdefault(p + qq, [])
         shapes.setdefault(p + qq, []).append((p, qq))
-        place[p, qq] = {
-            placed: [0] * len(states_l)
-            for length, states_l in states.items()
-            for placed in _placements(p, qq, length)
-        }
-        start[p, qq] = len(column)
-        column.extend((p, qq, grid) for grid, _, _ in group)
+        at = place[p, qq] = {}
+        for placed, grids in group:
+            at[placed] = list(range(len(column), len(column) + len(grids)))
+            column.extend((p, qq, grid) for grid in grids)
     index = {length: {state: k for k, state in enumerate(group)} for length, group in states.items()}
     # recipe -> (face table, number of states it sends into the PMQ); a
     # recipe names every state position, so it fixes the length
     tables: dict[tuple, tuple[list[Optional[int]], int]] = {}
-    # shape -> placement -> its faces (sign, table, rows, face placement),
-    # kept for the next degree's gate
-    faces: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
+    # first position of a placement of the degree below -> its faces
+    # (sign, table, rows), for the gate of the degree being written
+    below: dict[int, list] = {}
     memo: dict[tuple[int, int], Optional[int]] = {}   # see ``_pairs_cancel``
     interned: dict[tuple, int] = {}
     cancels = True
@@ -535,11 +534,10 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     for n in sorted(shapes):
         entries: dict[tuple[int, int], int] = {}
         hits = 0
+        listed_here: dict[int, list] = {}
         for shape in shapes[n]:
-            at = place[shape]
-            listed = faces[shape] = {}
-            for placed in at:
-                listed[placed] = []
+            for placed, cols in place[shape].items():
+                listed = listed_here[cols[0]] = []
                 for sign, face_shape, face_placed, recipe in _placement_faces(*shape, placed):
                     if len(face_placed) not in index:
                         continue   # no state that short: every product here is undefined
@@ -549,15 +547,14 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
                         known = tables[recipe] = table, len(table) - table.count(None)
                     table, count = known
                     hits += count
-                    rows = place[face_shape][face_placed]
-                    listed[placed].append((sign, table, rows, (face_shape, face_placed)))
-                cancels = cancels and _pairs_cancel(listed[placed], faces, memo, interned)
-            for col, (_, placed, s) in enumerate(cells[shape], start[shape]):
-                at[placed][s] = col   # one int per position, shared with d_(n+1)'s rows
-                for sign, table, rows, _ in listed[placed]:
-                    t = table[s]
-                    if t is not None:
-                        entries[rows[t], col] = sign
+                    listed.append((sign, table, place[face_shape][face_placed]))
+                cancels = cancels and _pairs_cancel(listed, below, memo, interned)
+                for s, col in enumerate(cols):
+                    for sign, table, rows in listed:
+                        t = table[s]
+                        if t is not None:
+                            entries[rows[t], col] = sign
+        below = listed_here
         if len(entries) != hits:
             raise AssertionError("two faces of one cell coincide")
         if entries:
@@ -565,24 +562,26 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     return basis, differentials, cancels
 
 
-def _pairs_cancel(listed: Sequence[tuple], faces: Mapping, memo: dict, interned: dict) -> bool:
+def _pairs_cancel(listed: Sequence[tuple], below: Mapping[int, Sequence[tuple]], memo: dict, interned: dict) -> bool:
     """Whether d∘d vanishes on every state of one placement P, read off
-    its faces ``listed`` and theirs in ``faces`` (both as in ``_assemble``).
+    its faces ``listed`` and theirs in ``below`` (both as in ``_assemble``;
+    a face's own faces are ``below[rows[0]]``).
 
     d∘d of the cell (P, s) is the sum of e_f e_g [P''_fg, t_g(t_f(s))] over
-    the face pairs (f, g).  Pairs with the same target P'' and the same
-    composite table t_g∘t_f give the same cell on every state, so if each
-    such group's signs sum to zero, d∘d(P, s) = 0 for every s.  A group
-    that does not cancel proves nothing, as different composites may
-    agree on some states; the caller then checks the stored matrices.
+    the face pairs (f, g).  Pairs with the same target P'' (named by its
+    first position) and the same composite table t_g∘t_f give the same cell
+    on every state, so if each such group's signs sum to zero,
+    d∘d(P, s) = 0 for every s.  A group that does not cancel proves
+    nothing, as different composites may agree on some states; the caller
+    then checks the stored matrices.
 
     ``memo`` holds each composite per pair of tables (one table per recipe
     within a build, so an ``id`` names it) as its int in ``interned``, one
     per distinct composite, or None when it sends every state out of the
     PMQ and so adds nothing."""
     sums: dict[tuple, int] = {}
-    for sign, table, _, (shape, placed) in listed:
-        for sign_g, table_g, _, target in faces[shape][placed]:
+    for sign, table, rows in listed:
+        for sign_g, table_g, target in below[rows[0]]:
             key = id(table), id(table_g)
             if key in memo:
                 made = memo[key]
@@ -593,7 +592,7 @@ def _pairs_cancel(listed: Sequence[tuple], faces: Mapping, memo: dict, interned:
                     else interned.setdefault(composed, len(interned))
                 )
             if made is not None:
-                group = target, made
+                group = target[0], made
                 sums[group] = sums.get(group, 0) + sign * sign_g
     return not any(sums.values())
 

@@ -76,7 +76,16 @@ def cmd_props(args) -> int:
     return 0
 
 
+def _not_negative(value: int, option: str) -> int:
+    """A bound given on the command line, refused when negative: a negative
+    bound would run over no level and print an empty census."""
+    if value < 0:
+        raise PreconditionError(f"--{option} {value} is negative", failed=option)
+    return value
+
+
 def cmd_complete(args) -> int:
+    _not_negative(args.max_norm, "max-norm")
     q, _ = _load_valid(args.file)
     comp = Completion(q)
     levels = {}
@@ -180,7 +189,7 @@ def cmd_symgeo(args) -> int:
         else:
             _emit({"connected": False, "differing_invariant": payload})
         return 0
-    n = args.triples if args.triples is not None else args.d
+    n = _not_negative(args.triples, "triples") if args.triples is not None else args.d
     q = sym_geodesic_pmq(args.d)
     comp = Completion(q)
     census = []

@@ -6,7 +6,8 @@ the tables, so a wrong axiom name cannot slip through.
 
 Also the generate-and-filter enumerations of array grids and of cell
 placements, the references the constructed basis of ``pmq.barhur`` and its
-placements are compared with, the differentials
+placements are compared with, the complex re-sorted by grid (the order the
+frozen digests of the face-table gate were taken in), the differentials
 assembled from the faces of ``BisimplexArray``, the reference for its fast
 face assembly, and homology from every full differential eliminated on its
 own, the reference for the reduction in ``pmq.snf.homology_groups``.  The
@@ -232,6 +233,26 @@ def placements_by_filter(width: int, height: int, length: int) -> tuple:
         if len({c // height for c in cells}) == width
         and len({c % height for c in cells}) == height
     )
+
+
+def grid_ordered(basis, differentials) -> tuple[dict, dict]:
+    """(basis, differentials) with each degree's basis sorted by
+    (p, q, grid): rows and columns re-indexed, and each differential's
+    entries inserted column by column in the new order, each column's
+    entries in their own order."""
+    order = {n: sorted(range(len(cells)), key=cells.__getitem__) for n, cells in basis.items()}
+    moved = {n: {old: new for new, old in enumerate(o)} for n, o in order.items()}
+    out = {}
+    for n, entries in differentials.items():
+        columns: dict = {}
+        for (r, c), v in entries.items():
+            columns.setdefault(c, []).append((r, v))
+        rows = moved[n - 1]
+        out[n] = {
+            (rows[r], new): v
+            for new, old in enumerate(order[n]) for r, v in columns.get(old, ())
+        }
+    return {n: [cells[i] for i in order[n]] for n, cells in basis.items()}, out
 
 
 def differentials_by_array_faces(comp, basis) -> dict:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     differentials_by_array_faces,
     fuks_count,
+    grid_ordered,
     grids_by_filter,
     homology_by_dense_oracles,
     homology_by_full_differentials,
@@ -208,14 +209,54 @@ def test_grids_by_construction_match_generate_and_filter(make, max_norm):
     for b in comp.classes_up_to(max_norm):
         states = comp.class_states(b)
         cells = _cells_of_grading(q, states)
-        grids = {shape: [grid for grid, _, _ in group] for shape, group in cells.items()}
+        grids = {shape: sorted(grid for _, grids in group for grid in grids) for shape, group in cells.items()}
         assert grids == grids_by_filter(q, comp, b), b.labels()
-        # each grid is its state written on its placement, units elsewhere
+        # a placement's k-th grid is the k-th state of its length written
+        # on it, units elsewhere
         for group in cells.values():
-            for grid, placed, s in group:
+            for placed, grids in group:
+                assert len(grids) == len(states[len(placed)])
+                for grid, state in zip(grids, states[len(placed)]):
+                    flat = [x for col in grid for x in col]
+                    assert tuple(flat[c] for c in placed) == state
+                    assert flat.count(q.unit) == len(flat) - len(placed)
+
+
+@pytest.mark.parametrize(
+    "make,max_norm",
+    [(lambda: sym_geodesic_pmq(3), 4), (lambda: natural_truncation(3), 3)],
+    ids=["S3", "natural3"],
+)
+def test_basis_is_in_construction_order(make, max_norm):
+    # basis[n] runs through its bidegrees in ascending order, each
+    # bidegree's placements in _placements order (lengths as class_states
+    # lists them), and each placement's cells through the states of its
+    # length in class_states order; enumerate_arrays keeps that order
+    q = make()
+    comp = Completion(q)
+    for b in comp.classes_up_to(max_norm):
+        states = comp.class_states(b)
+        basis = build_relative_complex(q, b).basis
+        for n, cells in basis.items():
+            read = []   # (p, q, placement, state) of each cell, off its grid
+            for p, qq, grid in cells:
                 flat = [x for col in grid for x in col]
-                assert tuple(flat[c] for c in placed) == states[len(placed)][s]
-                assert flat.count(q.unit) == len(flat) - len(placed)
+                placed = tuple(c for c, x in enumerate(flat) if x != q.unit)
+                read.append((p, qq, placed, tuple(flat[c] for c in placed)))
+            shapes = sorted({(p, qq) for p, qq, _ in cells})
+            assert read == [
+                (p, qq, placed, state)
+                for p, qq in shapes
+                for length, group in states.items()
+                for placed in _placements(p, qq, length)
+                for state in group
+            ], (b.labels(), n)
+        inner = [
+            (arr.p, arr.q, tuple(tuple(h.in_base() for h in col[1:-1]) for col in arr.columns[1:-1]))
+            for arr in enumerate_arrays(q, b)
+        ]
+        by_bidegree = sorted((cell for cells in basis.values() for cell in cells), key=lambda c: c[:2])
+        assert inner == by_bidegree, b.labels()
 
 
 def test_warm_placement_memo_builds_the_same_complex():
@@ -240,7 +281,7 @@ def test_warm_placement_memo_builds_the_same_complex():
         return x is None or type(x) is int or (type(x) is tuple and all(map(frozen, x)))
 
     for (width, height), group in _cells_of_grading(q, comp.class_states(b)).items():
-        for _, placed, _ in group:
+        for placed, _ in group:
             assert frozen(_placement_faces(width, height, placed))
 
 
@@ -377,7 +418,10 @@ def test_cell_counts_match_inclusion_exclusion(d, max_norm):
     for b in comp.classes_up_to(max_norm):
         if b.is_unit:
             continue
-        built = {k: len(g) for k, g in _cells_of_grading(q, comp.class_states(b)).items()}
+        built = {
+            k: sum(len(grids) for _, grids in g)
+            for k, g in _cells_of_grading(q, comp.class_states(b)).items()
+        }
         assert built == predicted_cells(comp, b), b.labels()
 
 
@@ -670,9 +714,10 @@ def test_boundary_squared_check_sees_one_sign_flip(comp3, mod):
     assert flips > 50
 
 
-# the graded complexes of every grading up to the norm, pickled (protocol
-# 4) one after another in ``classes_up_to`` order: basis and differentials,
-# dict order included, as built before d∘d was gated on the face tables
+# the graded complexes of every grading up to the norm, re-sorted by grid
+# (``grid_ordered``) and pickled (protocol 4) one after another in
+# ``classes_up_to`` order: basis and differentials, dict order included,
+# as built before d∘d was gated on the face tables
 _GATE_CASES = {
     "S3": (lambda: sym_geodesic_pmq(3), 4,
            "1cdbddf718e88816ceeebe0a8fb6085e900dba3d41ede6b9d35b3a88bb6dd6cd"),
@@ -700,7 +745,7 @@ def test_face_table_gate_agrees_with_stored_matrices(case):
         basis, differentials, cancels = _assemble(q, comp.class_states(b))
         stored = GradedComplex(q, b, basis, differentials).check_boundary_squared()
         assert cancels is stored is True, b.labels()
-        h.update(pickle.dumps((basis, differentials), protocol=4))
+        h.update(pickle.dumps(grid_ordered(basis, differentials), protocol=4))
     assert h.hexdigest() == digest
 
 

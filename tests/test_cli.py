@@ -159,6 +159,22 @@ def test_ring_hilbert_negative_degree_exit_3(files, capsys):
     assert json.loads(out)["failed"] == "degree"
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [(("complete", "s3geo", "--max-norm", "-1"), "max-norm"),
+     (("symgeo", "--d", "3", "--triples", "-1"), "triples")],
+    ids=["complete", "symgeo"],
+)
+def test_negative_bound_exit_3(files, capsys, argv, option):
+    # a negative bound runs over no level; it is refused, not answered
+    # with an empty census
+    code = main([files.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["failed"] == option
+    assert "Traceback" not in captured.err
+
+
 def test_symgeo_census(files, capsys):
     code, out = run(capsys, "symgeo", "--d", "3", "--triples", "4")
     assert code == 0
