@@ -45,7 +45,7 @@ def main() -> None:
             nonzero = {
                 n: data for n, data in sorted(h.items()) if data["rank"] or data["torsion"]
             }
-            dims = " ".join(f"{n}:{len(cells)}" for n, cells in sorted(cx.basis.items()))
+            dims = " ".join(f"{n}:{size}" for n, size in sorted(cx.dims().items()))
             hline = ", ".join(
                 f"H_{n}=Z^{data['rank']}" + ("+" + "+".join(f"Z/{t}" for t in data["torsion"]) if data["torsion"] else "")
                 for n, data in nonzero.items()

@@ -30,16 +30,20 @@ The basis is built, not filtered.  Read column-major with units dropped,
 an admissible non-degenerate inner grid of grading b is a state of b's move
 component (``Completion.class_states``); conversely a state of length L
 written in that order into L cells of a w x h grid meeting every row and
-column, units elsewhere, is such a grid.  So the grids are the states of
+column, units elsewhere, is such a grid.  So the cells are the states of
 b's class times the placements of their length, built column by column
 (each a nonempty row set, a branch cut once the rows not yet met outnumber
-the cells left), not filtered from every cell subset.  A grid column depends
-only on the state and on which state positions the placement puts in it,
-so each such column pattern is tabulated once over the states of a length
-and a placement's grids are its columns' tables zipped together.  The basis
-keeps that construction order: by bidegree, then by placement, then by
-state, so each placement's cells sit at consecutive positions of their
-degree.
+the cells left), not filtered from every cell subset.  The basis keeps
+that construction order: by bidegree, then by placement, then by state,
+so each placement's cells sit at consecutive positions of their degree.
+The build holds them as (placement, state) blocks and never writes a
+grid: a placement's positions follow from the number of states of its
+length.  Grids are made on demand, when ``GradedComplex.basis`` is first
+read or by ``enumerate_arrays``, through one enumeration walking the same
+blocks in the same order; a grid column depends only on the state and on
+which state positions the placement puts in it, so each such column
+pattern is tabulated once over the states of a length and a placement's
+grids are its columns' tables zipped together.
 
 Faces act on the two factors separately: the face of the cell (placement
 P, state s) is the cell (P', t(s)).  The face placement P' and the sign
@@ -80,7 +84,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .completion import Completion, HatElem, Seq
 from .core import FinitePmq, map_violation
@@ -254,15 +258,34 @@ def _placements(width: int, height: int, length: int) -> tuple[tuple[int, ...], 
     return tuple(sorted(out))
 
 
+def _blocks(states: Mapping[int, Sequence[Seq]]) -> Iterator[tuple[tuple[int, int], int, tuple[int, ...]]]:
+    """(bidegree, length, placement) of each block of cells of the grading
+    whose class has ``states`` (``Completion.class_states``), in basis
+    order: bidegrees ascending, then lengths as in ``states``, then
+    placements as in ``_placements``.  A block's cells are the states of
+    its length written on its placement, in their group's order.  A state
+    of length L >= 1 fits a width x height grid with width, height <= L and
+    width * height >= L; the unit grading's one state is the empty grid."""
+    lengths: dict[tuple[int, int], list[int]] = {}   # bidegree -> lengths, in states order
+    for length in states:
+        shapes = [(0, 0)] if not length else [
+            (width, height) for width in range(1, length + 1)
+            for height in range(-(-length // width), length + 1)
+        ]
+        for shape in shapes:
+            lengths.setdefault(shape, []).append(length)
+    for shape in sorted(lengths):
+        for length in lengths[shape]:
+            for cells in _placements(*shape, length):
+                yield shape, length, cells
+
+
 def _cells_of_grading(
     q: FinitePmq, states: Mapping[int, Sequence[Seq]]
 ) -> dict[tuple[int, int], list[tuple[tuple[int, ...], list[Grid]]]]:
     """Admissible non-degenerate inner grids by bidegree, for the grading
-    whose class has ``states`` (``Completion.class_states``): each state of
-    length L written on each placement of L cells.  Every bidegree lists
-    (placement, grids) in construction order, lengths as in ``states`` and
-    placements as in ``_placements``, with one grid per state in its
-    length group's order.
+    whose class has ``states``: the blocks of ``_blocks``, in its order, as
+    (placement, grids) with one grid per state of the placement's length.
 
     A grid column depends only on the state and on its pattern: which state
     position, if any, each of its rows holds.  So each pattern's column is
@@ -270,25 +293,26 @@ def _cells_of_grading(
     and a placement's grids are its columns' tables zipped together;
     grids of one length share their column tuples."""
     out: dict[tuple[int, int], list[tuple[tuple[int, ...], list[Grid]]]] = {}
-    for length, group in states.items():
+    # index `length` of a padded state reads the unit
+    padded = {length: [state + (q.unit,) for state in group] for length, group in states.items()}
+    # length -> pattern -> column per state
+    tables: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {length: {} for length in states}
+    for (width, height), length, cells in _blocks(states):
         if not length:   # the unit grading: the empty grid
             out[(0, 0)] = [((), [()])]
-        padded = [state + (q.unit,) for state in group]   # index `length` reads the unit
-        tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}   # pattern -> column per state
-        for width in range(1, length + 1):
-            for height in range(-(-length // width), length + 1):
-                for cells in _placements(width, height, length):
-                    where = dict(zip(cells, range(length)))
-                    columns = []
-                    for start in range(0, width * height, height):
-                        pattern = tuple(where.get(c, length) for c in range(start, start + height))
-                        column = tables.get(pattern)
-                        if column is None:
-                            read = map(itemgetter(*pattern), padded)
-                            # a one-row getter returns the entry: zip wraps it
-                            column = tables[pattern] = list(read if height > 1 else zip(read))
-                        columns.append(column)
-                    out.setdefault((width, height), []).append((cells, list(zip(*columns))))
+            continue
+        where = dict(zip(cells, range(length)))
+        known = tables[length]
+        columns = []
+        for start in range(0, width * height, height):
+            pattern = tuple(where.get(c, length) for c in range(start, start + height))
+            column = known.get(pattern)
+            if column is None:
+                read = map(itemgetter(*pattern), padded[length])
+                # a one-row getter returns the entry: zip wraps it
+                column = known[pattern] = list(read if height > 1 else zip(read))
+            columns.append(column)
+        out.setdefault((width, height), []).append((cells, list(zip(*columns))))
     return out
 
 
@@ -307,10 +331,11 @@ def enumerate_arrays(q: FinitePmq, b: HatElem) -> list[BisimplexArray]:
     complex's basis: placement by placement, states in class order."""
     _require_grading_over(q, b)
     comp = b.completion
-    out = []
-    for _, group in sorted(_cells_of_grading(q, comp.class_states(b)).items()):
-        out.extend(BisimplexArray.from_inner(comp, grid) for _, grids in group for grid in grids)
-    return out
+    return [
+        BisimplexArray.from_inner(comp, grid)
+        for group in _cells_of_grading(q, comp.class_states(b)).values()
+        for _, grids in group for grid in grids
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +345,46 @@ def enumerate_arrays(q: FinitePmq, b: HatElem) -> list[BisimplexArray]:
 class GradedComplex:
     """Finitely generated integer chain complex with array basis.
 
-    ``basis[n]`` lists (p, q, grid) in construction order (bidegrees
-    ascending, then placements, then the states of the grading's class on
-    each, as ``Completion.class_states`` lists them); ``differentials[n]``
-    holds the sparse matrix of the degree-n differential into degree n-1,
-    integer for every ``mod``, which picks the homology's ring: Z or F_p.
+    ``sizes[n]`` is the number of cells of degree n (``dims``);
+    ``differentials[n]`` holds the sparse matrix of the degree-n
+    differential into degree n-1, integer for every ``mod``, which picks
+    the homology's ring: Z or F_p.  The build holds the cells as
+    (placement, state) blocks and writes no grid; ``basis[n]``, made on
+    its first read and kept in ``_grids``, lists (p, q, grid) in
+    construction order (bidegrees ascending, then placements, then the
+    states of the grading's class on each, as ``Completion.class_states``
+    lists them).
     """
 
     pmq: FinitePmq
     grading: HatElem
-    basis: dict[int, list[tuple[int, int, Grid]]]
+    sizes: dict[int, int]
     differentials: dict[int, dict[tuple[int, int], int]]
     mod: int = 0
+    _grids: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def dims(self) -> dict[int, int]:
-        return {n: len(cells) for n, cells in self.basis.items()}
+        return dict(self.sizes)
+
+    @property
+    def basis(self) -> dict[int, list[tuple[int, int, Grid]]]:
+        if self._grids is not None:
+            return self._grids
+        out: dict[int, list[tuple[int, int, Grid]]] = {}
+        b = self.grading
+        for (p, qq), group in _cells_of_grading(self.pmq, b.completion.class_states(b)).items():
+            out.setdefault(p + qq, []).extend((p, qq, grid) for _, grids in group for grid in grids)
+        if {n: len(cells) for n, cells in out.items()} != self.sizes:
+            raise AssertionError("grids differ from the built cells")
+        self._grids = out
+        return out
 
     def check_boundary_squared(self) -> bool:
         """Whether every composite d_n∘d_(n+1) is zero over Z, whatever
         ``mod`` is.  Each differential is grouped by column once, and the
         composite is summed one column of d_(n+1) at a time."""
         lower_n, lower = None, {}   # d_n by column, for the degree it holds
-        for n in sorted(self.basis):
+        for n in sorted(self.sizes):
             if lower_n != n:
                 lower = _by_column(self.differentials.get(n, {}))
             upper = _by_column(self.differentials.get(n + 1, {}))
@@ -476,29 +519,31 @@ def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComp
     if mod and not is_prime(mod):
         raise PreconditionError(f"modulus {mod} is not a prime", failed="prime")
     _require_grading_over(q, b)
-    basis, differentials, cancels = _assemble(q, b.completion.class_states(b))
-    out = GradedComplex(q, b, basis, differentials, mod)
+    sizes, differentials, cancels = _assemble(q, b.completion.class_states(b))
+    out = GradedComplex(q, b, sizes, differentials, mod)
     if not cancels and not out.check_boundary_squared():
         raise AssertionError("differential does not square to zero")
     return out
 
 
 def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
-    """(basis, differentials, cancels) of the grading whose class has
-    ``states``; ``cancels`` is True when the face tables prove d∘d = 0.
+    """(sizes, differentials, cancels) of the grading whose class has
+    ``states``: the number of cells per degree, the differentials, and
+    True when the face tables prove d∘d = 0.
 
     A cell is a state s on a placement P, and its face is the state
     table[s] on the face placement of P: face placements and signs are
     worked out once per (placement, face), and each table once per recipe
-    over the states of its length.  The basis is in construction order,
-    so P's cells take consecutive positions, kept as one list per
-    placement; the face of the cell at P's position list [s] is at the face
-    placement's list [table[s]].  No two faces of a cell coincide (see
-    the module docstring), so each entry is one face's sign, written, not
-    summed; entries go in column by column in basis order, faces in index
-    order.  Every (placement, state) pair is a cell, so a degree's face
-    hits are counted off the tables, and an entry count short of them
-    raises.
+    over the states of its length.  The blocks come from ``_blocks``, in
+    basis order, so P's cells take the next positions of its degree, as
+    many as there are states of its length, kept as one list per
+    placement, and no grid is written; the face of the cell at P's
+    position list [s] is at the face placement's list [table[s]].  No two
+    faces of a cell coincide (see the module docstring), so each entry is
+    one face's sign, written, not summed; entries go in column by column
+    in basis order, faces in index order.  Every (placement, state) pair
+    is a cell, so a degree's face hits are counted off the tables, and an
+    entry count short of them raises.
 
     Entries are written only from each placement's (sign, table, rows)
     triples, and the hits guard rules out an entry written twice, so the
@@ -508,18 +553,19 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     every group of face pairs cancels, d∘d is zero on every state of every
     placement, and the stored matrices need no check.  The position lists
     and tables are freed on return."""
-    basis: dict[int, list[tuple[int, int, Grid]]] = {}
+    sizes: dict[int, int] = {}   # degree -> its cells so far
     shapes: dict[int, list[tuple[int, int]]] = {}   # degree -> its bidegrees in basis order
     # shape -> placement -> the degree positions of its cells, one per state:
     # the same int objects key d_n's columns and d_(n+1)'s rows
     place: dict[tuple[int, int], dict[tuple[int, ...], list[int]]] = {}
-    for (p, qq), group in sorted(_cells_of_grading(q, states).items()):
-        column = basis.setdefault(p + qq, [])
-        shapes.setdefault(p + qq, []).append((p, qq))
-        at = place[p, qq] = {}
-        for placed, grids in group:
-            at[placed] = list(range(len(column), len(column) + len(grids)))
-            column.extend((p, qq, grid) for grid in grids)
+    for shape, length, placed in _blocks(states):
+        n = sum(shape)
+        if shape not in place:
+            place[shape] = {}
+            shapes.setdefault(n, []).append(shape)
+        start = sizes.setdefault(n, 0)
+        sizes[n] = start + len(states[length])
+        place[shape][placed] = list(range(start, sizes[n]))
     index = {length: {state: k for k, state in enumerate(group)} for length, group in states.items()}
     # recipe -> (face table, number of states it sends into the PMQ); a
     # recipe names every state position, so it fixes the length
@@ -559,7 +605,7 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
             raise AssertionError("two faces of one cell coincide")
         if entries:
             differentials[n] = entries
-    return basis, differentials, cancels
+    return sizes, differentials, cancels
 
 
 def _pairs_cancel(listed: Sequence[tuple], below: Mapping[int, Sequence[tuple]], memo: dict, interned: dict) -> bool:

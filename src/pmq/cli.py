@@ -62,6 +62,8 @@ def cmd_validate(args) -> int:
 def cmd_props(args) -> int:
     from .properties import property_report
 
+    if args.rmax is not None:
+        _at_least(args.rmax, 3, "rmax")
     q, _ = _load_valid(args.file)
     report = property_report(q, args.rmax)
     if args.csv:
@@ -76,16 +78,17 @@ def cmd_props(args) -> int:
     return 0
 
 
-def _not_negative(value: int, option: str) -> int:
-    """A bound given on the command line, refused when negative: a negative
-    bound would run over no level and print an empty census."""
-    if value < 0:
-        raise PreconditionError(f"--{option} {value} is negative", failed=option)
+def _at_least(value: int, least: int, option: str) -> int:
+    """A bound given on the command line, refused below ``least``: a lower
+    bound would run over no level (``--rmax``: no sequence length from 3 on)
+    and print an answer that checked nothing."""
+    if value < least:
+        raise PreconditionError(f"--{option} {value} is below {least}", failed=option)
     return value
 
 
 def cmd_complete(args) -> int:
-    _not_negative(args.max_norm, "max-norm")
+    _at_least(args.max_norm, 0, "max-norm")
     q, _ = _load_valid(args.file)
     comp = Completion(q)
     levels = {}
@@ -189,7 +192,7 @@ def cmd_symgeo(args) -> int:
         else:
             _emit({"connected": False, "differing_invariant": payload})
         return 0
-    n = _not_negative(args.triples, "triples") if args.triples is not None else args.d
+    n = _at_least(args.triples, 0, "triples") if args.triples is not None else args.d
     q = sym_geodesic_pmq(args.d)
     comp = Completion(q)
     census = []

@@ -259,6 +259,38 @@ def test_basis_is_in_construction_order(make, max_norm):
         assert inner == by_bidegree, b.labels()
 
 
+@pytest.mark.parametrize(
+    "make,max_norm",
+    [(lambda: sym_geodesic_pmq(3), 4), (lambda: natural_truncation(3), 3)],
+    ids=["S3", "natural3"],
+)
+def test_basis_grids_are_made_only_when_read(make, max_norm):
+    # building a complex and reducing it write no grid; the basis, once
+    # read, has the built sizes, and its cells are enumerate_arrays' arrays
+    # degree by degree, in the same order
+    q = make()
+    comp = Completion(q)
+    for b in comp.classes_up_to(max_norm):
+        cx = build_relative_complex(q, b)
+        homology(cx)
+        assert cx._grids is None, b.labels()
+        assert {n: len(cells) for n, cells in cx.basis.items()} == cx.dims()
+        assert cx._grids is cx.basis
+        arrays = {}
+        for arr in enumerate_arrays(q, b):
+            grid = tuple(tuple(h.in_base() for h in col[1:-1]) for col in arr.columns[1:-1])
+            arrays.setdefault(arr.p + arr.q, []).append((arr.p, arr.q, grid))
+        assert cx.basis == arrays, b.labels()
+
+
+def test_basis_refuses_grids_that_differ_from_the_built_cells():
+    q = sym_geodesic_pmq(3)
+    cx = build_relative_complex(q, Completion(q).of_labels(["213", "132", "213"]))
+    cx.sizes[min(cx.sizes)] += 1
+    with pytest.raises(AssertionError, match="grids differ from the built cells"):
+        cx.basis
+
+
 def test_warm_placement_memo_builds_the_same_complex():
     # placement faces are memoised per process and shared by every grading
     # that reaches a placement: a build on a warm memo must equal one on a
@@ -742,10 +774,11 @@ def test_face_table_gate_agrees_with_stored_matrices(case):
     comp = Completion(q)
     h = hashlib.sha256()
     for b in comp.classes_up_to(max_norm):
-        basis, differentials, cancels = _assemble(q, comp.class_states(b))
-        stored = GradedComplex(q, b, basis, differentials).check_boundary_squared()
+        sizes, differentials, cancels = _assemble(q, comp.class_states(b))
+        cx = GradedComplex(q, b, sizes, differentials)
+        stored = cx.check_boundary_squared()
         assert cancels is stored is True, b.labels()
-        h.update(pickle.dumps(grid_ordered(basis, differentials), protocol=4))
+        h.update(pickle.dumps(grid_ordered(cx.basis, differentials), protocol=4))
     assert h.hexdigest() == digest
 
 

@@ -175,6 +175,24 @@ def test_negative_bound_exit_3(files, capsys, argv, option):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("rmax", ["-1", "0"])
+def test_props_rmax_below_3_exit_3(files, capsys, rmax):
+    # pairwise determination is checked from sequence length 3 on, so a
+    # smaller bound checks nothing; it is refused, not reported as true
+    code = main(["props", files["s3geo"], "--rmax", rmax])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["failed"] == "rmax"
+    assert "Traceback" not in captured.err
+
+
+def test_props_rmax_3_is_checked(files, capsys):
+    code, out = run(capsys, "props", files["s3geo"], "--rmax", "3")
+    assert code == 0
+    pw = json.loads(out)["pairwise_determined"]
+    assert pw["status"] is True and pw["r_max"] == 3
+
+
 def test_symgeo_census(files, capsys):
     code, out = run(capsys, "symgeo", "--d", "3", "--triples", "4")
     assert code == 0
