@@ -63,12 +63,14 @@ face have different shapes.  For horizontal faces d_i, d_j with i < j,
 d_i merges columns i and i+1 while d_j leaves column i as it is, so
 column i of the two faces differs in total norm by N(column i+1) > 0, as
 every inner column holds a non-unit and norms add under merging; rows
-likewise.  The build counts the face hits per degree and raises if the
-entries fall short of them, so the argument is checked on every build.
+likewise.  The build checks the argument on every placement: two faces
+of one cell can meet only on one face placement, so it compares the face
+tables of the faces sharing one and raises if a state is sent to the same
+cell by both.
 
 The same tables gate d∘d = 0, exactly and per placement rather than per
 cell.  Entries are written only from the (sign, table, rows) triples of
-each placement's faces, and the hits guard rules out an entry written
+each placement's faces, and the check above rules out an entry written
 twice, so the stored matrices are the operator the tables define.  For
 it, d∘d of the cell (P, s) is the sum of e_f e_g [P''_fg, t_g(t_f(s))]
 over the face pairs (f, g) of P.  Grouping the pairs by target P'' and
@@ -82,15 +84,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
-from operator import itemgetter
+from itertools import accumulate, combinations, islice
+from operator import itemgetter, le
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .completion import Completion, HatElem, Seq
 from .core import FinitePmq, map_violation
 from .errors import PreconditionError, StructureError
 from .properties import property_report
-from .snf import homology_groups, is_prime
+from .snf import Matrix, homology_groups, is_prime
 
 Grid = tuple[tuple[int, ...], ...]   # inner columns, each a tuple of entries
 
@@ -348,18 +350,20 @@ class GradedComplex:
     ``sizes[n]`` is the number of cells of degree n (``dims``);
     ``differentials[n]`` holds the sparse matrix of the degree-n
     differential into degree n-1, integer for every ``mod``, which picks
-    the homology's ring: Z or F_p.  The build holds the cells as
-    (placement, state) blocks and writes no grid; ``basis[n]``, made on
-    its first read and kept in ``_grids``, lists (p, q, grid) in
-    construction order (bidegrees ascending, then placements, then the
-    states of the grading's class on each, as ``Completion.class_states``
-    lists them).
+    the homology's ring: Z or F_p.  Each is a ``snf.Matrix`` (flat row,
+    column and value lists) whose entries come column by column in
+    ascending column order, each column's faces in index order.  The
+    build holds the cells as (placement, state) blocks and writes no grid;
+    ``basis[n]``, made on its first read and kept in ``_grids``, lists
+    (p, q, grid) in construction order (bidegrees ascending, then
+    placements, then the states of the grading's class on each, as
+    ``Completion.class_states`` lists them).
     """
 
     pmq: FinitePmq
     grading: HatElem
     sizes: dict[int, int]
-    differentials: dict[int, dict[tuple[int, int], int]]
+    differentials: dict[int, Matrix]
     mod: int = 0
     _grids: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
@@ -381,42 +385,47 @@ class GradedComplex:
 
     def check_boundary_squared(self) -> bool:
         """Whether every composite d_n∘d_(n+1) is zero over Z, whatever
-        ``mod`` is.  Each differential is grouped by column once, and the
-        composite is summed one column of d_(n+1) at a time."""
-        lower_n, lower = None, {}   # d_n by column, for the degree it holds
+        ``mod`` is.  The composite is summed one column of d_(n+1) at a
+        time, each column of d_n read off its lists (``_column_starts``)."""
         for n in sorted(self.sizes):
-            if lower_n != n:
-                lower = _by_column(self.differentials.get(n, {}))
-            upper = _by_column(self.differentials.get(n + 1, {}))
-            if lower and not _composite_vanishes(lower, upper):
+            lower = self.differentials.get(n)
+            upper = self.differentials.get(n + 1)
+            if lower and upper and not _composite_vanishes(lower, upper, self.sizes[n]):
                 return False
-            lower_n, lower = n + 1, upper
         return True
 
 
-def _composite_vanishes(lower: Mapping[int, list], upper: Mapping[int, list]) -> bool:
-    """Whether the product of two matrices grouped by column (``_by_column``)
-    is zero.  A function
-    of its own, so that its bound lookups die with the call instead of
-    keeping d_n alive while the next degree is grouped."""
-    column_of = lower.get
-    for column in upper.values():
-        comp: dict[int, int] = {}
-        get = comp.get
-        for r, v in column:
-            for rr, vv in column_of(r, ()):
-                comp[rr] = get(rr, 0) + v * vv
-        if any(comp.values()):
-            return False
-    return True
+def _column_starts(d: Matrix, size: int) -> list[int]:
+    """Where each column of ``d`` (``size`` columns) starts in its lists:
+    column c's entries are at [starts[c], starts[c + 1]).  They must come
+    column by column in ascending column order, as ``_assemble`` writes
+    them."""
+    cols = d.cols
+    if not all(map(le, cols, islice(cols, 1, None))):
+        raise ValueError("matrix entries are not in column order")
+    starts = [0] * (size + 1)
+    for c in cols:
+        starts[c + 1] += 1
+    return list(accumulate(starts))
 
 
-def _by_column(entries: Mapping[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
-    """Sparse matrix entries grouped by column: col -> [(row, value)]."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in entries.items():
-        out.setdefault(c, []).append((r, v))
-    return out
+def _composite_vanishes(lower: Matrix, upper: Matrix, size: int) -> bool:
+    """Whether ``lower`` (``size`` columns) times ``upper`` is zero."""
+    starts = _column_starts(lower, size)
+    rows, vals = lower.rows, lower.vals
+    comp: dict[int, int] = {}
+    get = comp.get
+    at = None   # the column of ``upper`` being summed
+    for r, c, v in zip(upper.rows, upper.cols, upper.vals):
+        if c != at:
+            if any(comp.values()):
+                return False
+            comp.clear()
+            at = c
+        for k in range(starts[r], starts[r + 1]):
+            rr = rows[k]
+            comp[rr] = get(rr, 0) + v * vals[k]
+    return not any(comp.values())
 
 
 @cache
@@ -540,13 +549,15 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     placement, and no grid is written; the face of the cell at P's
     position list [s] is at the face placement's list [table[s]].  No two
     faces of a cell coincide (see the module docstring), so each entry is
-    one face's sign, written, not summed; entries go in column by column
-    in basis order, faces in index order.  Every (placement, state) pair
-    is a cell, so a degree's face hits are counted off the tables, and an
-    entry count short of them raises.
+    one face's sign, written, not summed: appended to the flat lists of a
+    ``snf.Matrix``, column by column in basis order, faces in index order.
+    Two faces can meet only on one face placement, that is, one position
+    list, so where a placement's faces share one, their tables are
+    compared (``_faces_coincide``), and a state they send to one cell
+    raises.
 
     Entries are written only from each placement's (sign, table, rows)
-    triples, and the hits guard rules out an entry written twice, so the
+    triples, and that check rules out an entry written twice, so the
     stored matrices are exactly the operator those triples define.  Its
     d∘d is read off the same triples, one placement at a time
     (``_pairs_cancel``), with only the degree below's triples kept: if
@@ -567,19 +578,19 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
         sizes[n] = start + len(states[length])
         place[shape][placed] = list(range(start, sizes[n]))
     index = {length: {state: k for k, state in enumerate(group)} for length, group in states.items()}
-    # recipe -> (face table, number of states it sends into the PMQ); a
-    # recipe names every state position, so it fixes the length
-    tables: dict[tuple, tuple[list[Optional[int]], int]] = {}
+    # recipe -> face table; a recipe names every state position, so it
+    # fixes the length
+    tables: dict[tuple, list[Optional[int]]] = {}
     # first position of a placement of the degree below -> its faces
     # (sign, table, rows), for the gate of the degree being written
     below: dict[int, list] = {}
     memo: dict[tuple[int, int], Optional[int]] = {}   # see ``_pairs_cancel``
     interned: dict[tuple, int] = {}
     cancels = True
-    differentials: dict[int, dict[tuple[int, int], int]] = {}
+    differentials: dict[int, Matrix] = {}
     for n in sorted(shapes):
-        entries: dict[tuple[int, int], int] = {}
-        hits = 0
+        entries = Matrix()
+        add_row, add_col, add_val = entries.rows.append, entries.cols.append, entries.vals.append
         listed_here: dict[int, list] = {}
         for shape in shapes[n]:
             for placed, cols in place[shape].items():
@@ -587,25 +598,34 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
                 for sign, face_shape, face_placed, recipe in _placement_faces(*shape, placed):
                     if len(face_placed) not in index:
                         continue   # no state that short: every product here is undefined
-                    known = tables.get(recipe)
-                    if known is None:
-                        table = _face_table(q, states[len(placed)], index[len(face_placed)], recipe)
-                        known = tables[recipe] = table, len(table) - table.count(None)
-                    table, count = known
-                    hits += count
+                    table = tables.get(recipe)
+                    if table is None:
+                        table = tables[recipe] = _face_table(q, states[len(placed)], index[len(face_placed)], recipe)
                     listed.append((sign, table, place[face_shape][face_placed]))
+                if len({id(rows) for _, _, rows in listed}) < len(listed) and _faces_coincide(listed):
+                    raise AssertionError("two faces of one cell coincide")
                 cancels = cancels and _pairs_cancel(listed, below, memo, interned)
                 for s, col in enumerate(cols):
                     for sign, table, rows in listed:
                         t = table[s]
                         if t is not None:
-                            entries[rows[t], col] = sign
+                            add_row(rows[t])
+                            add_col(col)
+                            add_val(sign)
         below = listed_here
-        if len(entries) != hits:
-            raise AssertionError("two faces of one cell coincide")
         if entries:
             differentials[n] = entries
     return sizes, differentials, cancels
+
+
+def _faces_coincide(listed: Sequence[tuple]) -> bool:
+    """Whether two faces in ``listed`` (as in ``_assemble``) send some state
+    to the same cell.  Faces on different face placements never do, so only
+    the tables of faces sharing one (one position list) are compared."""
+    return any(
+        rows is rows_other and any(t is not None and t == u for t, u in zip(table, other))
+        for (_, table, rows), (_, other, rows_other) in combinations(listed, 2)
+    )
 
 
 def _pairs_cancel(listed: Sequence[tuple], below: Mapping[int, Sequence[tuple]], memo: dict, interned: dict) -> bool:
@@ -767,20 +787,29 @@ def chain_map_commutes(
         return tuple(tuple(mapping[x] for x in col) for col in grid)
 
     for n, cells in sorted(ca.basis.items()):
-        cols_a = _by_column(ca.differentials.get(n, {}))
-        cols_b = _by_column(cb.differentials.get(n, {}))
+        column_a = _column_reader(ca.differentials.get(n), ca.sizes[n])
+        column_b = _column_reader(cb.differentials.get(n), cb.sizes.get(n, 0))
+        prev_a = ca.basis.get(n - 1, [])
         for pos, (_, _, grid) in enumerate(cells):
             img = image(grid)
             if img not in index_b:
                 return False
-            lhs = dict(cols_b.get(index_b[img], ()))
+            lhs = dict(column_b(index_b[img]))
             # image of d_a(cell)
             rhs: dict[int, int] = {}
-            prev_a = ca.basis.get(n - 1, [])
-            for r, v in cols_a.get(pos, ()):
+            for r, v in column_a(pos):
                 target = index_b[image(prev_a[r][2])]
                 rhs[target] = rhs.get(target, 0) + v
             rhs = {k: v for k, v in rhs.items() if v}
             if lhs != rhs:
                 return False
     return True
+
+
+def _column_reader(d: Optional[Matrix], size: int):
+    """Column c of ``d`` (``size`` columns, None for no entries) as
+    (row, value) pairs, read off its lists."""
+    if not d:
+        return lambda c: ()
+    starts = _column_starts(d, size)
+    return lambda c: zip(d.rows[starts[c]:starts[c + 1]], d.vals[starts[c]:starts[c + 1]])

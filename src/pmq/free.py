@@ -17,14 +17,19 @@ other shapes leave the factor sequence unchanged.  Iterating until no shape
 matches terminates (the weight strictly drops) on the tree
 x_1 . x_2 . ... . x_r.
 
-One rewrite step (``_rewrite_step``) walks the tree in post-order, children
-left to right before their parent, so the first match is the leftmost
-innermost one.  It counts leaves as it passes them, so it knows a node's
-leaf offset, where the moves of shapes (3) and (4) start, when it first
-reaches the node; on a match it replaces the sub-tree and rebuilds the
-ancestors it is standing in.  The walk keeps its own stack of ancestors
-instead of recursing: a factor w^-1 x_nu w is a chain of len(w)
-conjugations, and scrambled conjugators outgrow Python's recursion limit.
+Each rewrite is found by a walk of the tree in post-order (``_Walk``),
+children left to right before their parent, so the first match is the
+leftmost innermost one.  It counts leaves as it passes them, so it knows a
+node's leaf offset, where the moves of shapes (3) and (4) start, when it
+first reaches the node.  On a match it puts the replacement in place of
+the sub-tree and walks on from there, not from the root: whether a node
+matches depends only on its sub-tree, so the sub-trees already walked
+hold no match and are passed over whole, and each ancestor is rebuilt
+once, when the walk leaves it.  So a normalisation's time grows with its
+rewrites, not with rewrites times the tree's depth.  The walk keeps its
+own stack of ancestors instead of recursing: a factor w^-1 x_nu w is a
+chain of len(w) conjugations, and scrambled conjugators outgrow Python's
+recursion limit.
 
 The standard move itself is ``pmq.core.braid_act``, re-exported here;
 ``braid_act_word`` is ``pmq.core.apply_moves`` with free-group conjugation.
@@ -370,52 +375,86 @@ def _replace_node(node: Conj, shape: int, offset: int) -> tuple[GenDecomp, list[
     return prod_of(c.children[0].child, tail), []
 
 
-def _rebuild(path: list[tuple[GenDecomp, list[int]]], repl: GenDecomp) -> GenDecomp:
-    """The tree with ``repl`` in place of the node below ``path``, the chain
-    of its ancestors from the root, rebuilt upwards with products flattened."""
-    for node, offsets in reversed(path):
-        if isinstance(node, Prod):
-            i = len(offsets) - 1
-            repl = prod_of(*node.children[:i], repl, *node.children[i + 1 :])
-        else:
-            repl = Conj(repl, node.gen, node.sign)
-    return repl
+class _Walk:
+    """The post-order walk of the module docstring, resumed after each
+    rewrite where the replacement stands.
 
+    ``path`` holds a frame per ancestor of the node about to be entered,
+    root first: [node, todo, parts, offsets], with the children still to
+    walk (last first), those walked (as rebuilt), and the leaf offset of
+    each child entered.  A frame is rebuilt from its parts when the walk
+    leaves it, so a rewrite costs no rebuild of the ancestors.  ``walked``
+    holds (node, leaves) per id of every node left without a match; the
+    reference keeps the id unique."""
 
-def _rewrite_step(root: GenDecomp) -> Optional[tuple[GenDecomp, list[int], int]]:
-    """Replace the leftmost innermost shape: (new tree, moves, shape), or
-    None when no shape matches.  The walk is described in the module
-    docstring."""
-    # ancestors of the current node, each with the leaf offsets of its
-    # children entered so far; the last is the child being walked
-    path: list[tuple[GenDecomp, list[int]]] = []
-    node, leaves = root, 0
-    while True:
-        while not isinstance(node, Leaf):
-            path.append((node, [leaves]))
-            node = node.children[0] if isinstance(node, Prod) else node.child
-        leaves += 1
+    def __init__(self, root: GenDecomp):
+        self.path: list[list] = []
+        self.walked: dict[int, tuple[GenDecomp, int]] = {}
+        self.node, self.leaves = root, 0   # the node to enter, and the leaves before it
+
+    def tree(self) -> GenDecomp:
+        """The current tree: the node to enter, rebuilt upwards with its
+        ancestors, products flattened."""
+        node = self.node
+        for frame in reversed(self.path):
+            parent, todo, parts, _ = frame
+            if isinstance(parent, Prod):
+                node = prod_of(*parts, node, *reversed(todo))
+            else:
+                node = Conj(node, parent.gen, parent.sign)
+        return node
+
+    def step(self) -> Optional[tuple[list[int], int]]:
+        """Replace the leftmost innermost shape: (moves, shape), or None
+        when no shape is left."""
+        path, walked = self.path, self.walked
+        node, leaves = self.node, self.leaves
         while True:
-            if not path:
-                return None
-            node, offsets = path[-1]
-            if isinstance(node, Prod) and len(offsets) < len(node.children):
-                offsets.append(leaves)
-                node = node.children[len(offsets) - 1]
-                break
-            path.pop()
-            if isinstance(node, Conj):
-                shape = _conj_shape(node)
-                if shape is not None:
-                    repl, moves = _replace_node(node, shape, offsets[0])
-                    return _rebuild(path, repl), moves, shape
+            if isinstance(node, Leaf) or id(node) in walked:
+                leaves += 1 if isinstance(node, Leaf) else walked[id(node)][1]
+            else:
+                todo = list(reversed(node.children)) if isinstance(node, Prod) else [node.child]
+                path.append([node, todo, [], [leaves]])
+                node = todo.pop()
                 continue
-            kids = node.children
-            for i in range(len(kids) - 1):
-                shape = _pair_shape(kids[i], kids[i + 1])
-                if shape is not None:
-                    repl, moves = _replace_pair(kids[i], kids[i + 1], shape, offsets[i])
-                    return _rebuild(path, prod_of(*kids[:i], repl, *kids[i + 2 :])), moves, shape
+            # the node is done: hand it up, and leave each frame it completes
+            while True:
+                if not path:
+                    self.node, self.leaves = node, leaves
+                    return None
+                frame = path[-1]
+                frame[2].append(node)
+                if frame[1]:
+                    frame[3].append(leaves)
+                    node = frame[1].pop()
+                    break
+                path.pop()
+                old, _, parts, offsets = frame
+                if isinstance(old, Conj):
+                    node = Conj(parts[0], old.gen, old.sign)
+                    shape = _conj_shape(node)
+                    if shape is not None:
+                        repl, moves = _replace_node(node, shape, offsets[0])
+                        return self._resume(repl, offsets[0], moves, shape)
+                else:
+                    node = prod_of(*parts)
+                    kids = node.children
+                    for i in range(len(kids) - 1):
+                        shape = _pair_shape(kids[i], kids[i + 1])
+                        if shape is not None:
+                            repl, moves = _replace_pair(kids[i], kids[i + 1], shape, offsets[i])
+                            repl = prod_of(*kids[:i], repl, *kids[i + 2 :])
+                            return self._resume(repl, offsets[0], moves, shape)
+                walked[id(node)] = node, leaves - offsets[0]
+
+    def _resume(self, repl: GenDecomp, start: int, moves: list[int], shape: int) -> tuple[list[int], int]:
+        """Put ``repl`` where the matched node stood, its first leaf at
+        ``start``: a product inside a product is spliced into it."""
+        if self.path and isinstance(repl, Prod) and isinstance(self.path[-1][0], Prod):
+            self.path[-1][1].extend(reversed(repl.children[1:]))
+            repl = repl.children[0]
+        self.node, self.leaves = repl, start
+        return moves, shape
 
 
 def normalize_decomposition(
@@ -441,13 +480,14 @@ def normalize_decomposition(
         if w != free_reduce(w) or (w and abs(w[0]) == nu):
             raise PreconditionError("factor conjugator not in normal form")
 
-    tree = decomposition_to_gd(factors)
+    walk = _Walk(decomposition_to_gd(factors))
     log: list[int] = []
-    weight = gd_weight(tree)
-    while (step := _rewrite_step(tree)) is not None:
-        tree, moves, shape = step
+    weight = gd_weight(walk.node)
+    while (step := walk.step()) is not None:
+        moves, shape = step
         log.extend(moves)
         weight -= _DROP[shape]
+    tree = walk.tree()
 
     expected: GenDecomp = prod_of(*(Leaf(i) for i in target)) if r > 1 else Leaf(1)
     assert weight == gd_weight(tree) == r, "weight bookkeeping out of sync"

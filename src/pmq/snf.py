@@ -1,7 +1,10 @@
 """Exact linear algebra over Z and F_p: Smith normal form, ranks, homology
 by reduction.
 
-Matrices are sparse maps (row, col) -> int.  Both rings share one
+Matrices are sparse maps (row, col) -> int: any ``Mapping``, such as a
+dict, or a ``Matrix``, which keeps its entries as three flat lists (rows,
+columns, values) in the order they were written, about 24 bytes an entry
+where a dict slot and its key tuple take about 100.  Both rings share one
 elimination loop, and it runs on the transpose: the loop's rows are the
 matrix columns (a cell and its faces), its row operations are column
 operations, and ranks and elementary divisors do not change.  Columns wait
@@ -54,13 +57,14 @@ pairs into fill-in.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
-from typing import Collection, Mapping
 
 Entries = Mapping[tuple[int, int], int]
 
 __all__ = [
+    "Matrix",
     "is_prime",
     "smith_normal_form",
     "integer_rank",
@@ -72,6 +76,42 @@ __all__ = [
 def is_prime(p: int) -> bool:
     """Trial division; the moduli here are small."""
     return p >= 2 and all(p % k for k in range(2, isqrt(p) + 1))
+
+
+class Matrix(Mapping):
+    """A sparse integer matrix as three parallel lists: ``rows[k]``,
+    ``cols[k]`` and ``vals[k]`` are its k-th entry, in the order the
+    entries were appended, which is the order of ``items()``.  Read-only
+    as a mapping, except that an existing entry's value may be assigned;
+    a new key raises ``KeyError``.  A key lookup scans the lists."""
+
+    __slots__ = ("rows", "cols", "vals")
+
+    def __init__(self):
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.vals: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.vals)
+
+    def __iter__(self):
+        return zip(self.rows, self.cols)
+
+    def items(self):
+        return zip(zip(self.rows, self.cols), self.vals)
+
+    def _index(self, key: tuple[int, int]) -> int:
+        for k, entry in enumerate(zip(self.rows, self.cols)):
+            if entry == key:
+                return k
+        raise KeyError(key)
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        return self.vals[self._index(key)]
+
+    def __setitem__(self, key: tuple[int, int], value: int) -> None:
+        self.vals[self._index(key)] = value
 
 
 def _eliminate(
@@ -101,7 +141,11 @@ def _eliminate(
     # cell and its faces), its columns the matrix rows
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
+    if isinstance(entries, Matrix):
+        triples = zip(entries.rows, entries.cols, entries.vals)
+    else:
+        triples = ((r, c, v) for (r, c), v in entries.items())
+    for r, c, v in triples:
         if p:
             v %= p
         if v and r not in skip_rows:

@@ -19,6 +19,9 @@ complex.
 The conditions of a PMQ-group pair written out one by one, the reference
 for ``PmqGroupPair.check``, which decides them by validating the join.
 
+The braid normaliser's walk restarted at the root after every rewrite,
+the reference for ``pmq.free``'s resumed walk.
+
 And the same PMQ declared in another element order, for the tests that a
 result does not depend on that order, and the orbits of a step function by
 breadth-first search, the reference for the union-find closures.
@@ -32,6 +35,10 @@ from itertools import combinations
 
 from pmq.barhur import BisimplexArray
 from pmq.core import FinitePmq
+from pmq.free import (
+    Conj, Leaf, Prod, _conj_shape, _pair_shape, _replace_node, _replace_pair,
+    decomposition_to_gd, prod_of,
+)
 from pmq.serialize import pmq_from_json, pmq_to_json
 from pmq.snf import rank_mod_p, smith_normal_form
 
@@ -461,3 +468,51 @@ def pair_violation(pair) -> str | None:
             if e[r[x][a]] != g.conj(e[a], x):
                 return "e is not equivariant"
     return None
+
+
+def moves_by_restarted_walk(factors) -> list[int]:
+    """The move log of ``pmq.free.normalize_decomposition``, each rewrite
+    found by a post-order walk from the root (children left to right
+    before their parent, leaves counted as they are passed) and the tree
+    rebuilt upwards from the replaced node before the next walk."""
+    tree, log = decomposition_to_gd(factors), []
+    while True:
+        path, node, leaves, step = [], tree, 0, None
+        while step is None:
+            while not isinstance(node, Leaf):
+                path.append((node, [leaves]))
+                node = node.children[0] if isinstance(node, Prod) else node.child
+            leaves += 1
+            while True:
+                if not path:
+                    return log
+                node, offsets = path[-1]
+                if isinstance(node, Prod) and len(offsets) < len(node.children):
+                    offsets.append(leaves)
+                    node = node.children[len(offsets) - 1]
+                    break
+                path.pop()
+                if isinstance(node, Conj):
+                    shape = _conj_shape(node)
+                    if shape is not None:
+                        step = _replace_node(node, shape, offsets[0])
+                        break
+                    continue
+                kids = node.children
+                for i in range(len(kids) - 1):
+                    shape = _pair_shape(kids[i], kids[i + 1])
+                    if shape is not None:
+                        repl, moves = _replace_pair(kids[i], kids[i + 1], shape, offsets[i])
+                        step = prod_of(*kids[:i], repl, *kids[i + 2 :]), moves
+                        break
+                if step is not None:
+                    break
+        repl, moves = step
+        log.extend(moves)
+        for node, offsets in reversed(path):
+            if isinstance(node, Prod):
+                i = len(offsets) - 1
+                repl = prod_of(*node.children[:i], repl, *node.children[i + 1 :])
+            else:
+                repl = Conj(repl, node.gen, node.sign)
+        tree = repl

@@ -45,7 +45,7 @@ from pmq.completion import Completion
 from pmq.errors import PreconditionError, StructureError
 from pmq.properties import intrinsic_pseudonorm, property_report
 from pmq.serialize import pmq_from_json, pmq_to_json
-from pmq.snf import homology_groups
+from pmq.snf import Matrix, homology_groups
 
 
 def random_array(comp, rng, p, q, support=3, max_entry_norm=2):
@@ -362,6 +362,60 @@ def test_fast_faces_match_array_faces(make, max_norm, extra):
             cx = build_relative_complex(q, b, mod)
             want = differentials_by_array_faces(comp, cx.basis)
             assert _items(cx.differentials) == _items(want), (b.labels(), mod)
+
+
+@pytest.mark.parametrize(
+    "make,max_norm",
+    [(lambda: sym_geodesic_pmq(3), 3), (lambda: natural_truncation(3), 4)],
+    ids=["S3", "natural3"],
+)
+def test_stored_matrices_are_mappings_in_write_order(make, max_norm):
+    # each differential is stored as flat lists, one entry per face hit,
+    # read as a mapping: its length is the number of nonzeros, its items
+    # come in the order the entries were written (column by column in
+    # basis order, faces in index order, as the oracle writes them), it
+    # equals the dict of the same entries, and only an existing entry's
+    # value can be assigned
+    q = make()
+    comp = Completion(q)
+    seen = 0
+    for b in comp.classes_up_to(max_norm):
+        cx = build_relative_complex(q, b)
+        want = differentials_by_array_faces(comp, cx.basis)
+        assert list(cx.differentials) == list(want)
+        for n, d in cx.differentials.items():
+            assert type(d) is Matrix
+            assert len(d) == len(want[n]) == len(set(d))
+            assert list(d.items()) == list(want[n].items())
+            assert list(d) == list(want[n])
+            assert d == want[n] and want[n] == d and d != {**want[n], (0, -1): 1}
+            key = list(d)[-1]
+            d[key] = 7
+            assert d[key] == 7 and list(d.items())[-1] == (key, 7) and d != want[n]
+            d[key] = want[n][key]
+            assert d == want[n]
+            with pytest.raises(KeyError):
+                d[-1, -1] = 1
+            with pytest.raises(KeyError):
+                d[-1, -1]
+            assert (-1, -1) not in d and key in d and len(d) == len(want[n])
+            seen += 1
+    assert seen > 10
+
+
+def test_boundary_squared_check_refuses_entries_out_of_column_order():
+    # the stored-matrix check finds each column of d_n as a run of its
+    # lists; the same entries in another order are refused, not misread
+    q = sym_geodesic_pmq(3)
+    cx = build_relative_complex(q, Completion(q).of_labels(["213", "132", "213"]))
+    n = min(n for n in cx.differentials if n + 1 in cx.differentials)
+    d = cx.differentials[n]
+    entries = dict(d.items())
+    for part in (d.rows, d.cols, d.vals):
+        part.reverse()
+    assert d == entries
+    with pytest.raises(ValueError, match="not in column order"):
+        cx.check_boundary_squared()
 
 
 def _items(differentials):

@@ -1,11 +1,13 @@
 import inspect
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import moves_by_restarted_walk
 from pmq.errors import PreconditionError
 from pmq.free import (
     Conj,
@@ -26,7 +28,7 @@ from pmq.free import (
     word_conj,
     word_conj_inv,
     _DROP,
-    _rewrite_step,
+    _Walk,
 )
 from pmq.symgeo import sym_geodesic_pair
 
@@ -183,7 +185,9 @@ def test_shape_table_covers_all_ten_shapes():
 
 @pytest.mark.parametrize("shape, tree, after, moves", SHAPES)
 def test_rewrite_step_on_each_shape(shape, tree, after, moves):
-    new, step_moves, step_shape = _rewrite_step(tree)
+    walk = _Walk(tree)
+    step_moves, step_shape = walk.step()
+    new = walk.tree()
     assert (step_shape, new, step_moves) == (shape, after, moves)
     assert free_reduce(gd_formal_word(new)) == free_reduce(gd_formal_word(tree))
     assert gd_weight(tree) - gd_weight(new) == _DROP[shape]
@@ -205,6 +209,35 @@ def test_normalize_chain_deeper_than_recursion_limit():
         log = normalize_decomposition(factors, 2, 2)
     finally:
         sys.setrecursionlimit(old)
+    assert braid_act_word(words, log) == ((1,), (2,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_resumed_walk_matches_restarted_walk(seed):
+    # the walk resumes where each replacement stands; a walk restarted at
+    # the root finds the same rewrites, so the move logs are equal
+    rng = random.Random(seed)
+    r = rng.randint(1, 5)
+    words = [fq_element(i, ()) for i in range(1, r + 1)]
+    for _ in range(rng.randint(0, 30)):
+        if r < 2:
+            break
+        i = rng.randint(1, r - 1)
+        words = braid_act_word(words, [rng.choice([i, -i])])
+    factors = [fq_decompose(w, r, r) for w in words]
+    assert normalize_decomposition(factors, r, r) == moves_by_restarted_walk(factors)
+
+
+def test_normalize_is_not_quadratic_in_the_conjugator_length():
+    # 1300 positive moves on (x_1, x_2): two conjugation chains of ~1300;
+    # restarting the walk at the root after every rewrite took ~3-4 s
+    words = braid_act_word([(1,), (2,)], [1] * 1300)
+    factors = [fq_decompose(w, 2, 2) for w in words]
+    start = time.perf_counter()
+    log = normalize_decomposition(factors, 2, 2)
+    assert time.perf_counter() - start < 1
+    assert log == [-1] * 1300
     assert braid_act_word(words, log) == ((1,), (2,))
 
 

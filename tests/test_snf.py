@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_rank_mod_p_oracle, dense_smith_oracle, uct_ranks
 from pmq.snf import (
+    Matrix,
     _eliminate,
     homology_groups,
     integer_rank,
@@ -200,6 +201,38 @@ def test_one_face_columns_and_the_no_unit_fallback():
 def with_pivot_cols(fn, *args, **kwargs):
     pivot_cols = []
     return fn(*args, pivot_cols=pivot_cols, **kwargs), pivot_cols
+
+
+def as_matrix(entries) -> Matrix:
+    """The list form of a dict of entries, in the dict's order."""
+    out = Matrix()
+    for (r, c), v in entries.items():
+        out.rows.append(r)
+        out.cols.append(c)
+        out.vals.append(v)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_strategy, matrix_strategy, st.sets(st.integers(0, 5), max_size=3))
+def test_list_form_reduces_like_the_dict(entries, above, skip):
+    # the same entries in the same order: the same pivots at the same
+    # columns, and the same homology, over Z and F_p
+    matrix = as_matrix(entries)
+    assert matrix == entries and list(matrix.items()) == list(entries.items())
+    for p in (0, 2, 5):
+        assert with_pivot_cols(_eliminate, matrix, p, skip_rows=skip) == with_pivot_cols(
+            _eliminate, entries, p, skip_rows=skip
+        )
+    assert with_pivot_cols(smith_normal_form, matrix, skip_rows=skip) == with_pivot_cols(
+        smith_normal_form, entries, skip_rows=skip
+    )
+    assert rank_mod_p(matrix, 3) == rank_mod_p(entries, 3)
+    dims = {0: 6, 1: 6, 2: 6}
+    for mod in (0, 2, 5):
+        assert homology_groups({1: matrix, 2: as_matrix(above)}, dims, mod) == homology_groups(
+            {1: entries, 2: above}, dims, mod
+        )
 
 
 @settings(max_examples=150, deadline=None)
