@@ -150,14 +150,6 @@ class BisimplexArray:
     def q(self) -> int:
         return len(self.columns[0]) - 2
 
-    def entry(self, i: int, j: int) -> HatElem:
-        return self.columns[i][j]
-
-    def to_labels(self) -> list[list[list[str]]]:
-        """Nested label grid, column by column; each entry is the canonical
-        label sequence of its completion class."""
-        return [[list(h.labels()) for h in col] for col in self.columns]
-
     def total_grading(self) -> HatElem:
         word: list[int] = []
         for col in self.columns:
@@ -678,8 +670,11 @@ def poincare_report(q: FinitePmq, budget: int) -> dict:
     with its norm equal to the intrinsic pseudonorm and coconnected, and
     checks that for every grading of norm at most the budget the top
     homology sits in degree twice the norm and is free of rank one.  Passing is necessary, never sufficient;
-    the report says which condition broke and where.
+    the report says which condition broke and where.  A budget below 1
+    raises ``PreconditionError``: it would check no grading.
     """
+    if budget < 1:
+        raise PreconditionError(f"budget {budget} is below 1", failed="budget")
     norm = q.require_norm()
     report = property_report(q)
     maxdec, cocon = report.maximally_decomposable, report.coconnected
@@ -770,46 +765,35 @@ def induced_faces_commute(
 def chain_map_commutes(
     qa: FinitePmq, qb: FinitePmq, mapping: Sequence[int], b: HatElem
 ) -> bool:
-    """Whether the entrywise map gives a chain map of relative complexes at
-    the given grading.
+    """Whether the entrywise map f gives a chain map of relative complexes at
+    the given grading: every cell's image is a cell of the target complex,
+    and f∘d_a = d_b∘f in every degree.
 
     True exactly when the zero-rules agree on both sides there; gradings
     whose arrays have faces that fall out of the source PMQ but not out of
     the target one make it fail, which mirrors the fact that the induced map
     of pairs does not exist in general; a non-map raises first."""
     hat_map, _ = induced_array_map(qa, qb, mapping)
-    b2 = hat_map(b)
     ca = build_relative_complex(qa, b)
-    cb = build_relative_complex(qb, b2)
+    cb = build_relative_complex(qb, hat_map(b))
     index_b = {grid: pos for cells in cb.basis.values() for pos, (_, _, grid) in enumerate(cells)}
-
-    def image(grid: Grid) -> Grid:
-        return tuple(tuple(mapping[x] for x in col) for col in grid)
-
-    for n, cells in sorted(ca.basis.items()):
-        column_a = _column_reader(ca.differentials.get(n), ca.sizes[n])
-        column_b = _column_reader(cb.differentials.get(n), cb.sizes.get(n, 0))
-        prev_a = ca.basis.get(n - 1, [])
-        for pos, (_, _, grid) in enumerate(cells):
-            img = image(grid)
-            if img not in index_b:
-                return False
-            lhs = dict(column_b(index_b[img]))
-            # image of d_a(cell)
-            rhs: dict[int, int] = {}
-            for r, v in column_a(pos):
-                target = index_b[image(prev_a[r][2])]
-                rhs[target] = rhs.get(target, 0) + v
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
-                return False
+    # the position of each cell's image in the target basis
+    f = {
+        n: [index_b.get(tuple(tuple(mapping[x] for x in col) for col in grid)) for _, _, grid in cells]
+        for n, cells in ca.basis.items()
+    }
+    if any(None in images for images in f.values()):
+        return False
+    for n, images in f.items():
+        sources: dict[int, list[int]] = {}
+        for c, t in enumerate(images):
+            sources.setdefault(t, []).append(c)
+        # (target row, source cell) -> entry, of d_b∘f and of f∘d_a
+        d_f = {(r, c): v for (r, t), v in cb.differentials.get(n, {}).items() for c in sources.get(t, ())}
+        f_d: dict[tuple[int, int], int] = {}
+        for (r, c), v in ca.differentials.get(n, {}).items():
+            key = f[n - 1][r], c
+            f_d[key] = f_d.get(key, 0) + v
+        if d_f != {key: v for key, v in f_d.items() if v}:
+            return False
     return True
-
-
-def _column_reader(d: Optional[Matrix], size: int):
-    """Column c of ``d`` (``size`` columns, None for no entries) as
-    (row, value) pairs, read off its lists."""
-    if not d:
-        return lambda c: ()
-    starts = _column_starts(d, size)
-    return lambda c: zip(d.rows[starts[c]:starts[c + 1]], d.vals[starts[c]:starts[c + 1]])

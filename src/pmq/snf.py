@@ -82,8 +82,7 @@ class Matrix(Mapping):
     """A sparse integer matrix as three parallel lists: ``rows[k]``,
     ``cols[k]`` and ``vals[k]`` are its k-th entry, in the order the
     entries were appended, which is the order of ``items()``.  Read-only
-    as a mapping, except that an existing entry's value may be assigned;
-    a new key raises ``KeyError``.  A key lookup scans the lists."""
+    as a mapping; a key lookup scans the lists."""
 
     __slots__ = ("rows", "cols", "vals")
 
@@ -101,17 +100,11 @@ class Matrix(Mapping):
     def items(self):
         return zip(zip(self.rows, self.cols), self.vals)
 
-    def _index(self, key: tuple[int, int]) -> int:
-        for k, entry in enumerate(zip(self.rows, self.cols)):
-            if entry == key:
-                return k
-        raise KeyError(key)
-
     def __getitem__(self, key: tuple[int, int]) -> int:
-        return self.vals[self._index(key)]
-
-    def __setitem__(self, key: tuple[int, int], value: int) -> None:
-        self.vals[self._index(key)] = value
+        for entry, v in self.items():
+            if entry == key:
+                return v
+        raise KeyError(key)
 
 
 def _eliminate(

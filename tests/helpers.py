@@ -9,12 +9,13 @@ placements, the references the constructed basis of ``pmq.barhur`` and its
 placements are compared with, the complex re-sorted by grid (the order the
 frozen digests of the face-table gate were taken in), the differentials
 assembled from the faces of ``BisimplexArray``, the reference for its fast
-face assembly, and homology from every full differential eliminated on its
-own, the reference for the reduction in ``pmq.snf.homology_groups``.  The
-dense textbook Smith and mod-p rank reductions, which share no code with
-``pmq.snf``, and homology from them; and the Fuks count of
-``H^*(B_n; F_2)``, an oracle for the gradings ``t^n`` that reads no
-complex.
+face assembly, and the chain-map check on those differentials, the
+reference for ``chain_map_commutes``; and homology from every full
+differential eliminated on its own, the reference for the reduction in
+``pmq.snf.homology_groups``.  The dense textbook Smith and mod-p rank
+reductions, which share no code with ``pmq.snf``, and homology from them;
+and the Fuks count of ``H^*(B_n; F_2)``, an oracle for the gradings
+``t^n`` that reads no complex.
 
 The conditions of a PMQ-group pair written out one by one, the reference
 for ``PmqGroupPair.check``, which decides them by validating the join.
@@ -33,7 +34,8 @@ import random
 from collections import deque
 from itertools import combinations
 
-from pmq.barhur import BisimplexArray
+from pmq.barhur import BisimplexArray, build_relative_complex
+from pmq.completion import Completion
 from pmq.core import FinitePmq
 from pmq.free import (
     Conj, Leaf, Prod, _conj_shape, _pair_shape, _replace_node, _replace_pair,
@@ -290,6 +292,44 @@ def differentials_by_array_faces(comp, basis) -> dict:
         if entries:
             out[n] = entries
     return out
+
+
+def chain_map_by_array_faces(qa: FinitePmq, qb: FinitePmq, mapping, b) -> bool:
+    """Reference for ``pmq.barhur.chain_map_commutes``: the differentials of
+    both complexes from ``differentials_by_array_faces`` on their bases, and
+    one source cell at a time, the column of its entrywise image in d_b
+    against the entrywise images of its faces in d_a, summed.  False when a
+    cell's image is not a target cell."""
+    comp_a, comp_b = Completion(qa), Completion(qb)
+    basis_a = build_relative_complex(qa, b).basis
+    basis_b = build_relative_complex(qb, comp_b.of_sequence([mapping[x] for x in b.word])).basis
+    where = {grid: pos for cells in basis_b.values() for pos, (_, _, grid) in enumerate(cells)}
+    image = {}
+    for cells in basis_a.values():
+        for _, _, grid in cells:
+            img = tuple(tuple(mapping[x] for x in col) for col in grid)
+            if img not in where:
+                return False
+            image[grid] = where[img]
+
+    def columns(entries) -> dict:
+        out: dict = {}
+        for (r, c), v in entries.items():
+            out.setdefault(c, {})[r] = v
+        return out
+
+    d_a = differentials_by_array_faces(comp_a, basis_a)
+    d_b = differentials_by_array_faces(comp_b, basis_b)
+    for n, cells in basis_a.items():
+        cols_a, cols_b = columns(d_a.get(n, {})), columns(d_b.get(n, {}))
+        for c, (_, _, grid) in enumerate(cells):
+            mapped: dict = {}
+            for r, v in cols_a.get(c, {}).items():
+                row = image[basis_a[n - 1][r][2]]
+                mapped[row] = mapped.get(row, 0) + v
+            if {r: v for r, v in mapped.items() if v} != cols_b.get(image[grid], {}):
+                return False
+    return True
 
 
 def uct_ranks(h: dict, p: int) -> dict:

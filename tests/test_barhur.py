@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    chain_map_by_array_faces,
     differentials_by_array_faces,
     fuks_count,
     grid_ordered,
@@ -374,8 +375,7 @@ def test_stored_matrices_are_mappings_in_write_order(make, max_norm):
     # read as a mapping: its length is the number of nonzeros, its items
     # come in the order the entries were written (column by column in
     # basis order, faces in index order, as the oracle writes them), it
-    # equals the dict of the same entries, and only an existing entry's
-    # value can be assigned
+    # equals the dict of the same entries, and it is read-only
     q = make()
     comp = Completion(q)
     seen = 0
@@ -390,12 +390,10 @@ def test_stored_matrices_are_mappings_in_write_order(make, max_norm):
             assert list(d) == list(want[n])
             assert d == want[n] and want[n] == d and d != {**want[n], (0, -1): 1}
             key = list(d)[-1]
-            d[key] = 7
-            assert d[key] == 7 and list(d.items())[-1] == (key, 7) and d != want[n]
-            d[key] = want[n][key]
+            assert d[key] == want[n][key]
+            with pytest.raises(TypeError):
+                d[key] = 7
             assert d == want[n]
-            with pytest.raises(KeyError):
-                d[-1, -1] = 1
             with pytest.raises(KeyError):
                 d[-1, -1]
             assert (-1, -1) not in d and key in d and len(d) == len(want[n])
@@ -607,6 +605,14 @@ def test_poincare_reports():
     assert rep["gradings"]["c"]["top_rank"] == 2
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_poincare_report_refuses_a_budget_below_one(budget):
+    # such a budget checks no grading, so a verdict would say nothing
+    with pytest.raises(PreconditionError, match=f"budget {budget} is below 1") as err:
+        poincare_report(sym_geodesic_pmq(3), budget)
+    assert err.value.failed == "budget"
+
+
 @pytest.mark.parametrize(
     "q",
     [
@@ -739,6 +745,64 @@ def test_functoriality_of_inclusion():
     assert not chain_map_commutes(qa, qb, mapping, comp_a.of_labels(["1", "1"]))
 
 
+def _conjugations(d, top):
+    q = sym_geodesic_pmq(d)
+    for t in range(len(q)):
+        mapping = [q.conj[a][t] for a in range(len(q))]
+        for b in Completion(q).classes_up_to(top):
+            yield q, q, mapping, b
+
+
+def _inclusions(top):
+    for k in (1, 2, 3):
+        qa, qb = natural_truncation(k), natural_truncation(k + 1)
+        mapping = [qb.index(label) for label in qa.labels]
+        for b in Completion(qa).classes_up_to(top):
+            yield qa, qb, mapping, b
+
+
+def _from_s3(qb, labels):
+    # the map sending the k-th element of S_3 to the k-th of ``labels``
+    q = sym_geodesic_pmq(3)
+    mapping = [qb.index(label) for label in labels]
+    for b in Completion(q).classes_up_to(3):
+        yield q, qb, mapping, b
+
+
+@pytest.mark.parametrize(
+    "make,count,failing",
+    [
+        # an automorphism a -> a^t maps each complex onto itself
+        (lambda: _conjugations(3, 3), 90, []),
+        (lambda: _conjugations(4, 2), 576, []),
+        # a sum undefined in natural_truncation(k) is defined in k + 1
+        (lambda: _inclusions(4), 15, ["1 1", "1 1 1", "1 1 1 1", "1 2", "2 2", "1 3"]),
+        # the norm map sends several cells to one, and a square undefined in
+        # S_3 to a defined sum
+        (lambda: _from_s3(natural_truncation(3), "011122"), 15,
+         ["132 132", "213 213", "321 321", "132 231", "132 312", "213 231",
+          "132 132 132", "213 213 213", "321 321 321"]),
+        # the map onto the unit sends each cell of positive norm to a
+        # degenerate grid, which is no cell
+        (lambda: _from_s3(unit_pmq(), "111111"), 15,
+         ["132", "213", "321", "231", "312", "132 132", "213 213", "321 321",
+          "132 231", "132 312", "213 231", "132 132 132", "213 213 213", "321 321 321"]),
+    ],
+    ids=["S3-conjugations", "S4-conjugations", "natural-inclusions", "S3-norm-map", "S3-to-unit"],
+)
+def test_chain_map_check_matches_array_face_oracle(make, count, failing):
+    # the check on whole stored differentials against both sides built
+    # from the array faces, one source cell at a time
+    failed, cases = [], 0
+    for qa, qb, mapping, b in make():
+        got = chain_map_commutes(qa, qb, mapping, b)
+        assert got == chain_map_by_array_faces(qa, qb, mapping, b), b.labels()
+        if not got:
+            failed.append(" ".join(b.labels()))
+        cases += 1
+    assert failed == failing and cases == count
+
+
 @pytest.mark.parametrize(
     "mapping,why",
     [([0, 1, 1], "does not preserve a defined product"), ([0, 1], "is not a map into the target")],
@@ -790,12 +854,12 @@ def test_boundary_squared_check_sees_one_sign_flip(comp3, mod):
         assert cx.check_boundary_squared()
         for n, d in cx.differentials.items():
             rows_above = {r for r, _ in cx.differentials.get(n + 1, {})}
-            candidates = sorted(k for k in d if k[1] in rows_above)
-            for key in rng.sample(candidates, min(5, len(candidates))):
-                v = d[key]
-                d[key] = (-v) % mod if mod else -v
+            candidates = sorted((key, k) for k, key in enumerate(d) if key[1] in rows_above)
+            for key, k in rng.sample(candidates, min(5, len(candidates))):
+                v = d.vals[k]
+                d.vals[k] = (-v) % mod if mod else -v
                 assert not cx.check_boundary_squared(), (b.labels(), n, key)
-                d[key] = v
+                d.vals[k] = v
                 flips += 1
     assert flips > 50
 
