@@ -80,8 +80,9 @@ def cmd_props(args) -> int:
 
 def _at_least(value: int, least: int, option: str) -> int:
     """A bound given on the command line, refused below ``least``: a lower
-    bound would run over no level (``--rmax``: no sequence length from 3 on)
-    and print an answer that checked nothing."""
+    bound would run over no level (``--rmax``: no sequence length from 3 on;
+    ``--d``: no point to permute) and print an answer that checked
+    nothing."""
     if value < least:
         raise PreconditionError(f"--{option} {value} is below {least}", failed=option)
     return value
@@ -184,6 +185,7 @@ def _pairs(text: str) -> list:
 def cmd_symgeo(args) -> int:
     from .symgeo import clebsch_connect, sym_geodesic_pmq, transposition, triples_of_weight
 
+    _at_least(args.d, 1, "d")
     if args.connect:
         t1, t2 = ([transposition(args.d, i, j) for i, j in _pairs(text)] for text in args.connect)
         kind, payload = clebsch_connect(t1, t2, args.d)

@@ -490,8 +490,10 @@ def normalize_decomposition(
     tree = walk.tree()
 
     expected: GenDecomp = prod_of(*(Leaf(i) for i in target)) if r > 1 else Leaf(1)
-    assert weight == gd_weight(tree) == r, "weight bookkeeping out of sync"
-    assert tree == expected, "rewriting did not reach the trivial tree"
+    if not (weight == gd_weight(tree) == r):
+        raise AssertionError("weight bookkeeping out of sync")
+    if tree != expected:
+        raise AssertionError("rewriting did not reach the trivial tree")
     return log
 
 

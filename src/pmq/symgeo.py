@@ -15,7 +15,6 @@ in closed form by triples (sigma; partition of [d]; one weight per piece).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -384,49 +383,85 @@ def _invert_moves(moves: Sequence[int]) -> list[int]:
     return [-m for m in reversed(moves)]
 
 
-def _monotone_normalise(seq: Sequence[Perm]) -> tuple[list[int], tuple[Perm, ...]]:
-    """Move log turning a minimal transposition factorisation into the
-    monotone one.
+def _standard_form(seq: Sequence[Perm]) -> tuple[list[int], tuple[Perm, ...]]:
+    """Move log carrying a transposition sequence to its standard form, and
+    the form: pairs (t, t), then the monotone factorisation of the product.
+    The form depends only on the invariants of ``seq_to_triple``.
 
-    Works on a shrinking prefix.  In each round, every maximal-height factor
-    of the prefix is pushed right with positive moves (conjugation by a
-    lower factor keeps the height); whenever two maximal-height factors are
-    adjacent they are distinct, by minimality, and the move
-    (t, t') -> (t'^(t^-1), t) strictly lowers one height.  The round ends
-    with a single maximal-height factor at the end of the prefix, which is
-    peeled off; heights of peeled factors strictly decrease leftwards, so the
-    result is the monotone factorisation.
+    Peeling, highest height first: the rightmost highest factor is pushed to
+    the end of the unpeeled part by positive moves (conjugation by a lower
+    factor keeps the height).  Alone at its height it is peeled; else the
+    next one is pushed beside it, and (h a), (h b) -> (a b), (h a) lowers a
+    height, or two equal ones go to the front as a pair.  Peeled heights
+    strictly increase, so the peeled factors are the monotone factorisation.
+
+    A pair passes a factor unchanged leftwards by positive moves and
+    rightwards by negative ones, and is conjugated by it the other way.  Each
+    piece x0 < x1 < ... gets a pair (x0 h) for each h > x0 that is not a
+    monotone height, then pairs (x0 x1).  Slot by slot, the first pair left
+    whose orbit under conjugation by the other factors (at most d(d-1)/2
+    transpositions) holds the wanted one is conjugated to it and carried
+    there.  A pair on a path from x0 to h always qualifies, since the filled
+    slots and the monotone factors do not join h to x0.
     """
-    cur = tuple(seq)
-    log: list[int] = []
-    end = len(cur)
-    while end > 0:
-        heights = [height(t) for t in cur[:end]]
-        h = max(heights, default=0)
-        if h == 0:
-            break
-        while True:
-            idx = [i for i in range(end) if height(cur[i]) == h]
-            # push each maximal-height factor right over lower factors
-            pushed = False
-            for i in reversed(idx):
-                j = i
-                while j + 1 < end and height(cur[j + 1]) < h:
-                    cur = apply_moves(cur, [j + 1])
-                    log.append(j + 1)
-                    j += 1
-                    pushed = True
-            idx = [i for i in range(end) if height(cur[i]) == h]
-            if len(idx) == 1 and idx[0] == end - 1:
+    cur, log = tuple(seq), []
+    d = len(cur[0]) if cur else 0
+
+    def move(*moves: int) -> None:
+        nonlocal cur
+        cur = apply_moves(cur, moves)
+        log.extend(moves)
+
+    def carry(j: int, to: int, conj: bool = False) -> None:
+        """Carry the pair at j to ``to``, unchanged, or conjugated by each
+        factor it passes when ``conj``."""
+        while j < to:
+            s = 1 if conj else -1
+            move(s * (j + 2), s * (j + 1))
+            j += 1
+        while j > to:
+            s = -1 if conj else 1
+            move(s * j, s * (j + 1))
+            j -= 1
+
+    pairs, end = 0, len(cur)   # cur[:pairs] holds pairs, cur[end:] the peeled factors
+    while pairs < end:
+        h = max(height(t) for t in cur[pairs:end])
+        top = [i for i in range(pairs, end) if height(cur[i]) == h]
+        move(*range(top[-1] + 1, end))
+        if len(top) == 1:
+            end -= 1
+            continue
+        move(*range(top[-2] + 1, end - 1))
+        if cur[end - 2] != cur[end - 1]:
+            move(-(end - 1))
+        else:
+            carry(end - 2, pairs)
+            pairs += 2
+
+    triple, heights = seq_to_triple(cur, d), {height(t) for t in cur[pairs:]}
+    wanted: list[Perm] = []
+    for piece, w in zip(triple.partition, triple.weights):
+        slots = [transposition(d, piece[0], h) for h in piece[1:] if h not in heights]
+        extra = (w - restricted_norm(triple.sigma, piece)) // 2 - len(slots)
+        wanted += slots + [transposition(d, piece[0], piece[1]) for _ in range(extra)]
+    for slot, want in zip(range(0, pairs, 2), wanted):
+        for j in range(slot, pairs, 2):
+            others = {cur[k]: k for k in range(len(cur)) if k not in (j, j + 1)}
+            paths, todo = {cur[j]: []}, [cur[j]]
+            for t in todo:
+                for g, k in others.items():
+                    if (u := perm_conj(t, g)) not in paths:
+                        paths[u] = paths[t] + [k]
+                        todo.append(u)
+            if want in paths:
                 break
-            if pushed:
-                continue
-            # maximal-height factors form a suffix block of size >= 2
-            i = idx[0]
-            assert cur[i] != cur[i + 1], "equal adjacent factors in a minimal factorisation"
-            cur = apply_moves(cur, [-(i + 1)])
-            log.append(-(i + 1))
-        end -= 1
+        for k in paths[want]:   # conjugated passing the factor at k, unchanged coming back
+            past, near = (k - 1, k - 2) if k > j else (k, k + 1)
+            carry(j, near)
+            carry(near, past, conj=True)
+            carry(past, j)
+        carry(j, slot)
     return log, cur
 
 
@@ -436,12 +471,11 @@ def clebsch_connect(s1: Sequence[Perm], s2: Sequence[Perm], d: Optional[int] = N
     Returns ``("log", moves)`` with ``apply_moves(s1, moves) == tuple(s2)``
     when the sequences lie in one orbit, else ``("different_invariants",
     description)`` naming the invariant (length, product, partition or
-    per-piece weights) that separates them.
-
-    Minimal factorisations (length equal to the norm of the product) are
-    normalised constructively through their monotone form; other orbits are
-    searched by bidirectional breadth-first search on the move graph.  The
-    returned log is re-verified before being reported.
+    per-piece weights) that separates them; these decide the orbit
+    (Clebsch 1873, Hurwitz 1891).  Both sequences, minimal or not, are
+    carried to their common ``_standard_form``.  The log is valid but not
+    the shortest, and is re-verified before being reported, by a check that
+    also runs under ``python -O``.
     """
     s1, s2 = tuple(s1), tuple(s2)
     if d is None:
@@ -456,52 +490,12 @@ def clebsch_connect(s1: Sequence[Perm], s2: Sequence[Perm], d: Optional[int] = N
     if t1.weights != t2.weights:
         return ("different_invariants", "weights")
 
-    if len(s1) == perm_norm(t1.sigma):
-        log1, m1 = _monotone_normalise(s1)
-        log2, m2 = _monotone_normalise(s2)
-        # both are the unique monotone factorisation of the product
-        assert m1 == m2
-        moves = log1 + _invert_moves(log2)
-        assert apply_moves(s1, moves) == s2
-        return ("log", moves)
-
-    moves = _bidirectional_bfs(s1, s2)
-    if moves is None:
-        return ("different_invariants", "not connected within the searched orbit")
-    assert apply_moves(s1, moves) == s2
+    log1, _ = _standard_form(s1)
+    log2, _ = _standard_form(s2)
+    moves = log1 + _invert_moves(log2)
+    if apply_moves(s1, moves) != s2:
+        raise AssertionError("the move log does not carry s1 to s2")
     return ("log", moves)
-
-
-def _neighbours(seq: tuple[Perm, ...]):
-    for i in range(1, len(seq)):
-        yield i, apply_moves(seq, [i])
-        yield -i, apply_moves(seq, [-i])
-
-
-def _bidirectional_bfs(s1: tuple[Perm, ...], s2: tuple[Perm, ...]) -> Optional[list[int]]:
-    if s1 == s2:
-        return []
-    fwd = {s1: []}
-    bwd = {s2: []}
-    qf, qb = deque([s1]), deque([s2])
-    while qf or qb:
-        for frontier, table, other, forward in ((qf, fwd, bwd, True), (qb, bwd, fwd, False)):
-            if not frontier:
-                continue
-            for _ in range(len(frontier)):
-                cur = frontier.popleft()
-                base = table[cur]
-                for m, nxt in _neighbours(cur):
-                    if nxt in table:
-                        continue
-                    path = base + [m]
-                    table[nxt] = path
-                    if nxt in other:
-                        if forward:
-                            return path + _invert_moves(other[nxt])
-                        return other[nxt] + _invert_moves(path)
-                    frontier.append(nxt)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ The conditions of a PMQ-group pair written out one by one, the reference
 for ``PmqGroupPair.check``, which decides them by validating the join.
 
 The braid normaliser's walk restarted at the root after every rewrite,
-the reference for ``pmq.free``'s resumed walk.
+the reference for ``pmq.free``'s resumed walk.  The bidirectional
+breadth-first search for a move path between transposition sequences, the
+reference for ``pmq.symgeo.clebsch_connect``, and a snippet run in a fresh
+``python -O``, for the checks that must not be assertions.
 
 And the same PMQ declared in another element order, for the tests that a
 result does not depend on that order, and the orbits of a step function by
@@ -30,7 +33,10 @@ breadth-first search, the reference for the union-find closures.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from itertools import combinations
 
@@ -43,6 +49,7 @@ from pmq.free import (
 )
 from pmq.serialize import pmq_from_json, pmq_to_json
 from pmq.snf import rank_mod_p, smith_normal_form
+from pmq.symgeo import apply_moves
 
 
 def relabelled(q: FinitePmq, order) -> FinitePmq:
@@ -556,3 +563,41 @@ def moves_by_restarted_walk(factors) -> list[int]:
             else:
                 repl = Conj(repl, node.gen, node.sign)
         tree = repl
+
+
+def moves_by_search(s1, s2) -> list[int] | None:
+    """A shortest move log carrying the transposition sequence ``s1`` to
+    ``s2`` by bidirectional breadth-first search on the move graph, or None
+    when ``s2`` is not in the orbit of ``s1``, once both sides have run
+    through their orbits."""
+    s1, s2 = tuple(s1), tuple(s2)
+    if s1 == s2:
+        return []
+    fwd, bwd = {s1: []}, {s2: []}
+    qf, qb = deque([s1]), deque([s2])
+    while qf or qb:
+        for frontier, table, other, forward in ((qf, fwd, bwd, True), (qb, bwd, fwd, False)):
+            for _ in range(len(frontier)):
+                cur = frontier.popleft()
+                for i in range(1, len(cur)):
+                    for m in (i, -i):
+                        nxt = apply_moves(cur, [m])
+                        if nxt in table:
+                            continue
+                        path = table[nxt] = table[cur] + [m]
+                        if nxt in other:
+                            there, back = (path, other[nxt]) if forward else (other[nxt], path)
+                            return there + [-x for x in reversed(back)]
+                        frontier.append(nxt)
+    return None
+
+
+def run_optimised(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh ``python -O``, which strips ``assert``
+    statements, with the library on the path.  The run opens with ``assert
+    False``, so it fails at once where assertions are not stripped."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "assert False\n" + code], env=env, capture_output=True, text=True, timeout=120
+    )

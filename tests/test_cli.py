@@ -162,12 +162,16 @@ def test_ring_hilbert_negative_degree_exit_3(files, capsys):
 @pytest.mark.parametrize(
     "argv,option",
     [(("complete", "s3geo", "--max-norm", "-1"), "max-norm"),
-     (("symgeo", "--d", "3", "--triples", "-1"), "triples")],
-    ids=["complete", "symgeo"],
+     (("symgeo", "--d", "3", "--triples", "-1"), "triples"),
+     (("symgeo", "--d", "0", "--triples", "1"), "d"),
+     (("symgeo", "--d", "0", "--connect", "[]", "[]"), "d"),
+     (("symgeo", "--d", "-2", "--connect", "[]", "[]"), "d")],
+    ids=["complete", "symgeo", "symgeo-d-census", "symgeo-d-connect", "symgeo-d-negative"],
 )
 def test_negative_bound_exit_3(files, capsys, argv, option):
-    # a negative bound runs over no level; it is refused, not answered
-    # with an empty census
+    # a bound below its least value runs over no level (S_d below d = 1 has
+    # no point to permute); it is refused, not answered with an empty
+    # census or "connected" for two empty sequences
     code = main([files.get(arg, arg) for arg in argv])
     captured = capsys.readouterr()
     assert code == 3

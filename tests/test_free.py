@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import moves_by_restarted_walk
+from helpers import moves_by_restarted_walk, run_optimised
 from pmq.errors import PreconditionError
 from pmq.free import (
     Conj,
@@ -115,6 +115,21 @@ def test_normalize_single_move_example():
 def test_normalize_identity_input_is_empty_log():
     factors = [(1, ()), (2, ()), (3, ())]
     assert normalize_decomposition(factors, 3, 3) == []
+
+
+def test_normalize_checks_hold_under_optimisation():
+    # wrong weight bookkeeping is refused by an explicit raise, not an
+    # assert that python -O strips
+    run = run_optimised(
+        "import pmq.free as fr\n"
+        "fr._DROP = dict.fromkeys(fr._DROP, 1)\n"
+        "try:\n"
+        "    fr.normalize_decomposition([(2, ()), (1, (2,))], 2, 2)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "weight bookkeeping out of sync\n"
 
 
 def test_normalize_rejects_wrong_product():

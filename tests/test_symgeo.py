@@ -1,12 +1,15 @@
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
 
 from pmq import core
+from helpers import moves_by_search, run_optimised
 from pmq.free import braid_act_word, word_mul
 from pmq.symgeo import (
+    _standard_form,
     all_transpositions,
     apply_moves,
     clebsch_connect,
@@ -248,6 +251,99 @@ def test_clebsch_full_group_case():
     kind, log = clebsch_connect(s1, s2)
     assert kind == "log"
     assert apply_moves(s1, log) == s2
+
+
+def _sequences(d, length):
+    return itertools.product(all_transpositions(d), repeat=length)
+
+
+@pytest.mark.parametrize("d, max_len", [(3, 7), (4, 5)])
+def test_standard_form_depends_only_on_the_invariants(d, max_len):
+    # every sequence, minimal or not: the log reaches the form, one form per
+    # class of (length, product, partition, weights), and the form is the
+    # pairs followed by the monotone factorisation of the product
+    for n in range(max_len + 1):
+        forms = {}
+        for seq in _sequences(d, n):
+            log, form = _standard_form(seq)
+            assert apply_moves(seq, log) == form
+            forms.setdefault(seq_to_triple(seq, d), set()).add(form)
+        assert len(forms) == len(triples_of_weight(d, n))
+        for triple, found in forms.items():
+            assert len(found) == 1, (triple, found)
+            (form,) = found
+            pairs = n - perm_norm(triple.sigma)
+            assert list(form[pairs:]) == monotone_decomposition(triple.sigma)
+            assert all(form[i] == form[i + 1] for i in range(0, pairs, 2))
+
+
+@pytest.mark.parametrize("d, max_len", [(3, 6), (4, 4)])
+def test_move_orbits_are_the_invariant_classes(d, max_len):
+    # union-find over single moves, an oracle that shares nothing with the
+    # standard form: its orbits are exactly the classes of the invariants
+    for n in range(max_len + 1):
+        seqs = list(_sequences(d, n))
+        index = {s: i for i, s in enumerate(seqs)}
+        edges = [(index[s], index[apply_moves(s, [i])]) for s in seqs for i in range(1, n)]
+        classes = {}
+        for i, s in enumerate(seqs):
+            classes.setdefault(seq_to_triple(s, d), []).append(i)
+        assert core.components(len(seqs), edges) == sorted(classes.values())
+
+
+def test_clebsch_agrees_with_the_move_search():
+    # random sequences in S_5 against pairs (t, t) followed by the monotone
+    # factorisation of their product: one length and product, and some of
+    # each answer.  The search is the connection oracle; where the answer is
+    # no, it runs through both orbits without meeting
+    rng = random.Random(7)
+    ts = all_transpositions(5)
+    answers = []
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        s1 = tuple(rng.choice(ts) for _ in range(n))
+        sigma = seq_to_triple(s1, 5).sigma
+        pairs = [t for _ in range((n - perm_norm(sigma)) // 2) for t in [rng.choice(ts)] * 2]
+        s2 = tuple(pairs + monotone_decomposition(sigma))
+        kind, log = clebsch_connect(s1, s2, 5)
+        assert (kind == "log") == (moves_by_search(s1, s2) is not None)
+        if kind == "log":
+            assert apply_moves(s1, log) == s2
+        answers.append(kind)
+    assert {"log", "different_invariants"} <= set(answers)
+
+
+def test_clebsch_time_gates():
+    # non-minimal sequences, far apart: the move-graph search this replaced
+    # took 8 s for 8 transpositions of S_5 and 23 s for 10 on a 2-CPU VM
+    rng = random.Random(11)
+    for d, n in [(5, 10), (6, 20)]:
+        ts = all_transpositions(d)
+        s1 = tuple(rng.choice(ts) for _ in range(n))
+        s2 = apply_moves(s1, _random_log(rng, n, 4000))
+        start = time.perf_counter()
+        kind, log = clebsch_connect(s1, s2)
+        seconds = time.perf_counter() - start
+        assert kind == "log" and apply_moves(s1, log) == s2
+        assert n > perm_norm(seq_to_triple(s1, d).sigma)
+        if d == 5:
+            assert seconds < 1.0
+
+
+def test_clebsch_log_check_holds_under_optimisation():
+    # a wrong log is refused by an explicit raise, not an assert that
+    # python -O strips
+    run = run_optimised(
+        "import pmq.symgeo as sg\n"
+        "sg._standard_form = lambda seq: ([], tuple(seq))\n"
+        "T = lambda i, j: sg.transposition(3, i, j)\n"
+        "try:\n"
+        "    sg.clebsch_connect((T(1, 2), T(2, 3)), (T(2, 3), T(1, 3)))\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "the move log does not carry s1 to s2\n"
 
 
 def test_env_word_problem_examples():
