@@ -84,15 +84,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, combinations, islice
-from operator import itemgetter, le
+from itertools import combinations
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .completion import Completion, HatElem, Seq
 from .core import FinitePmq, map_violation
 from .errors import PreconditionError, StructureError
 from .properties import property_report
-from .snf import Matrix, homology_groups, is_prime
+from .snf import Matrix, _column_starts, homology_groups, is_prime
 
 Grid = tuple[tuple[int, ...], ...]   # inner columns, each a tuple of entries
 
@@ -378,7 +378,7 @@ class GradedComplex:
     def check_boundary_squared(self) -> bool:
         """Whether every composite d_n∘d_(n+1) is zero over Z, whatever
         ``mod`` is.  The composite is summed one column of d_(n+1) at a
-        time, each column of d_n read off its lists (``_column_starts``)."""
+        time, each column of d_n read off its lists (``snf._column_starts``)."""
         for n in sorted(self.sizes):
             lower = self.differentials.get(n)
             upper = self.differentials.get(n + 1)
@@ -387,23 +387,9 @@ class GradedComplex:
         return True
 
 
-def _column_starts(d: Matrix, size: int) -> list[int]:
-    """Where each column of ``d`` (``size`` columns) starts in its lists:
-    column c's entries are at [starts[c], starts[c + 1]).  They must come
-    column by column in ascending column order, as ``_assemble`` writes
-    them."""
-    cols = d.cols
-    if not all(map(le, cols, islice(cols, 1, None))):
-        raise ValueError("matrix entries are not in column order")
-    starts = [0] * (size + 1)
-    for c in cols:
-        starts[c + 1] += 1
-    return list(accumulate(starts))
-
-
 def _composite_vanishes(lower: Matrix, upper: Matrix, size: int) -> bool:
     """Whether ``lower`` (``size`` columns) times ``upper`` is zero."""
-    starts = _column_starts(lower, size)
+    starts = _column_starts(lower.cols, size)
     rows, vals = lower.rows, lower.vals
     comp: dict[int, int] = {}
     get = comp.get

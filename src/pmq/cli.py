@@ -183,7 +183,7 @@ def _pairs(text: str) -> list:
 
 
 def cmd_symgeo(args) -> int:
-    from .symgeo import clebsch_connect, sym_geodesic_pmq, transposition, triples_of_weight
+    from .symgeo import MAX_D, clebsch_connect, sym_geodesic_pmq, transposition, triples_of_weight
 
     _at_least(args.d, 1, "d")
     if args.connect:
@@ -195,6 +195,8 @@ def cmd_symgeo(args) -> int:
             _emit({"connected": False, "differing_invariant": payload})
         return 0
     n = _at_least(args.triples, 0, "triples") if args.triples is not None else args.d
+    if args.d > MAX_D:   # the census builds the tables of S_d
+        raise PreconditionError(f"--d {args.d} is above {MAX_D}, the largest S_d built as tables", failed="d")
     q = sym_geodesic_pmq(args.d)
     comp = Completion(q)
     census = []

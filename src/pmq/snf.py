@@ -5,37 +5,52 @@ Matrices are sparse maps (row, col) -> int: any ``Mapping``, such as a
 dict, or a ``Matrix``, which keeps its entries as three flat lists (rows,
 columns, values) in the order they were written, about 24 bytes an entry
 where a dict slot and its key tuple take about 100.  Both rings share one
-elimination loop, and it runs on the transpose: the loop's rows are the
-matrix columns (a cell and its faces), its row operations are column
-operations, and ranks and elementary divisors do not change.  Columns wait
-in a heap keyed by their length, those of one entry in a heap of their own
-that needs no key; the shortest column is taken, the first in column order
-on ties, and among its unit entries the one whose row has the fewest
-nonzeros becomes the pivot (the Markowitz choice), the first met on ties.
-The scan stops at a row holding only this column, as no row has
-fewer, and such a pivot has no other column to clear.  A column whose one
-entry is a unit is paired with its row at once: clearing that row only
-deletes its entry from the other columns, with no quotient taken.  This is
-a coreduction pair of Mrozek-Batko, "Coreduction homology algorithm"
-(Discrete Comput. Geom. 41, 2009).  A column without a unit entry is set
-aside until a later column operation changes it.  Over F_p every nonzero
-entry is a unit; over Z the units are +-1.  When no column has a unit
-(only over Z) the pivot is the entry of least magnitude, then least
-fill-in.  Its row is cleared by column operations with the floor quotient,
-so any remainder, smaller than the pivot, stays in its column.  Once the
-row is clear, row operations touch only the pivot column: if the pivot
-divides that column, the pivot column and row drop out; otherwise they
-leave the remainders modulo the pivot there and the loop picks again.  The
-least entry shrinks at every pick that drops nothing, so the loop ends.
-Over F_p the number of pivots is the rank.  Over Z the pivots are the
-diagonal of an equivalent matrix, made a divisibility chain (elementary
-divisors) by a gcd/lcm fix-up, so ranks and torsion read off directly.  On
-the incidence-style matrices of chain complexes the unit pivots do nearly
-all the work: of the largest ``S_3`` norm-5 differential (343,008
-nonzeros), eliminated on its own, they leave 26 columns with 6,032
-nonzeros (249 rows with 8,466 when the loop ran on the rows).  This is the
-unit-pivot elimination of Dumas-Saunders-Villard, "On efficient sparse
-integer matrix Smith normal forms" (JSC 2001).
+elimination, and it runs on the transpose: the loop's rows are the matrix
+columns (a cell and its faces), its row operations are column operations,
+and ranks and elementary divisors do not change.
+
+The elimination has two phases, which take the pivots in one order.  A
+column whose one entry is a unit is paired with its row at once: clearing
+that row only deletes its entry from the other columns, with no quotient
+taken.  This is a coreduction pair of Mrozek-Batko, "Coreduction homology
+algorithm" (Discrete Comput. Geom. 41, 2009).  Such columns go before any
+other pick, the first in column order, so phase 1 pairs them on flat lists
+before any dict is built: the start of each column among the entries, a
+count of live entries per column, the columns of each row, and a bytearray
+marking the rows skipped or paired.  Pairing a column marks its row and
+lowers the counts of the row's other columns, and a column whose count
+falls to one waits in a heap for its turn.  The lists are indexed by rows
+and columns, so a matrix with an index that is negative or not below its
+number of entries is first renumbered in sorted order, which keeps every
+tie-break.  Phase 2, the Markowitz loop, gets only the columns still live,
+each with its live entries in entry order, as a dict of row dicts and a
+dict of column sets.  There columns wait in a heap keyed by their length,
+those of one entry in a heap of their own that needs no key; the shortest
+column is taken, the first in column order on ties, and among its unit
+entries the one whose row has the fewest nonzeros becomes the pivot (the
+Markowitz choice), the first met on ties.  The scan stops at a row holding
+only this column, as no row has fewer, and such a pivot has no other
+column to clear.  A column left with one unit entry is paired as in phase
+1; a column without a unit entry is set aside until a later column
+operation changes it.  Over F_p every nonzero entry is a unit; over Z the
+units are +-1.  When no column has a unit (only over Z) the pivot is the
+entry of least magnitude, then least fill-in.  Its row is cleared by
+column operations with the floor quotient, so any remainder, smaller than
+the pivot, stays in its column.  Once the row is clear, row operations
+touch only the pivot column: if the pivot divides that column, the pivot
+column and row drop out; otherwise they leave the remainders modulo the
+pivot there and the loop picks again.  The least entry shrinks at every
+pick that drops nothing, so the loop ends.  Over F_p the number of pivots
+is the rank.  Over Z the pivots are the diagonal of an equivalent matrix,
+made a divisibility chain (elementary divisors) by a gcd/lcm fix-up, so
+ranks and torsion read off directly.  On the incidence-style matrices of
+chain complexes the unit pivots do nearly all the work: of the largest
+``S_3`` norm-5 differential (343,008 nonzeros), eliminated on its own,
+they leave 26 columns with 6,032 nonzeros.  This is the unit-pivot
+elimination of Dumas-Saunders-Villard, "On efficient sparse integer matrix
+Smith normal forms" (JSC 2001).  Within ``homology_groups`` phase 1 pairs
+all but 3,926 of that differential's 60,288 columns, which keep 9,724
+nonzeros, and so the dicts of phase 2 hold 3 % of its entries.
 
 Homology reduces the differentials in ascending degree and hands each
 one's unit pivots to the next.  The unit pivots taken before the first
@@ -46,8 +61,8 @@ vector of ``d_n`` is then fixed by its coordinates outside ``S``.  As
 ``d_n∘d_(n+1) = 0``, deleting the rows ``S`` of ``d_(n+1)`` keeps its
 rank and elementary divisors, and each such pair of cells is eliminated
 once, not once as a column of ``d_n`` and again as a row of ``d_(n+1)``.
-The elimination skips those rows as it reads the entries, so no filtered
-copy of ``d_(n+1)`` is made.  This is chain-complex reduction
+The elimination marks those rows skipped in phase 1's bytearray, so no
+filtered copy of ``d_(n+1)`` is made.  This is chain-complex reduction
 (Kaczynski-Mrozek-Slusarek, "Homology computation by reduction of chain
 complexes", Comput. Math. Appl. 35, 1998).  Once those rows are gone,
 nearly every cell of ``d_(n+1)`` has one face left and is paired at once;
@@ -59,7 +74,9 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, islice
 from math import gcd, isqrt
+from operator import sub
 
 Entries = Mapping[tuple[int, int], int]
 
@@ -107,6 +124,26 @@ class Matrix(Mapping):
         raise KeyError(key)
 
 
+def _column_starts(cols: list[int], size: int) -> list[int]:
+    """Where each of ``size`` columns starts among a matrix's entries, given
+    the column of each entry: column c's entries are at [starts[c],
+    starts[c + 1]).  They must come column by column in ascending column
+    order, as ``barhur._assemble`` writes them."""
+    if cols != sorted(cols):
+        raise ValueError("matrix entries are not in column order")
+    starts = [0] * (size + 1)
+    for c in cols:
+        starts[c + 1] += 1
+    return list(accumulate(starts))
+
+
+def _dense(indices: list[int]) -> tuple[list[int], dict[int, int]]:
+    """``indices`` renumbered 0, 1, ... in sorted order, which keeps every
+    comparison between them, and the map from the old numbers to the new."""
+    at = {x: i for i, x in enumerate(sorted(set(indices)))}
+    return [at[x] for x in indices], at
+
+
 def _eliminate(
     entries: Entries,
     p: int = 0,
@@ -117,9 +154,9 @@ def _eliminate(
     """Markowitz elimination of the transpose; ``p`` = 0 works over Z, a
     prime p over F_p.  Returns the magnitude of each pivot dropped, so over
     F_p their number is the rank and over Z they are diagonal entries of an
-    equivalent matrix.  A column whose one entry is a unit is paired with
-    its row at once, as a coreduction pair (Mrozek-Batko); the others go
-    through the Markowitz pick of the module docstring.
+    equivalent matrix.  Columns whose one entry is a unit are paired first,
+    on flat lists (coreduction, Mrozek-Batko); the columns left go through
+    the Markowitz pick of ``_markowitz`` (see the module docstring).
 
     ``pivot_cols``, when given, receives the matrix column of each unit
     pivot dropped before the first non-unit pivot is picked (over F_p, of
@@ -127,39 +164,114 @@ def _eliminate(
     applied, so these columns and their pivot rows form a minor of
     determinant +-1.
 
-    The matrix rows in ``skip_rows`` are passed over as the entries are
-    read, so the matrix eliminated is ``entries`` without them, with no copy
-    made."""
-    # the loop eliminates the transpose: its rows are the matrix columns (a
-    # cell and its faces), its columns the matrix rows
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    The matrix rows in ``skip_rows`` are marked skipped before phase 1, so
+    the matrix eliminated is ``entries`` without them, with no copy made."""
     if isinstance(entries, Matrix):
-        triples = zip(entries.rows, entries.cols, entries.vals)
+        rows, cols, vals = entries.rows, entries.cols, entries.vals
     else:
-        triples = ((r, c, v) for (r, c), v in entries.items())
-    for r, c, v in triples:
-        if p:
-            v %= p
-        if v and r not in skip_rows:
-            row = rows.get(c)
-            if row is None:
-                rows[c] = row = {}
-            row[r] = v
-            col = cols.get(r)
-            if col is None:
-                cols[r] = col = set()
-            col.add(c)
+        keys = list(entries)
+        rows, cols, vals = [r for r, _ in keys], [c for _, c in keys], list(entries.values())
+    # the entries column by column, in ascending column order, as
+    # ``barhur._assemble`` writes them; otherwise a stable sort puts them so,
+    # which keeps each column's order, and drops those that are zero (mod p)
+    zero = {v for v in set(vals) if not (v % p if p else v)}
+    if zero or cols != sorted(cols):
+        order = sorted((k for k, v in enumerate(vals) if v not in zero), key=cols.__getitem__)
+        rows, cols, vals = [rows[k] for k in order], [cols[k] for k in order], [vals[k] for k in order]
+    # the lists below are indexed by rows and columns, so indices outside
+    # [0, number of entries) are renumbered first
+    n = len(vals)
+    col_at = None
+    if cols and not 0 <= cols[0] <= cols[-1] < n:
+        cols, col_at = _dense(cols)
+    starts = _column_starts(cols, cols[-1] + 1 if n else 0)
+    nrows = max(rows, default=-1) + 1
+    if nrows > n or n and min(rows) < 0:
+        rows, row_at = _dense(rows)
+        skip_rows = [row_at[r] for r in skip_rows if r in row_at]
+        nrows = len(row_at)
 
+    # phase 1, on flat lists: the loop of ``_markowitz`` takes every column
+    # whose one entry is a unit before any other pick, and pairing it only
+    # deletes its row, so those columns are paired here, in the same order,
+    # with counters in place of dicts
+    dead = bytearray(nrows)   # skipped rows, then each paired row
+    for r in skip_rows:
+        if 0 <= r < nrows:
+            dead[r] = 1
+    live = list(map(sub, islice(starts, 1, None), starts))   # live entries per column
+    row_cols: list[list[int]] = [[] for _ in range(nrows)]   # the columns of each live row
+    for r, c in zip(rows, cols):
+        if dead[r]:
+            live[c] -= 1
+        else:
+            row_cols[r].append(c)
+    singles = [c for c, count in enumerate(live) if count == 1]   # ascending: a heap
+    pivots: list[int] = []
+    units: list[int] = []   # the unit-pivot columns
+    while singles:
+        c0 = heappop(singles)
+        if live[c0] != 1:
+            continue   # its one entry's row was paired since
+        k = starts[c0]
+        while dead[rows[k]]:
+            k += 1
+        r0, v0 = rows[k], vals[k]
+        if not (p or v0 in (1, -1)):
+            continue   # no unit: left for ``_markowitz``
+        dead[r0] = 1
+        for c in row_cols[r0]:   # c0 among them, which drops to none
+            left = live[c] - 1
+            live[c] = left
+            if left == 1:
+                heappush(singles, c)
+        pivots.append(v0 % p if p else abs(v0))
+        units.append(c0)
+
+    # phase 2: the columns left, each with its live entries in entry order
+    rows_left: dict[int, dict[int, int]] = {}
+    cols_left: dict[int, set[int]] = {}
+    for c, count in enumerate(live):
+        if count:
+            row = rows_left[c] = {}
+            for k in range(starts[c], starts[c + 1]):
+                r = rows[k]
+                if not dead[r]:
+                    row[r] = vals[k] % p if p else vals[k]
+                    col = cols_left.get(r)
+                    if col is None:
+                        cols_left[r] = col = set()
+                    col.add(c)
+    del rows, cols, vals, starts, live, row_cols, dead   # free them for the loop's fill-in
+    _markowitz(rows_left, cols_left, p, pivots, units)
+    if pivot_cols is not None:
+        if col_at is not None:
+            names = list(col_at)
+            units = [names[c] for c in units]
+        pivot_cols.extend(units)
+    return pivots
+
+
+def _markowitz(
+    rows: dict[int, dict[int, int]],
+    cols: dict[int, set[int]],
+    p: int,
+    pivots: list[int],
+    pivot_cols: list[int],
+) -> None:
+    """The elimination loop of the module docstring on a transposed matrix
+    held as dicts: ``rows`` maps each matrix column to its nonzero entries
+    {matrix row: value} (reduced mod p over F_p), ``cols`` each matrix row
+    to the columns holding it.  Appends each pivot's magnitude to
+    ``pivots`` and, as in ``_eliminate``, the column of each unit pivot
+    taken before the first non-unit one to ``pivot_cols``; empties both
+    dicts."""
     # rows of one entry (in a chain complex, nearly every pick) wait in a
     # heap of their own, keyed by the row alone; they go first
     singles = [r for r, row in rows.items() if len(row) == 1]
     heapify(singles)
     heap = [(len(row), r) for r, row in rows.items() if len(row) > 1]
     heapify(heap)
-    pivots: list[int] = []
-    if pivot_cols is None:
-        pivot_cols = []
     unimodular = True   # no non-unit pivot has been picked yet
     while rows:
         if singles or heap:
@@ -255,7 +367,6 @@ def _eliminate(
         pivots.append(abs(v0))
         if unimodular:
             pivot_cols.append(r0)
-    return pivots
 
 
 def smith_normal_form(

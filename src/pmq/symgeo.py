@@ -158,10 +158,13 @@ def perm_label(s: Perm) -> str:
     return "".join(str(v) for v in s)
 
 
+MAX_D = 9   # labels are one-line notation, one digit per point
+
+
 def symmetric_group(d: int) -> FiniteGroup:
     """S_d with elements ordered by (norm, one-line notation)."""
-    if not (1 <= d <= 9):
-        raise StructureError("supported range is 1 <= d <= 9")
+    if not (1 <= d <= MAX_D):
+        raise StructureError(f"supported range is 1 <= d <= {MAX_D}")
     perms = sorted(itertools.permutations(range(1, d + 1)), key=lambda p: (perm_norm(p), p))
     index = {p: i for i, p in enumerate(perms)}
     mult = [[index[perm_mul(a, b)] for b in perms] for a in perms]

@@ -165,13 +165,16 @@ def test_ring_hilbert_negative_degree_exit_3(files, capsys):
      (("symgeo", "--d", "3", "--triples", "-1"), "triples"),
      (("symgeo", "--d", "0", "--triples", "1"), "d"),
      (("symgeo", "--d", "0", "--connect", "[]", "[]"), "d"),
-     (("symgeo", "--d", "-2", "--connect", "[]", "[]"), "d")],
-    ids=["complete", "symgeo", "symgeo-d-census", "symgeo-d-connect", "symgeo-d-negative"],
+     (("symgeo", "--d", "-2", "--connect", "[]", "[]"), "d"),
+     (("symgeo", "--d", "10", "--triples", "0"), "d")],
+    ids=["complete", "symgeo", "symgeo-d-census", "symgeo-d-connect", "symgeo-d-negative",
+         "symgeo-d-above-9"],
 )
 def test_negative_bound_exit_3(files, capsys, argv, option):
     # a bound below its least value runs over no level (S_d below d = 1 has
     # no point to permute); it is refused, not answered with an empty
-    # census or "connected" for two empty sequences
+    # census or "connected" for two empty sequences.  The census builds the
+    # tables of S_d, so a d above 9 is refused there too
     code = main([files.get(arg, arg) for arg in argv])
     captured = capsys.readouterr()
     assert code == 3
@@ -214,7 +217,14 @@ def test_symgeo_connect(files, capsys):
     assert doc["connected"] is True
 
 
-@pytest.mark.parametrize("bad", ["notjson", "[[1,2,3]]", "[1]"])
+def test_symgeo_connect_builds_no_tables(capsys):
+    # only the census is bounded by the tables of S_d: sequences connect at any d
+    code, out = run(capsys, "symgeo", "--d", "10", "--connect", "[[1,10],[2,3]]", "[[2,3],[1,10]]")
+    assert code == 0
+    assert json.loads(out)["connected"] is True
+
+
+@pytest.mark.parametrize("bad",["notjson", "[[1,2,3]]", "[1]"])
 def test_symgeo_connect_malformed_sequence_exit_1(capsys, bad):
     for argv in ([bad, "[[1,2]]"], ["[[1,2]]", bad]):
         code, out = run(capsys, "symgeo", "--d", "3", "--connect", *argv)

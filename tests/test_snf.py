@@ -1,15 +1,21 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pmq.snf
 from helpers import dense_rank_mod_p_oracle, dense_smith_oracle, uct_ranks
+from pmq.barhur import build_relative_complex
+from pmq.catalog import sym_geodesic_pmq
+from pmq.completion import Completion
 from pmq.snf import (
     Matrix,
     _eliminate,
+    _markowitz,
     homology_groups,
     integer_rank,
     rank_mod_p,
@@ -259,6 +265,93 @@ def test_skipped_rows_match_deleted_rows(entries, skip):
         assert with_pivot_cols(rank_mod_p, entries, p, skip_rows=skip) == with_pivot_cols(
             rank_mod_p, kept, p
         )
+
+
+def markowitz_on_every_column(entries, p, skip_rows=()):
+    """(pivots, unit-pivot columns) of ``_markowitz`` alone on the matrix
+    without ``skip_rows``: every column goes into its dicts, and none is
+    paired on flat lists first."""
+    rows, cols = {}, {}
+    for (r, c), v in entries.items():
+        v = v % p if p else v
+        if v and r not in skip_rows:
+            rows.setdefault(c, {})[r] = v
+            cols.setdefault(r, set()).add(c)
+    pivots, pivot_cols = [], []
+    _markowitz(rows, cols, p, pivots, pivot_cols)
+    return pivots, pivot_cols
+
+
+@pytest.mark.parametrize("d,max_norm", [(3, 4), (4, 3)])
+def test_flat_pairing_keeps_the_pivots_of_the_loop(monkeypatch, d, max_norm):
+    # the columns paired on flat lists are those the loop takes first, in
+    # the same order: every elimination homology runs, over Z, F_2 and F_5,
+    # gives the pivots, their order and the unit-pivot columns of the loop
+    # alone on the whole matrix
+    calls = []
+
+    def spy(entries, p=0, *, pivot_cols=None, skip_rows=()):
+        pivots = _eliminate(entries, p, pivot_cols=pivot_cols, skip_rows=skip_rows)
+        calls.append((entries, p, set(skip_rows), pivots, list(pivot_cols)))
+        return pivots
+
+    monkeypatch.setattr(pmq.snf, "_eliminate", spy)
+    q = sym_geodesic_pmq(d)
+    for b in Completion(q).classes_up_to(max_norm):
+        if not b.is_unit:
+            cx = build_relative_complex(q, b)
+            for mod in (0, 2, 5):
+                homology_groups(cx.differentials, cx.dims(), mod)
+    assert any(skip for _, _, skip, _, _ in calls)
+    for entries, p, skip, pivots, pivot_cols in calls:
+        assert markowitz_on_every_column(entries, p, skip) == (pivots, pivot_cols)
+
+
+@st.composite
+def far_indices(draw):
+    """A matrix whose rows and columns come from a few integers anywhere
+    in [-10**12, 10**12], with zeros among its values, and rows to skip."""
+    index = st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=6, unique=True)
+    rows, cols = draw(index), draw(index)
+    entries = draw(st.dictionaries(
+        st.tuples(st.sampled_from(rows), st.sampled_from(cols)),
+        st.sampled_from([1, -1, 1, -1, 2, -2, 3, 5, 0]),
+        max_size=20,
+    ))
+    return entries, draw(st.sets(st.sampled_from(rows), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(far_indices())
+@example(({(10**12, -3): 2, (10**12, 7): 1, (-1, -3): 1, (-1, 10**12): -1, (5, 10**12): 3}, {5}))
+def test_far_indices_reduce_like_dense_ones(case):
+    # indices outside [0, number of entries) are renumbered in sorted order,
+    # so the matrix reduces like its dense renumbering, with the unit-pivot
+    # columns named as given
+    entries, skip = case
+    row_at = {r: i for i, r in enumerate(sorted({r for r, _ in entries}))}
+    col_names = sorted({c for _, c in entries})
+    col_at = {c: i for i, c in enumerate(col_names)}
+    dense = {(row_at[r], col_at[c]): v for (r, c), v in entries.items()}
+    dense_skip = {row_at[r] for r in skip if r in row_at}
+    for p in (0, 2, 5):
+        pivots, pivot_cols = with_pivot_cols(_eliminate, dense, p, skip_rows=dense_skip)
+        assert with_pivot_cols(_eliminate, entries, p, skip_rows=skip) == (
+            pivots, [col_names[c] for c in pivot_cols]
+        )
+
+
+def test_far_indices_allocate_nothing_of_their_size():
+    # a list or bytearray indexed by these would take megabytes
+    entries = {(4 * 10**6, 3 * 10**6): 1, (4 * 10**6, -1): 2, (-5, 3 * 10**6): -1, (7, -1): 1}
+    tracemalloc.start()
+    try:
+        for p in (0, 5):
+            assert with_pivot_cols(_eliminate, entries, p, skip_rows={-5}) == ([1, 1], [3 * 10**6, -1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_homology_of_zero_complex():
