@@ -24,15 +24,16 @@ and columns, so a matrix with an index that is negative or not below its
 number of entries is first renumbered in sorted order, which keeps every
 tie-break.  Phase 2, the Markowitz loop, gets only the columns still live,
 each with its live entries in entry order, as a dict of row dicts and a
-dict of column sets.  There columns wait in a heap keyed by their length,
-those of one entry in a heap of their own that needs no key; the shortest
-column is taken, the first in column order on ties, and among its unit
-entries the one whose row has the fewest nonzeros becomes the pivot (the
-Markowitz choice), the first met on ties.  The scan stops at a row holding
-only this column, as no row has fewer, and such a pivot has no other
-column to clear.  A column left with one unit entry is paired as in phase
-1; a column without a unit entry is set aside until a later column
-operation changes it.  Over F_p every nonzero entry is a unit; over Z the
+dict of column sets.  There columns wait in one heap keyed by their
+length; the shortest column is taken, the first in column order on ties,
+and among its unit entries the one whose row has the fewest nonzeros
+becomes the pivot (the Markowitz choice), the first met on ties.  The scan
+stops at a row holding only this column, as no row has fewer, and such a
+pivot has no other column to clear.  A column left with one unit entry is
+the shortest unit pick: clearing its row only deletes that entry from the
+other columns, so it is paired as in phase 1, with no rule of its own; a
+column without a unit entry is set aside until a later column operation
+changes it.  Over F_p every nonzero entry is a unit; over Z the
 units are +-1.  When no column has a unit (only over Z) the pivot is the
 entry of least magnitude, then least fill-in.  Its row is cleared by
 column operations with the floor quotient, so any remainder, smaller than
@@ -75,8 +76,10 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, islice
-from math import gcd, isqrt
+from math import gcd
 from operator import sub
+
+from .errors import PreconditionError
 
 Entries = Mapping[tuple[int, int], int]
 
@@ -90,16 +93,43 @@ __all__ = [
 ]
 
 
+# no composite below 3.18e23 passes Miller-Rabin to all twelve (Sorenson-
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    """Trial division; the moduli here are small."""
-    return p >= 2 and all(p % k for k in range(2, isqrt(p) + 1))
+    """Deterministic Miller-Rabin on the twelve primes up to 37.  A modulus
+    of 2**64 or more is refused with ``PreconditionError``."""
+    if p >= 1 << 64:
+        raise PreconditionError(f"modulus {p} is not below 2**64", failed="prime")
+    if p < 2:
+        return False
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = 2^s * d with d odd
+    d = (p - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Matrix(Mapping):
     """A sparse integer matrix as three parallel lists: ``rows[k]``,
     ``cols[k]`` and ``vals[k]`` are its k-th entry, in the order the
     entries were appended, which is the order of ``items()``.  Read-only
-    as a mapping; a key lookup scans the lists."""
+    as a mapping; a key lookup scans the lists, so ``dict(m)``, which
+    looks up every key, is quadratic, and ``dict(m.items())`` is the
+    linear copy."""
 
     __slots__ = ("rows", "cols", "vals")
 
@@ -116,6 +146,9 @@ class Matrix(Mapping):
 
     def items(self):
         return zip(zip(self.rows, self.cols), self.vals)
+
+    def values(self):
+        return iter(self.vals)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         for entry, v in self.items():
@@ -266,42 +299,19 @@ def _markowitz(
     ``pivots`` and, as in ``_eliminate``, the column of each unit pivot
     taken before the first non-unit one to ``pivot_cols``; empties both
     dicts."""
-    # rows of one entry (in a chain complex, nearly every pick) wait in a
-    # heap of their own, keyed by the row alone; they go first
-    singles = [r for r, row in rows.items() if len(row) == 1]
-    heapify(singles)
-    heap = [(len(row), r) for r, row in rows.items() if len(row) > 1]
+    # the shortest row first, the first in row order on ties
+    heap = [(len(row), r) for r, row in rows.items()]
     heapify(heap)
     unimodular = True   # no non-unit pivot has been picked yet
     while rows:
-        if singles or heap:
-            length, r0 = (1, heappop(singles)) if singles else heappop(heap)
+        if heap:
+            length, r0 = heappop(heap)
             row0 = rows.get(r0)
             if row0 is None or len(row0) != length:
                 continue  # stale entry: the row was dropped or changed since
-            if length == 1:
-                ((c0, v0),) = row0.items()
-                if not (p or v0 in (1, -1)):
-                    continue  # no unit: set aside until a row operation changes it
-                # a single unit: clearing its column only deletes that entry
-                # from each other row, and the pair drops out
-                for r in cols.pop(c0):
-                    if r != r0:
-                        row = rows[r]
-                        del row[c0]
-                        if len(row) == 1:
-                            heappush(singles, r)
-                        elif row:
-                            heappush(heap, (len(row), r))
-                        else:
-                            del rows[r]
-                del rows[r0]
-                pivots.append(abs(v0))
-                if unimodular:
-                    pivot_cols.append(r0)
-                continue
             # the unit whose column is shortest, the first met on ties; a
-            # column of one nonzero holds only this row, so stop there
+            # column of one nonzero holds only this row, so stop there; a
+            # row of one unit is paired, as clearing deletes only that entry
             c0, least = None, 0
             for c, v in row0.items():
                 if p or v in (1, -1):
@@ -342,9 +352,7 @@ def _markowitz(
                     else:
                         del row[c]
                         cols[c].discard(r)
-                if len(row) == 1:
-                    heappush(singles, r)
-                elif row:
+                if row:
                     heappush(heap, (len(row), r))
                 else:
                     del rows[r]
@@ -379,18 +387,15 @@ def smith_normal_form(
     matrix with the given sparse entries.  ``pivot_cols`` and
     ``skip_rows`` act as in ``_eliminate``."""
     pivots = _eliminate(entries, pivot_cols=pivot_cols, skip_rows=skip_rows)
-    # enforce the divisibility chain
-    divisors = sorted(v for v in pivots if v != 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors) - 1):
-            a, b = divisors[i], divisors[i + 1]
-            if b % a:
-                g = gcd(a, b)
-                divisors[i], divisors[i + 1] = g, a * b // g
-                changed = True
-        divisors.sort()
+    # (gcd, lcm) orders each prime's two exponents, so this selection sort
+    # of all primes' exponents at once leaves a divisibility chain; it is
+    # quadratic in the non-unit pivots, as is the fallback that picked them
+    divisors = [v for v in pivots if v != 1]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[j]
+            g = gcd(a, b)
+            divisors[i], divisors[j] = g, a // g * b
     return [1] * (len(pivots) - len(divisors)) + divisors
 
 
@@ -405,8 +410,9 @@ def rank_mod_p(
     pivot_cols: list[int] | None = None,
     skip_rows: Collection[int] = (),
 ) -> int:
-    """Rank over the field with p elements (p prime).  ``pivot_cols`` and
-    ``skip_rows`` act as in ``_eliminate``."""
+    """Rank over the field with p elements (p prime; ``is_prime`` refuses
+    a modulus of 2**64 or more).  ``pivot_cols`` and ``skip_rows`` act as
+    in ``_eliminate``."""
     if not is_prime(p):
         raise ValueError(f"rank_mod_p needs a prime modulus, not {p}")
     return len(_eliminate(entries, p, pivot_cols=pivot_cols, skip_rows=skip_rows))

@@ -254,7 +254,8 @@ def test_homology_mod(files, capsys):
     assert doc["H"]["4"]["rank"] == 2
 
 
-@pytest.mark.parametrize("mod", ["4", "1", "-5"])
+# 2**64 + 13 is a prime, but moduli from 2**64 on are refused
+@pytest.mark.parametrize("mod", ["4", "1", "-5", "18446744073709551629"])
 def test_homology_mod_must_be_prime(files, capsys, mod):
     code, out = run(capsys, "homology", files["segre"], "--grading", "c", "--mod", mod)
     assert code == 3

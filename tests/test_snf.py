@@ -1,7 +1,9 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +14,14 @@ from helpers import dense_rank_mod_p_oracle, dense_smith_oracle, uct_ranks
 from pmq.barhur import build_relative_complex
 from pmq.catalog import sym_geodesic_pmq
 from pmq.completion import Completion
+from pmq.errors import PreconditionError
 from pmq.snf import (
     Matrix,
     _eliminate,
     _markowitz,
     homology_groups,
     integer_rank,
+    is_prime,
     rank_mod_p,
     smith_normal_form,
 )
@@ -85,6 +89,30 @@ def test_rank_matches_dense_oracle(entries):
 def test_rank_mod_p_refuses_non_prime_modulus(p):
     with pytest.raises(ValueError):
         rank_mod_p({(0, 0): 2}, p)
+
+
+def test_is_prime_agrees_with_trial_division():
+    primes = [n for n in range(2, 10**5) if all(n % k for k in range(2, isqrt(n) + 1))]
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == primes
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,            # = 151 * 751 * 28351, strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,   # strong pseudoprime to the nine primes up to 23
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_decides_a_large_prime_at_once():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert not is_prime(2**64 - 1)
+    for p in (2**64, 2**64 + 13):   # the second a prime
+        with pytest.raises(PreconditionError) as caught:
+            is_prime(p)
+        assert caught.value.failed == "prime"
 
 
 # mostly +-1, as in boundary matrices, so that the unit pivots and the
@@ -217,6 +245,18 @@ def as_matrix(entries) -> Matrix:
         out.cols.append(c)
         out.vals.append(v)
     return out
+
+
+def test_matrix_values_read_the_list(monkeypatch):
+    # a key lookup scans the lists, so values() looking up each key would
+    # take time quadratic in the number of entries
+    matrix = as_matrix({(r, c): r - c or 7 for r in range(40) for c in range(40)})
+
+    def refuse(self, key):
+        raise AssertionError(f"values() looked up {key}")
+
+    monkeypatch.setattr(Matrix, "__getitem__", refuse)
+    assert list(matrix.values()) == matrix.vals
 
 
 @settings(max_examples=150, deadline=None)
