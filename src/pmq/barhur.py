@@ -49,13 +49,15 @@ Faces act on the two factors separately: the face of the cell (placement
 P, state s) is the cell (P', t(s)).  The face placement P' and the sign
 depend on P alone, and t on P's face pattern alone: which state positions
 merge (cells colliding in a row merge, or the two columns of a column
-merge with their row sets, which also fix the conjugations).  So the build
-works out P' once per (placement, face), tabulates t once per pattern over
-the states of that length, as state indices, and reads each matrix entry
-off two tables; no product is taken and no grid is hashed per cell.  Like
-the placements themselves, the faces of a placement are memoised per
-process: gradings of one PMQ, and of different PMQs, reach the same
-placements again and again.
+merge with their row sets, which also fix the conjugations).  The
+placements, their faces, signs and patterns depend only on which state
+lengths occur, so they are worked out once per process for each set of
+lengths, as a plan (``_plan``): gradings of one PMQ, and of different
+PMQs, have the same lengths again and again (the 73 gradings of S_3 to
+norm 4 and S_4 to norm 3 have 8 sets of lengths).  A build reads P' and
+the sign off its plan, tabulates t once per pattern over the states of
+that length, as state indices, and reads each matrix entry off two
+tables; no product is taken and no grid is hashed per cell.
 
 No two inner faces of a basis array coincide, so each matrix entry is the
 sign of one face, written rather than summed.  A horizontal and a vertical
@@ -63,10 +65,11 @@ face have different shapes.  For horizontal faces d_i, d_j with i < j,
 d_i merges columns i and i+1 while d_j leaves column i as it is, so
 column i of the two faces differs in total norm by N(column i+1) > 0, as
 every inner column holds a non-unit and norms add under merging; rows
-likewise.  The build checks the argument on every placement: two faces
-of one cell can meet only on one face placement, so it compares the face
-tables of the faces sharing one and raises if a state is sent to the same
-cell by both.
+likewise.  Every build checks the argument: two faces of one cell can
+meet only on one face placement, so the plan lists the distinct pairs of
+patterns of two faces sharing one, and the build compares the two face
+tables of each pair once and raises if a state is sent to the same cell
+by both.
 
 The same tables gate d∘d = 0, exactly and per placement rather than per
 cell.  Entries are written only from the (sign, table, rows) triples of
@@ -77,16 +80,22 @@ over the face pairs (f, g) of P.  Grouping the pairs by target P'' and
 composite table t_g∘t_f, a group whose signs sum to zero contributes zero
 on every state of P at once, so if all groups cancel, d∘d = 0.  A group
 that does not cancel proves nothing (different composites may meet on
-some states), and only then are the stored matrices multiplied out.
+some states), and only then are the stored matrices multiplied out.  The
+pairs of one placement with one target, as (sign product, pattern of f,
+pattern of g), get the same verdict wherever they occur in a build, so
+the plan keeps each distinct such gate group once, and a build evaluates
+each once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .completion import Completion, HatElem, Seq
 from .core import FinitePmq, map_violation
@@ -252,24 +261,25 @@ def _placements(width: int, height: int, length: int) -> tuple[tuple[int, ...], 
     return tuple(sorted(out))
 
 
-def _blocks(states: Mapping[int, Sequence[Seq]]) -> Iterator[tuple[tuple[int, int], int, tuple[int, ...]]]:
-    """(bidegree, length, placement) of each block of cells of the grading
-    whose class has ``states`` (``Completion.class_states``), in basis
-    order: bidegrees ascending, then lengths as in ``states``, then
-    placements as in ``_placements``.  A block's cells are the states of
+def _blocks(lengths: Iterable[int]) -> Iterator[tuple[tuple[int, int], int, tuple[int, ...]]]:
+    """(bidegree, length, placement) of each block of cells of a grading
+    whose class has states of the given ``lengths`` (the keys of
+    ``Completion.class_states``), in basis order: bidegrees ascending,
+    then lengths in the order given, then placements as in
+    ``_placements``.  A block's cells are the states of
     its length written on its placement, in their group's order.  A state
     of length L >= 1 fits a width x height grid with width, height <= L and
     width * height >= L; the unit grading's one state is the empty grid."""
-    lengths: dict[tuple[int, int], list[int]] = {}   # bidegree -> lengths, in states order
-    for length in states:
+    by_shape: dict[tuple[int, int], list[int]] = {}   # bidegree -> its lengths, in the order given
+    for length in lengths:
         shapes = [(0, 0)] if not length else [
             (width, height) for width in range(1, length + 1)
             for height in range(-(-length // width), length + 1)
         ]
         for shape in shapes:
-            lengths.setdefault(shape, []).append(length)
-    for shape in sorted(lengths):
-        for length in lengths[shape]:
+            by_shape.setdefault(shape, []).append(length)
+    for shape in sorted(by_shape):
+        for length in by_shape[shape]:
             for cells in _placements(*shape, length):
                 yield shape, length, cells
 
@@ -406,16 +416,14 @@ def _composite_vanishes(lower: Matrix, upper: Matrix, size: int) -> bool:
     return not any(comp.values())
 
 
-@cache
 def _placement_faces(width: int, height: int, cells: tuple[int, ...]) -> tuple[tuple, ...]:
     """The inner faces of a placement of a width x height grid, as (sign,
-    face shape, face placement, recipe).  They depend on the placement
-    alone, so they are worked out once per process, like ``_placements``,
-    and every part is a tuple: gradings share them.  The recipe says how
-    the face acts on any state s written there: for each cell of the face,
-    in column-major order, a triple (k, conjugators, right) whose entry is
-    s[k] conjugated by s[c] for each c in conjugators in turn, times
-    s[right] unless right is None.
+    face shape, face placement, recipe), in index order.  They depend on
+    the placement alone, and ``_plan`` reads them once per set of state
+    lengths.  The recipe says how the face acts on any state s written
+    there: for each cell of the face, in column-major order, a triple (k,
+    conjugators, right) whose entry is s[k] conjugated by s[c] for each c
+    in conjugators in turn, times s[right] unless right is None.
 
     No face that stays in the PMQ is degenerate, so the face placement
     meets every row and column of its shape.  A basis grid has a non-unit
@@ -426,48 +434,45 @@ def _placement_faces(width: int, height: int, cells: tuple[int, ...]) -> tuple[t
     border and vanish, so only the inner ones are listed.
     """
     where = [divmod(c, height) for c in cells]   # (column, row) of state position k
+    plain = [(k, (), None) for k in range(len(cells))]   # the entry of a cell no face merges
     out = []
+    # horizontal: merge grid columns i-1, i (full-array faces d_i, 1 <= i <= p-1),
+    # whose cells are positions lo..mid-1 and mid..hi-1; row r of the merged
+    # column is left[r]^(right entries above r) * right[r]
     shape = (width - 1, height)
-    # horizontal: merge grid columns i-1, i (full-array faces d_i, 1 <= i <= p-1);
-    # row r of the merged column is left[r]^(right entries above r) * right[r]
+    lo, mid = 0, bisect_left(cells, height)
     for i in range(1, width):
-        face: dict[int, list] = {}
-        for k, (col, row) in enumerate(where):
-            at = (col - (col >= i)) * height + row
-            if col == i - 1:
-                above = tuple(kk for kk, (cc, rr) in enumerate(where) if cc == i and rr < row)
-                face[at] = [k, above, None]
-            elif col == i and at in face:
-                face[at][2] = k
+        hi = bisect_left(cells, (i + 1) * height, mid)
+        base = (i - 1) * height
+        placed, recipe = list(cells[:lo]), plain[:lo]
+        above: tuple[int, ...] = ()
+        for row, k in sorted((where[k][1], k) for k in range(lo, hi)):   # on one row, left first
+            if k < mid:
+                placed.append(base + row)
+                recipe.append((k, above, None))
             else:
-                face[at] = [k, (), None]
-        out.append(((-1) ** i, shape) + _face_recipe(face))
-    # vertical: merge grid rows j-1, j (full-array faces d_j, 1 <= j <= q-1)
+                if placed and placed[-1] == base + row:
+                    recipe[-1] = recipe[-1][:2] + (k,)
+                else:
+                    placed.append(base + row)
+                    recipe.append(plain[k])
+                above += (k,)
+        placed += [c - height for c in cells[hi:]]
+        out.append(((-1) ** i, shape, tuple(placed), tuple(recipe + plain[hi:])))
+        lo, mid = mid, hi
+    # vertical: merge grid rows j-1, j (full-array faces d_j, 1 <= j <= q-1);
+    # a cell in row j merges into the cell above it, the previous position
     shape = (width, height - 1)
     for j in range(1, height):
-        face = {}
+        placed, recipe = [], []
         for k, (col, row) in enumerate(where):
-            at = col * (height - 1) + row - (row >= j)
-            if at in face:
-                face[at][2] = k
+            if row == j and k and where[k - 1] == (col, j - 1):
+                recipe[-1] = (k - 1, (), k)
             else:
-                face[at] = [k, (), None]
-        out.append(((-1) ** (width + j), shape) + _face_recipe(face))
+                placed.append(col * (height - 1) + row - (row >= j))
+                recipe.append(plain[k])
+        out.append(((-1) ** (width + j), shape, tuple(placed), tuple(recipe)))
     return tuple(out)
-
-
-# one object per distinct face placement or recipe in the memo, which
-# outlives every complex: the 2,236 placements of an S_3 norm-5 grading
-# have 12,900 faces but 103 recipes (2.3 MB shared, 8.3 MB not)
-_face_parts: dict[tuple, tuple] = {}
-
-
-def _face_recipe(face: Mapping[int, list]) -> tuple[tuple[int, ...], tuple]:
-    """(face placement, recipe) from face cell -> [k, conjugators, right]."""
-    placed = tuple(sorted(face))
-    recipe = tuple(tuple(face[c]) for c in placed)
-    keep = _face_parts.setdefault
-    return keep(placed, placed), keep(recipe, recipe)
 
 
 def _face_table(q: FinitePmq, group: Sequence[Seq], index: Mapping[Seq, int], recipe) -> list[Optional[int]]:
@@ -513,76 +518,119 @@ def build_relative_complex(q: FinitePmq, b: HatElem, mod: int = 0) -> GradedComp
     return out
 
 
+@cache
+def _plan(lengths: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple]:
+    """How to assemble the complex of any grading whose class has states of
+    the given ``lengths``, in ascending order, whatever its PMQ and the
+    order its class lists the lengths in: (degrees, recipes, groups,
+    meets), all tuples.
+
+    * ``degrees``: (n, runs) per degree n, ascending.  A run is (shape,
+      length, first, blocks): the placements of ``length`` on bidegree
+      ``shape``, in ``_placements`` order, numbered from ``first`` within
+      the degree, runs ordered by (shape, length).  A block is (signs,
+      recipe indices, face block indices), one entry per face in index
+      order, face blocks numbered within degree n-1; faces of a length
+      with no states are left out, as every product there is undefined.
+    * ``recipes``: (recipe, length, face length) per recipe index.
+    * ``groups``: the distinct d∘d gate groups, one per placement P and
+      block T two faces below it: the face pairs (f, g) from P to T, as a
+      sorted tuple of (sign product, recipe of f, recipe of g).
+    * ``meets``: the distinct pairs of recipe indices of two faces of one
+      placement on one face block, the only faces that can coincide."""
+    degrees: dict[int, dict[tuple, list]] = {}   # degree -> (shape, length) -> placements
+    for shape, length, placed in _blocks(lengths):
+        degrees.setdefault(sum(shape), {}).setdefault((shape, length), []).append(placed)
+    where: dict[tuple, int] = {}   # (shape, placement) -> block index, in the degree below
+    recipes: dict[tuple, int] = {}   # recipe -> its index in ``listed``
+    listed: list[tuple] = []
+    groups: set[tuple] = set()
+    meets: set[tuple[int, int]] = set()
+    shared: dict[tuple, tuple] = {}   # one object per distinct tuple of signs or recipe ids, or pair
+
+    def keep(parts: tuple) -> tuple:
+        return shared.setdefault(parts, parts)
+
+    below: list[tuple] = []   # the blocks of the degree below
+    out = []
+    for n in sorted(degrees):
+        here, at, runs = [], {}, []   # the blocks of degree n, ``where`` for them, its runs
+        for (shape, length), placements in degrees[n].items():
+            first = len(here)
+            for placed in placements:
+                signs, recipe_ids, face_blocks = [], [], []
+                for sign, face_shape, face_placed, recipe in _placement_faces(*shape, placed):
+                    if len(face_placed) not in lengths:
+                        continue
+                    r = recipes.get(recipe)
+                    if r is None:
+                        r = recipes[recipe] = len(listed)
+                        listed.append((recipe, length, len(face_placed)))
+                    signs.append(sign)
+                    recipe_ids.append(r)
+                    face_blocks.append(where[face_shape, face_placed])
+                if len(set(face_blocks)) < len(face_blocks):
+                    meets.update(
+                        (min(r, r_other), max(r, r_other))
+                        for (r, f), (r_other, f_other) in combinations(zip(recipe_ids, face_blocks), 2) if f == f_other
+                    )
+                pairs = defaultdict(list)   # target block -> the face pairs reaching it
+                for sign, r, f in zip(signs, recipe_ids, face_blocks):
+                    for sign_g, r_g, target in zip(*below[f]):
+                        pairs[target].append((sign * sign_g, r, r_g))
+                for group in map(tuple, map(sorted, pairs.values())):
+                    if group not in groups:
+                        groups.add(tuple(map(keep, group)))
+                at[shape, placed] = len(here)
+                here.append((keep(tuple(signs)), keep(tuple(recipe_ids)), tuple(face_blocks)))
+            runs.append((shape, length, first, tuple(here[first:])))
+        out.append((n, tuple(runs)))
+        below, where = here, at
+    return tuple(out), tuple(listed), tuple(groups), tuple(meets)
+
+
 def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     """(sizes, differentials, cancels) of the grading whose class has
     ``states``: the number of cells per degree, the differentials, and
     True when the face tables prove d∘d = 0.
 
     A cell is a state s on a placement P, and its face is the state
-    table[s] on the face placement of P: face placements and signs are
-    worked out once per (placement, face), and each table once per recipe
-    over the states of its length.  The blocks come from ``_blocks``, in
-    basis order, so P's cells take the next positions of its degree, as
-    many as there are states of its length, kept as one list per
-    placement, and no grid is written; the face of the cell at P's
-    position list [s] is at the face placement's list [table[s]].  No two
-    faces of a cell coincide (see the module docstring), so each entry is
-    one face's sign, written, not summed: appended to the flat lists of a
-    ``snf.Matrix``, column by column in basis order, faces in index order.
-    Two faces can meet only on one face placement, that is, one position
-    list, so where a placement's faces share one, their tables are
-    compared (``_faces_coincide``), and a state they send to one cell
-    raises.
-
-    Entries are written only from each placement's (sign, table, rows)
-    triples, and that check rules out an entry written twice, so the
-    stored matrices are exactly the operator those triples define.  Its
-    d∘d is read off the same triples, one placement at a time
-    (``_pairs_cancel``), with only the degree below's triples kept: if
-    every group of face pairs cancels, d∘d is zero on every state of every
-    placement, and the stored matrices need no check.  The position lists
-    and tables are freed on return."""
-    sizes: dict[int, int] = {}   # degree -> its cells so far
-    shapes: dict[int, list[tuple[int, int]]] = {}   # degree -> its bidegrees in basis order
-    # shape -> placement -> the degree positions of its cells, one per state:
-    # the same int objects key d_n's columns and d_(n+1)'s rows
-    place: dict[tuple[int, int], dict[tuple[int, ...], list[int]]] = {}
-    for shape, length, placed in _blocks(states):
-        n = sum(shape)
-        if shape not in place:
-            place[shape] = {}
-            shapes.setdefault(n, []).append(shape)
-        start = sizes.setdefault(n, 0)
-        sizes[n] = start + len(states[length])
-        place[shape][placed] = list(range(start, sizes[n]))
+    table[s] on the face placement of P.  The placements and their faces
+    come from ``_plan``; a build tabulates one face table per plan recipe
+    over the states of its length.  Blocks take the next positions of
+    their degree in basis order (the plan's runs of one bidegree in
+    ``states`` order), kept as one list per block: each position is one
+    int object, shared by d_n's columns and d_(n+1)'s rows, and the face
+    of the cell at a block's list [s] is at the face block's list
+    [table[s]].  Each entry is one face's sign, appended to the flat lists
+    of a ``snf.Matrix``, column by column in basis order, faces in index
+    order; the plan's pairs of faces meeting on one face block are
+    compared first, and a state they send to one cell raises.  So the
+    stored matrices are exactly the operator the plan's (sign, table,
+    face block) triples define, and if its gate groups cancel
+    (``_groups_cancel``), they need no d∘d check."""
+    degrees, recipes, groups, meets = _plan(tuple(sorted(states)))
     index = {length: {state: k for k, state in enumerate(group)} for length, group in states.items()}
-    # recipe -> face table; a recipe names every state position, so it
-    # fixes the length
-    tables: dict[tuple, list[Optional[int]]] = {}
-    # first position of a placement of the degree below -> its faces
-    # (sign, table, rows), for the gate of the degree being written
-    below: dict[int, list] = {}
-    memo: dict[tuple[int, int], Optional[int]] = {}   # see ``_pairs_cancel``
-    interned: dict[tuple, int] = {}
-    cancels = True
+    tables = [_face_table(q, states[length], index[face_length], recipe) for recipe, length, face_length in recipes]
+    if any(any(t is not None and t == u for t, u in zip(tables[r], tables[r_other])) for r, r_other in meets):
+        raise AssertionError("two faces of one cell coincide")
+    cancels = _groups_cancel(tables, groups)
+    rank = {length: k for k, length in enumerate(states)}   # order of the lengths on one bidegree
+    # degrees in the order the basis meets them, as ``GradedComplex.basis``
+    # lists them: by their first bidegree
+    sizes = dict.fromkeys(n for n, _ in sorted(degrees, key=lambda degree: degree[1][0][0]))
     differentials: dict[int, Matrix] = {}
-    for n in sorted(shapes):
+    below: list = []   # the position list of each block of the degree below
+    for n, runs in degrees:
         entries = Matrix()
         add_row, add_col, add_val = entries.rows.append, entries.cols.append, entries.vals.append
-        listed_here: dict[int, list] = {}
-        for shape in shapes[n]:
-            for placed, cols in place[shape].items():
-                listed = listed_here[cols[0]] = []
-                for sign, face_shape, face_placed, recipe in _placement_faces(*shape, placed):
-                    if len(face_placed) not in index:
-                        continue   # no state that short: every product here is undefined
-                    table = tables.get(recipe)
-                    if table is None:
-                        table = tables[recipe] = _face_table(q, states[len(placed)], index[len(face_placed)], recipe)
-                    listed.append((sign, table, place[face_shape][face_placed]))
-                if len({id(rows) for _, _, rows in listed}) < len(listed) and _faces_coincide(listed):
-                    raise AssertionError("two faces of one cell coincide")
-                cancels = cancels and _pairs_cancel(listed, below, memo, interned)
+        here: list = [None] * sum(len(blocks) for *_, blocks in runs)
+        start = 0
+        for _, length, first, blocks in sorted(runs, key=lambda run: (run[0], rank[run[1]])):
+            size = len(states[length])
+            for b, (signs, recipe_ids, face_blocks) in enumerate(blocks, first):
+                cols = here[b] = list(range(start, start := start + size))
+                listed = [(sign, tables[r], below[f]) for sign, r, f in zip(signs, recipe_ids, face_blocks)]
                 for s, col in enumerate(cols):
                     for sign, table, rows in listed:
                         t = table[s]
@@ -590,55 +638,43 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
                             add_row(rows[t])
                             add_col(col)
                             add_val(sign)
-        below = listed_here
+        sizes[n] = start
+        below = here
         if entries:
             differentials[n] = entries
     return sizes, differentials, cancels
 
 
-def _faces_coincide(listed: Sequence[tuple]) -> bool:
-    """Whether two faces in ``listed`` (as in ``_assemble``) send some state
-    to the same cell.  Faces on different face placements never do, so only
-    the tables of faces sharing one (one position list) are compared."""
-    return any(
-        rows is rows_other and any(t is not None and t == u for t, u in zip(table, other))
-        for (_, table, rows), (_, other, rows_other) in combinations(listed, 2)
-    )
+def _groups_cancel(tables: Sequence[Sequence[Optional[int]]], groups: Sequence[tuple]) -> bool:
+    """Whether every gate group of a plan (``_plan``) cancels on the face
+    ``tables`` of one build, one per plan recipe: within each group, the
+    signs of the pairs with one composite table t_g∘t_f sum to zero (see
+    the module docstring).  Equal groups get equal verdicts within a
+    build, so the plan lists each once.
 
-
-def _pairs_cancel(listed: Sequence[tuple], below: Mapping[int, Sequence[tuple]], memo: dict, interned: dict) -> bool:
-    """Whether d∘d vanishes on every state of one placement P, read off
-    its faces ``listed`` and theirs in ``below`` (both as in ``_assemble``;
-    a face's own faces are ``below[rows[0]]``).
-
-    d∘d of the cell (P, s) is the sum of e_f e_g [P''_fg, t_g(t_f(s))] over
-    the face pairs (f, g).  Pairs with the same target P'' (named by its
-    first position) and the same composite table t_g∘t_f give the same cell
-    on every state, so if each such group's signs sum to zero,
-    d∘d(P, s) = 0 for every s.  A group that does not cancel proves
-    nothing, as different composites may agree on some states; the caller
-    then checks the stored matrices.
-
-    ``memo`` holds each composite per pair of tables (one table per recipe
-    within a build, so an ``id`` names it) as its int in ``interned``, one
-    per distinct composite, or None when it sends every state out of the
-    PMQ and so adds nothing."""
-    sums: dict[tuple, int] = {}
-    for sign, table, rows in listed:
-        for sign_g, table_g, target in below[rows[0]]:
-            key = id(table), id(table_g)
+    ``memo`` holds each composite per pair of recipes as its int in
+    ``interned``, one per distinct composite, or None when it sends every
+    state out of the PMQ and so adds nothing."""
+    memo: dict[tuple[int, int], Optional[int]] = {}
+    interned: dict[tuple, int] = {}
+    for group in groups:
+        sums: dict[int, int] = {}
+        for sign, r, r_g in group:
+            key = r, r_g
             if key in memo:
                 made = memo[key]
             else:
+                table, table_g = tables[r], tables[r_g]
                 composed = tuple(None if t is None else table_g[t] for t in table)
                 made = memo[key] = (
                     None if composed.count(None) == len(composed)
                     else interned.setdefault(composed, len(interned))
                 )
             if made is not None:
-                group = target[0], made
-                sums[group] = sums.get(group, 0) + sign * sign_g
-    return not any(sums.values())
+                sums[made] = sums.get(made, 0) + sign
+        if any(sums.values()):
+            return False
+    return True
 
 
 def homology(complex_: GradedComplex) -> dict[int, dict]:

@@ -410,11 +410,12 @@ def rank_mod_p(
     pivot_cols: list[int] | None = None,
     skip_rows: Collection[int] = (),
 ) -> int:
-    """Rank over the field with p elements (p prime; ``is_prime`` refuses
-    a modulus of 2**64 or more).  ``pivot_cols`` and ``skip_rows`` act as
-    in ``_eliminate``."""
-    if not is_prime(p):
-        raise ValueError(f"rank_mod_p needs a prime modulus, not {p}")
+    """Rank over the field with p elements.  A modulus that is not a prime
+    below 2**64 raises ``ValueError``, a composite and one of 2**64 or more
+    alike (``is_prime`` decides only below 2**64).  ``pivot_cols`` and
+    ``skip_rows`` act as in ``_eliminate``."""
+    if p >= 1 << 64 or not is_prime(p):
+        raise ValueError(f"rank_mod_p needs a prime modulus below 2**64, not {p}")
     return len(_eliminate(entries, p, pivot_cols=pivot_cols, skip_rows=skip_rows))
 
 

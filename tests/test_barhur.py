@@ -23,8 +23,8 @@ from pmq.barhur import (
     GradedComplex,
     _assemble,
     _cells_of_grading,
-    _placement_faces,
     _placements,
+    _plan,
     build_relative_complex,
     chain_map_commutes,
     enumerate_arrays,
@@ -292,18 +292,35 @@ def test_basis_refuses_grids_that_differ_from_the_built_cells():
         cx.basis
 
 
-def test_warm_placement_memo_builds_the_same_complex():
-    # placement faces are memoised per process and shared by every grading
-    # that reaches a placement: a build on a warm memo must equal one on a
-    # cold memo, and what the memo hands out must be immutable
+@pytest.fixture
+def fresh_plans():
+    # a plan is made once per process for each set of state lengths and
+    # outlives the build that made it: clear the memo so that the build
+    # under test makes its own plan (through a patched ``_placement_faces``,
+    # say), and again afterwards so that no other test reads that plan
+    _plan.cache_clear()
+    yield _plan
+    _plan.cache_clear()
+
+
+def _assembled(q, b):
+    """(sizes, differentials in write order, cancels) of ``_assemble``."""
+    sizes, differentials, cancels = _assemble(q, b.completion.class_states(b))
+    return sizes, [(n, list(d.items())) for n, d in differentials.items()], cancels
+
+
+def test_warm_placement_memo_builds_the_same_complex(fresh_plans):
+    # placement faces are memoised per process, as plans shared by every
+    # grading with the same state lengths: a build on a warm memo must
+    # equal one on a cold memo, and what the memo hands out must be
+    # immutable
     q = sym_geodesic_pmq(3)
     comp = Completion(q)
     b = comp.of_labels(["213", "132", "213"])
-    _placement_faces.cache_clear()
     cold = build_relative_complex(q, b)
-    misses = _placement_faces.cache_info().misses
+    misses = _plan.cache_info().misses
     warm = build_relative_complex(q, b)
-    info = _placement_faces.cache_info()
+    info = _plan.cache_info()
     assert misses and info.misses == misses and info.hits >= misses
     assert warm.basis == cold.basis
     assert list(warm.differentials) == list(cold.differentials)
@@ -313,12 +330,64 @@ def test_warm_placement_memo_builds_the_same_complex():
     def frozen(x):
         return x is None or type(x) is int or (type(x) is tuple and all(map(frozen, x)))
 
-    for (width, height), group in _cells_of_grading(q, comp.class_states(b)).items():
-        for placed, _ in group:
-            assert frozen(_placement_faces(width, height, placed))
+    assert frozen(_plan(tuple(sorted(comp.class_states(b)))))
 
 
-def test_coinciding_faces_are_caught(monkeypatch):
+def test_s4_gradings_on_plans_warmed_by_s3_equal_cold_builds(fresh_plans):
+    # S_3 and S_4 gradings share state lengths, so S_4 builds read plans
+    # that S_3 builds made; the complexes must be those of cold builds
+    q3, q4 = sym_geodesic_pmq(3), sym_geodesic_pmq(4)
+    comp3, comp4 = Completion(q3), Completion(q4)
+    gradings = [b for b in comp4.classes_up_to(3) if not b.is_unit]
+    cold = []
+    for b in gradings:
+        fresh_plans.cache_clear()
+        cold.append(_assembled(q4, b))
+    fresh_plans.cache_clear()
+    for b in comp3.classes_up_to(4):
+        build_relative_complex(q3, b)
+    warmed = _plan.cache_info().currsize
+    warm = [_assembled(q4, b) for b in gradings]
+    assert _plan.cache_info().currsize < warmed + len({tuple(sorted(comp4.class_states(b))) for b in gradings})
+    for b, (sizes, differentials, cancels), (sizes_warm, differentials_warm, cancels_warm) in zip(gradings, cold, warm):
+        assert list(sizes.items()) == list(sizes_warm.items()), b.labels()
+        assert differentials == differentials_warm, b.labels()
+        assert cancels is cancels_warm is True, b.labels()
+
+
+def test_conjugate_gradings_share_one_plan(fresh_plans):
+    # 231.231 and 312.312 have states of the same lengths: the second
+    # build reads the first one's plan, and each equals a cold build
+    q = sym_geodesic_pmq(3)
+    comp = Completion(q)
+    first, second = comp.of_labels(["231", "231"]), comp.of_labels(["312", "312"])
+    warm_first = _assembled(q, first)
+    misses = fresh_plans.cache_info().misses
+    warm_second = _assembled(q, second)
+    info = fresh_plans.cache_info()
+    assert info.misses == misses and info.hits == 1
+    for b, warm in ((first, warm_first), (second, warm_second)):
+        fresh_plans.cache_clear()
+        assert _assembled(q, b) == warm, b.labels()
+
+
+def test_a_cell_position_is_one_int_in_both_differentials():
+    # a cell's position keys d_n's column and d_(n+1)'s rows as the same
+    # int object, not one int per entry
+    q = sym_geodesic_pmq(3)
+    cx = build_relative_complex(q, Completion(q).of_labels(["231", "231"]))
+    shared = 0
+    for n in cx.differentials:
+        if n + 1 in cx.differentials:
+            first = {c: c for c in cx.differentials[n].cols}
+            for r in cx.differentials[n + 1].rows:
+                if r in first:
+                    assert first[r] is r, (n, r)
+                    shared += r > 256   # past the interpreter's small-int cache
+    assert shared
+
+
+def test_coinciding_faces_are_caught(monkeypatch, fresh_plans):
     # each entry is written as one face's sign, not summed, because no two
     # faces of a basis array coincide; the build counts face hits against
     # entries, so a placement listing one face twice must not pass silently
@@ -938,7 +1007,7 @@ def test_eliminations_keep_their_pivot_sequences(monkeypatch, case):
     assert h.hexdigest() == _PIVOT_DIGESTS[case]
 
 
-def test_one_flipped_face_sign_fails_through_the_stored_matrices(monkeypatch):
+def test_one_flipped_face_sign_fails_through_the_stored_matrices(monkeypatch, fresh_plans):
     # a build whose face pairs all cancel never multiplies the stored
     # matrices out; with one face sign of one placement flipped, a group
     # no longer cancels, and the stored matrices decide, and refuse
@@ -968,6 +1037,7 @@ def test_one_flipped_face_sign_fails_through_the_stored_matrices(monkeypatch):
         return faces
 
     monkeypatch.setattr(pmq.barhur, "_placement_faces", flipped)
+    fresh_plans.cache_clear()   # the build above made this grading's plan unflipped
     assert not _assemble(q, b.completion.class_states(b))[2]
     with pytest.raises(AssertionError, match="differential does not square to zero"):
         build_relative_complex(q, b)

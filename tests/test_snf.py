@@ -91,6 +91,13 @@ def test_rank_mod_p_refuses_non_prime_modulus(p):
         rank_mod_p({(0, 0): 2}, p)
 
 
+def test_rank_mod_p_refuses_a_modulus_past_2_64_as_it_refuses_a_composite():
+    # 2**64 + 13 is a prime, but the primality test decides only below 2**64
+    with pytest.raises(ValueError, match="below 2\\*\\*64") as caught:
+        rank_mod_p({(0, 0): 2}, 2**64 + 13)
+    assert not isinstance(caught.value, PreconditionError)
+
+
 def test_is_prime_agrees_with_trial_division():
     primes = [n for n in range(2, 10**5) if all(n % k for k in range(2, isqrt(n) + 1))]
     assert [n for n in range(-3, 10**5) if is_prime(n)] == primes
