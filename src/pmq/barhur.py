@@ -93,7 +93,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -101,7 +101,7 @@ from .completion import Completion, HatElem, Seq
 from .core import FinitePmq, map_violation
 from .errors import PreconditionError, StructureError
 from .properties import property_report
-from .snf import Matrix, _column_starts, homology_groups, is_prime
+from .snf import Matrix, homology_groups, is_prime
 
 Grid = tuple[tuple[int, ...], ...]   # inner columns, each a tuple of entries
 
@@ -352,9 +352,11 @@ class GradedComplex:
     ``sizes[n]`` is the number of cells of degree n (``dims``);
     ``differentials[n]`` holds the sparse matrix of the degree-n
     differential into degree n-1, integer for every ``mod``, which picks
-    the homology's ring: Z or F_p.  Each is a ``snf.Matrix`` (flat row,
-    column and value lists) whose entries come column by column in
-    ascending column order, each column's faces in index order.  The
+    the homology's ring: Z or F_p.  Each is a column-compressed
+    ``snf.Matrix``: flat row and value lists, column by column in
+    ascending column order, each column's faces in index order, the start
+    of each column among them (``starts``, one per cell of degree n, then
+    the end), and ``nrows``, the number of cells of degree n-1.  The
     build holds the cells as (placement, state) blocks and writes no grid;
     ``basis[n]``, made on its first read and kept in ``_grids``, lists
     (p, q, grid) in construction order (bidegrees ascending, then
@@ -388,32 +390,38 @@ class GradedComplex:
     def check_boundary_squared(self) -> bool:
         """Whether every composite d_n∘d_(n+1) is zero over Z, whatever
         ``mod`` is.  The composite is summed one column of d_(n+1) at a
-        time, each column of d_n read off its lists (``snf._column_starts``)."""
+        time, each column of d_n read off its ``starts``.  A malformed
+        differential (``snf.Matrix.check``), or a d_(n+1) whose ``nrows``
+        is not the number of columns of d_n, raises ``ValueError``."""
+        for matrix in self.differentials.values():
+            matrix.check()
         for n in sorted(self.sizes):
             lower = self.differentials.get(n)
             upper = self.differentials.get(n + 1)
-            if lower and upper and not _composite_vanishes(lower, upper, self.sizes[n]):
+            if lower and upper and not _composite_vanishes(lower, upper):
                 return False
         return True
 
 
-def _composite_vanishes(lower: Matrix, upper: Matrix, size: int) -> bool:
-    """Whether ``lower`` (``size`` columns) times ``upper`` is zero."""
-    starts = _column_starts(lower.cols, size)
-    rows, vals = lower.rows, lower.vals
+def _composite_vanishes(lower: Matrix, upper: Matrix) -> bool:
+    """Whether ``lower`` times ``upper`` is zero, summed one column of
+    ``upper`` at a time; each row of ``upper`` names a column of ``lower``."""
+    starts, rows, vals = lower.starts, lower.rows, lower.vals
+    if upper.nrows != len(starts) - 1:
+        raise ValueError(f"{upper.nrows} rows do not match {len(starts) - 1} columns")
+    upper_rows, upper_vals = upper.rows, upper.vals
     comp: dict[int, int] = {}
     get = comp.get
-    at = None   # the column of ``upper`` being summed
-    for r, c, v in zip(upper.rows, upper.cols, upper.vals):
-        if c != at:
-            if any(comp.values()):
-                return False
-            comp.clear()
-            at = c
-        for k in range(starts[r], starts[r + 1]):
-            rr = rows[k]
-            comp[rr] = get(rr, 0) + v * vals[k]
-    return not any(comp.values())
+    for lo, hi in zip(upper.starts, islice(upper.starts, 1, None)):
+        for k in range(lo, hi):
+            r, v = upper_rows[k], upper_vals[k]
+            for kk in range(starts[r], starts[r + 1]):
+                rr = rows[kk]
+                comp[rr] = get(rr, 0) + v * vals[kk]
+        if any(comp.values()):
+            return False
+        comp.clear()
+    return True
 
 
 def _placement_faces(width: int, height: int, cells: tuple[int, ...]) -> tuple[tuple, ...]:
@@ -600,14 +608,16 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     over the states of its length.  Blocks take the next positions of
     their degree in basis order (the plan's runs of one bidegree in
     ``states`` order), kept as one list per block: each position is one
-    int object, shared by d_n's columns and d_(n+1)'s rows, and the face
-    of the cell at a block's list [s] is at the face block's list
-    [table[s]].  Each entry is one face's sign, appended to the flat lists
-    of a ``snf.Matrix``, column by column in basis order, faces in index
-    order; the plan's pairs of faces meeting on one face block are
-    compared first, and a state they send to one cell raises.  So the
-    stored matrices are exactly the operator the plan's (sign, table,
-    face block) triples define, and if its gate groups cancel
+    int object, which every row of d_(n+1) naming the cell shares, and
+    the face of the cell at a block's list [s] is at the face block's
+    list [table[s]].  Each entry is one face's sign, appended to the row
+    and value lists of a ``snf.Matrix``, column by column in basis order,
+    faces in index order, and each column is closed by appending its end
+    to ``starts``; ``nrows`` is the size of degree n-1, so ``snf`` reads
+    the matrix as written.  The plan's pairs of faces meeting on one face
+    block are compared first, and a state they send to one cell raises.
+    So the stored matrices are exactly the operator the plan's (sign,
+    table, face block) triples define, and if its gate groups cancel
     (``_groups_cancel``), they need no d∘d check."""
     degrees, recipes, groups, meets = _plan(tuple(sorted(states)))
     index = {length: {state: k for k, state in enumerate(group)} for length, group in states.items()}
@@ -622,22 +632,23 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     differentials: dict[int, Matrix] = {}
     below: list = []   # the position list of each block of the degree below
     for n, runs in degrees:
-        entries = Matrix()
-        add_row, add_col, add_val = entries.rows.append, entries.cols.append, entries.vals.append
+        entries = Matrix(sizes.get(n - 1) or 0)   # degree n - 1, if there is one, is built
+        written = entries.rows
+        add_row, add_val, close = written.append, entries.vals.append, entries.starts.append
         here: list = [None] * sum(len(blocks) for *_, blocks in runs)
         start = 0
         for _, length, first, blocks in sorted(runs, key=lambda run: (run[0], rank[run[1]])):
             size = len(states[length])
             for b, (signs, recipe_ids, face_blocks) in enumerate(blocks, first):
-                cols = here[b] = list(range(start, start := start + size))
+                here[b] = list(range(start, start := start + size))
                 listed = [(sign, tables[r], below[f]) for sign, r, f in zip(signs, recipe_ids, face_blocks)]
-                for s, col in enumerate(cols):
+                for s in range(size):
                     for sign, table, rows in listed:
                         t = table[s]
                         if t is not None:
                             add_row(rows[t])
-                            add_col(col)
                             add_val(sign)
+                    close(len(written))
         sizes[n] = start
         below = here
         if entries:

@@ -2,27 +2,36 @@
 by reduction.
 
 Matrices are sparse maps (row, col) -> int: any ``Mapping``, such as a
-dict, or a ``Matrix``, which keeps its entries as three flat lists (rows,
-columns, values) in the order they were written, about 24 bytes an entry
-where a dict slot and its key tuple take about 100.  Both rings share one
-elimination, and it runs on the transpose: the loop's rows are the matrix
-columns (a cell and its faces), its row operations are column operations,
-and ranks and elementary divisors do not change.
+dict, or a ``Matrix``, which is column-compressed: the rows and values of
+its entries as two flat lists, column by column, each column in the order
+its entries were written, the start of each column among them, and the
+number of rows, about 16 bytes an entry and 40 a column where a dict slot
+and its key tuple take about 100.  A ``Matrix`` is eliminated as it is,
+after a check that its lists make one; any other mapping is first put in
+that form, by a stable sort by column, which keeps each column's order,
+and with indices that are negative or not below its number of entries
+renumbered in sorted order, which keeps every tie-break.  Both rings share
+one elimination, and it runs on the transpose: the loop's rows are the
+matrix columns (a cell and its faces), its row operations are column
+operations, and ranks and elementary divisors do not change.
 
 The elimination has two phases, which take the pivots in one order.  A
 column whose one entry is a unit is paired with its row at once: clearing
 that row only deletes its entry from the other columns, with no quotient
 taken.  This is a coreduction pair of Mrozek-Batko, "Coreduction homology
 algorithm" (Discrete Comput. Geom. 41, 2009).  Such columns go before any
-other pick, the first in column order, so phase 1 pairs them on flat lists
-before any dict is built: the start of each column among the entries, a
-count of live entries per column, the columns of each row, and a bytearray
-marking the rows skipped or paired.  Pairing a column marks its row and
-lowers the counts of the row's other columns, and a column whose count
-falls to one waits in a heap for its turn.  The lists are indexed by rows
-and columns, so a matrix with an index that is negative or not below its
-number of entries is first renumbered in sorted order, which keeps every
-tie-break.  Phase 2, the Markowitz loop, gets only the columns still live,
+other pick, the first in column order, so phase 1 pairs them before any
+dict is built, in one sweep over the columns in ascending order, with a
+bytearray marking the rows skipped or paired.  A column met with exactly
+one live entry, a unit, is paired at once, and one with none is passed
+over.  Any other column is deferred, and only deferred columns are indexed
+by row, each with a count of its live entries.  Pairing a row lowers the
+counts of the deferred columns holding it, and one whose count falls to
+one waits in a heap.  Being smaller than the column the sweep is at, it is
+then the first column with one entry, so it is paired (if that entry is a
+unit) before the sweep moves on.  So the sweep makes the pairs of a heap
+over every column, in the same order, with no transpose of the matrix.
+Phase 2, the Markowitz loop, gets only the deferred columns still live,
 each with its live entries in entry order, as a dict of row dicts and a
 dict of column sets.  There columns wait in one heap keyed by their
 length; the shortest column is taken, the first in column order on ties,
@@ -75,9 +84,9 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, islice
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import gcd
-from operator import sub
+from operator import le, sub
 
 from .errors import PreconditionError
 
@@ -124,50 +133,60 @@ def is_prime(p: int) -> bool:
 
 
 class Matrix(Mapping):
-    """A sparse integer matrix as three parallel lists: ``rows[k]``,
-    ``cols[k]`` and ``vals[k]`` are its k-th entry, in the order the
-    entries were appended, which is the order of ``items()``.  Read-only
-    as a mapping; a key lookup scans the lists, so ``dict(m)``, which
-    looks up every key, is quadratic, and ``dict(m.items())`` is the
-    linear copy."""
+    """A sparse integer matrix, column-compressed: column c's entries are
+    ``rows[k]`` and ``vals[k]`` for k in [``starts[c]``, ``starts[c + 1]``),
+    in the order they were appended, and every row lies in [0, ``nrows``).
+    A writer appends a column's entries, then closes it by appending
+    ``len(rows)`` to ``starts``; no column is stored per entry.  Read-only
+    as a mapping (row, col) -> int, whose ``items()`` come column by column
+    in entry order; a key lookup scans its column, and ``values()`` reads
+    the value list."""
 
-    __slots__ = ("rows", "cols", "vals")
+    __slots__ = ("rows", "vals", "starts", "nrows")
 
-    def __init__(self):
+    def __init__(self, nrows: int = 0):
         self.rows: list[int] = []
-        self.cols: list[int] = []
         self.vals: list[int] = []
+        self.starts: list[int] = [0]
+        self.nrows = nrows
+
+    def _cols(self):
+        """The column of each entry, in entry order."""
+        starts = self.starts
+        return chain.from_iterable(map(repeat, count(), map(sub, islice(starts, 1, None), starts)))
 
     def __len__(self) -> int:
         return len(self.vals)
 
     def __iter__(self):
-        return zip(self.rows, self.cols)
+        return zip(self.rows, self._cols())
 
     def items(self):
-        return zip(zip(self.rows, self.cols), self.vals)
+        return zip(zip(self.rows, self._cols()), self.vals)
 
     def values(self):
         return iter(self.vals)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
-        for entry, v in self.items():
-            if entry == key:
-                return v
+        r, c = key
+        if type(c) is int and 0 <= c < len(self.starts) - 1:
+            for k in range(self.starts[c], self.starts[c + 1]):
+                if self.rows[k] == r:
+                    return self.vals[k]
         raise KeyError(key)
 
-
-def _column_starts(cols: list[int], size: int) -> list[int]:
-    """Where each of ``size`` columns starts among a matrix's entries, given
-    the column of each entry: column c's entries are at [starts[c],
-    starts[c + 1]).  They must come column by column in ascending column
-    order, as ``barhur._assemble`` writes them."""
-    if cols != sorted(cols):
-        raise ValueError("matrix entries are not in column order")
-    starts = [0] * (size + 1)
-    for c in cols:
-        starts[c + 1] += 1
-    return list(accumulate(starts))
+    def check(self) -> None:
+        """Raise ``ValueError`` unless the lists make a matrix: ``starts``
+        runs non-decreasing from 0 to the number of entries, there is one
+        value per row index, and every row lies in [0, ``nrows``)."""
+        rows, starts = self.rows, self.starts
+        if not (starts and starts[0] == 0 and starts[-1] == len(rows)
+                and all(map(le, starts, islice(starts, 1, None)))):
+            raise ValueError("matrix column starts do not run non-decreasing from 0 to the number of entries")
+        if len(self.vals) != len(rows):
+            raise ValueError(f"matrix has {len(self.vals)} values for {len(rows)} row indices")
+        if rows and not (min(rows) >= 0 and max(rows) < self.nrows):
+            raise ValueError(f"matrix rows lie outside [0, {self.nrows})")
 
 
 def _dense(indices: list[int]) -> tuple[list[int], dict[int, int]]:
@@ -175,6 +194,34 @@ def _dense(indices: list[int]) -> tuple[list[int], dict[int, int]]:
     comparison between them, and the map from the old numbers to the new."""
     at = {x: i for i, x in enumerate(sorted(set(indices)))}
     return [at[x] for x in indices], at
+
+
+def _compressed(entries: Entries, p: int, skip_rows: Collection[int]):
+    """The nonzero (mod p) entries of any mapping in the form of a
+    ``Matrix``: (rows, vals, starts, nrows, names, skip_rows).  A stable
+    sort puts the entries column by column, keeping each column's order.
+    Columns outside [0, number of entries) are renumbered in sorted order,
+    and ``names`` is then the given number of each, else None; rows outside
+    it likewise, with ``skip_rows`` renumbered to match.  Renumbering in
+    sorted order keeps every tie-break."""
+    keys = list(entries)
+    vals = list(entries.values())
+    order = sorted((k for k, v in enumerate(vals) if (v % p if p else v)), key=lambda k: keys[k][1])
+    rows, cols, vals = [keys[k][0] for k in order], [keys[k][1] for k in order], [vals[k] for k in order]
+    n = len(vals)
+    names = None
+    if cols and not 0 <= cols[0] <= cols[-1] < n:
+        cols, col_at = _dense(cols)
+        names = list(col_at)
+    nrows = max(rows, default=-1) + 1
+    if nrows > n or n and min(rows) < 0:
+        rows, row_at = _dense(rows)
+        skip_rows = [row_at[r] for r in skip_rows if r in row_at]
+        nrows = len(row_at)
+    starts = [0] * (cols[-1] + 2 if n else 1)
+    for c in cols:
+        starts[c + 1] += 1
+    return rows, vals, list(accumulate(starts)), nrows, names, skip_rows
 
 
 def _eliminate(
@@ -187,9 +234,15 @@ def _eliminate(
     """Markowitz elimination of the transpose; ``p`` = 0 works over Z, a
     prime p over F_p.  Returns the magnitude of each pivot dropped, so over
     F_p their number is the rank and over Z they are diagonal entries of an
-    equivalent matrix.  Columns whose one entry is a unit are paired first,
-    on flat lists (coreduction, Mrozek-Batko); the columns left go through
-    the Markowitz pick of ``_markowitz`` (see the module docstring).
+    equivalent matrix.  Columns whose one live entry is a unit are paired
+    first, in one sweep over the columns (coreduction, Mrozek-Batko); the
+    columns left go through the Markowitz pick of ``_markowitz`` (see the
+    module docstring).
+
+    A ``Matrix`` is read as it is, once ``Matrix.check`` passes; a
+    malformed one raises ``ValueError``.  Any other mapping, or a
+    ``Matrix`` holding an entry that is zero (mod p), is first put in the
+    same form by ``_compressed``.
 
     ``pivot_cols``, when given, receives the matrix column of each unit
     pivot dropped before the first non-unit pivot is picked (over F_p, of
@@ -200,86 +253,90 @@ def _eliminate(
     The matrix rows in ``skip_rows`` are marked skipped before phase 1, so
     the matrix eliminated is ``entries`` without them, with no copy made."""
     if isinstance(entries, Matrix):
-        rows, cols, vals = entries.rows, entries.cols, entries.vals
-    else:
-        keys = list(entries)
-        rows, cols, vals = [r for r, _ in keys], [c for _, c in keys], list(entries.values())
-    # the entries column by column, in ascending column order, as
-    # ``barhur._assemble`` writes them; otherwise a stable sort puts them so,
-    # which keeps each column's order, and drops those that are zero (mod p)
-    zero = {v for v in set(vals) if not (v % p if p else v)}
-    if zero or cols != sorted(cols):
-        order = sorted((k for k, v in enumerate(vals) if v not in zero), key=cols.__getitem__)
-        rows, cols, vals = [rows[k] for k in order], [cols[k] for k in order], [vals[k] for k in order]
-    # the lists below are indexed by rows and columns, so indices outside
-    # [0, number of entries) are renumbered first
-    n = len(vals)
-    col_at = None
-    if cols and not 0 <= cols[0] <= cols[-1] < n:
-        cols, col_at = _dense(cols)
-    starts = _column_starts(cols, cols[-1] + 1 if n else 0)
-    nrows = max(rows, default=-1) + 1
-    if nrows > n or n and min(rows) < 0:
-        rows, row_at = _dense(rows)
-        skip_rows = [row_at[r] for r in skip_rows if r in row_at]
-        nrows = len(row_at)
+        entries.check()
+    if isinstance(entries, Matrix) and all(v % p if p else v for v in set(entries.vals)):
+        rows, vals, starts, nrows, names = entries.rows, entries.vals, entries.starts, entries.nrows, None
+    else:   # any other mapping, or a Matrix with an entry that is zero (mod p)
+        rows, vals, starts, nrows, names, skip_rows = _compressed(entries, p, skip_rows)
 
-    # phase 1, on flat lists: the loop of ``_markowitz`` takes every column
-    # whose one entry is a unit before any other pick, and pairing it only
-    # deletes its row, so those columns are paired here, in the same order,
-    # with counters in place of dicts
+    # phase 1, one sweep over the columns in ascending order: the loop of
+    # ``_markowitz`` takes every column whose one live entry is a unit
+    # before any other pick, the first in column order, and pairing it only
+    # deletes its row, so those columns are paired here, in the same order
     dead = bytearray(nrows)   # skipped rows, then each paired row
     for r in skip_rows:
         if 0 <= r < nrows:
             dead[r] = 1
-    live = list(map(sub, islice(starts, 1, None), starts))   # live entries per column
-    row_cols: list[list[int]] = [[] for _ in range(nrows)]   # the columns of each live row
-    for r, c in zip(rows, cols):
-        if dead[r]:
-            live[c] -= 1
-        else:
-            row_cols[r].append(c)
-    singles = [c for c, count in enumerate(live) if count == 1]   # ascending: a heap
+    live = [0] * (len(starts) - 1)   # live entries of each deferred column
+    row_cols: list = [None] * nrows   # the deferred columns holding each row
+    waiting: list[int] = []   # deferred columns down to one live entry: a heap
     pivots: list[int] = []
     units: list[int] = []   # the unit-pivot columns
-    while singles:
-        c0 = heappop(singles)
-        if live[c0] != 1:
-            continue   # its one entry's row was paired since
-        k = starts[c0]
-        while dead[rows[k]]:
-            k += 1
-        r0, v0 = rows[k], vals[k]
-        if not (p or v0 in (1, -1)):
-            continue   # no unit: left for ``_markowitz``
-        dead[r0] = 1
-        for c in row_cols[r0]:   # c0 among them, which drops to none
-            left = live[c] - 1
-            live[c] = left
-            if left == 1:
-                heappush(singles, c)
-        pivots.append(v0 % p if p else abs(v0))
-        units.append(c0)
+    for c, lo, hi in zip(count(), starts, islice(starts, 1, None)):
+        met = 0   # live entries met in column c
+        for r in rows[lo:hi]:
+            if not dead[r]:
+                met += 1
+                r0 = r
+        if not met:
+            continue
+        if met == 1:
+            k = rows.index(r0, lo, hi)
+        if met > 1 or not (p or vals[k] in (1, -1)):
+            # deferred: indexed by its live rows, with their count
+            live[c] = met
+            for r in rows[lo:hi]:
+                if not dead[r]:
+                    held = row_cols[r]
+                    if held is None:
+                        row_cols[r] = [c]
+                    else:
+                        held.append(c)
+            continue
+        # pair column c with its one live entry, then, smallest first, every
+        # deferred column the pairings leave with one live unit entry: each
+        # is smaller than c, so the loop would take it before any column
+        # the sweep has not met
+        c0 = c
+        while c0 is not None:
+            r0, v0 = rows[k], vals[k]
+            dead[r0] = 1
+            pivots.append(v0 % p if p else abs(v0))
+            units.append(c0)
+            for c1 in row_cols[r0] or ():   # a deferred c0 among them drops to none
+                left = live[c1] - 1
+                live[c1] = left
+                if left == 1:
+                    heappush(waiting, c1)
+            c0 = None
+            while waiting and c0 is None:
+                c1 = heappop(waiting)
+                if live[c1] == 1:   # not paired since
+                    k = starts[c1]
+                    while dead[rows[k]]:
+                        k += 1
+                    if p or vals[k] in (1, -1):   # else left for ``_markowitz``
+                        c0 = c1
 
-    # phase 2: the columns left, each with its live entries in entry order
+    del row_cols   # phase 2 reads the live counts and the dead rows
+    # phase 2: the deferred columns still live, each with its live entries
+    # in entry order
     rows_left: dict[int, dict[int, int]] = {}
     cols_left: dict[int, set[int]] = {}
-    for c, count in enumerate(live):
-        if count:
-            row = rows_left[c] = {}
-            for k in range(starts[c], starts[c + 1]):
-                r = rows[k]
-                if not dead[r]:
-                    row[r] = vals[k] % p if p else vals[k]
-                    col = cols_left.get(r)
-                    if col is None:
-                        cols_left[r] = col = set()
-                    col.add(c)
-    del rows, cols, vals, starts, live, row_cols, dead   # free them for the loop's fill-in
+    for c in compress(count(), live):
+        row = rows_left[c] = {}
+        for k in range(starts[c], starts[c + 1]):
+            r = rows[k]
+            if not dead[r]:
+                row[r] = vals[k] % p if p else vals[k]
+                col = cols_left.get(r)
+                if col is None:
+                    cols_left[r] = col = set()
+                col.add(c)
+    del rows, vals, starts, live, dead   # free them for the loop's fill-in
     _markowitz(rows_left, cols_left, p, pivots, units)
     if pivot_cols is not None:
-        if col_at is not None:
-            names = list(col_at)
+        if names is not None:
             units = [names[c] for c in units]
         pivot_cols.extend(units)
     return pivots

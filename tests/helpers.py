@@ -12,9 +12,11 @@ assembled from the faces of ``BisimplexArray``, the reference for its fast
 face assembly, and the chain-map check on those differentials, the
 reference for ``chain_map_commutes``; and homology from every full
 differential eliminated on its own, the reference for the reduction in
-``pmq.snf.homology_groups``.  The dense textbook Smith and mod-p rank
-reductions, which share no code with ``pmq.snf``, and homology from them;
-and the Fuks count of ``H^*(B_n; F_2)``, an oracle for the gradings
+``pmq.snf.homology_groups``.  The coreduction phase of its elimination in
+its first form, a heap over every column and a transpose of every entry,
+the reference for the one-sweep form.  The dense textbook Smith and mod-p
+rank reductions, which share no code with ``pmq.snf``, and homology from
+them; and the Fuks count of ``H^*(B_n; F_2)``, an oracle for the gradings
 ``t^n`` that reads no complex.
 
 The conditions of a PMQ-group pair written out one by one, the reference
@@ -33,6 +35,7 @@ breadth-first search, the reference for the union-find closures.
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 import subprocess
@@ -358,6 +361,67 @@ def homology_by_full_differentials(differentials, dims, mod: int = 0) -> dict:
         lambda d, shape: smith_normal_form(d),
         lambda d, shape, p: rank_mod_p(d, p),
     )
+
+
+def coreduction_by_transpose(entries, p: int = 0, skip_rows=()) -> tuple:
+    """Reference for phase 1 of ``pmq.snf._eliminate``, as it was first
+    written: the nonzero (mod p) entries stably sorted by column, indices
+    outside [0, number of entries) renumbered in sorted order, a transpose
+    of every live entry (the columns of each row) and one heap over every
+    column with one live entry.  Returns (pivots, unit-pivot columns,
+    columns left, rows left, column names): the columns left map each
+    live column to {row: value} in entry order, the rows left each row to
+    the set of its live columns, as ``_markowitz`` takes them; the indices
+    are the renumbered ones, and the names give the given column of each
+    (``None`` where the columns were not renumbered)."""
+    items = sorted(((r, c, v) for (r, c), v in entries.items() if (v % p if p else v)), key=lambda e: e[1])
+    rows, cols, vals = [r for r, _, _ in items], [c for _, c, _ in items], [v for _, _, v in items]
+    n = len(items)
+    names = None
+    if cols and not 0 <= cols[0] <= cols[-1] < n:
+        names = sorted(set(cols))
+        cols = [names.index(c) for c in cols]
+    nrows = max(rows, default=-1) + 1
+    if nrows > n or n and min(rows) < 0:
+        row_names = sorted(set(rows))
+        rows = [row_names.index(r) for r in rows]
+        skip_rows = [row_names.index(r) for r in skip_rows if r in row_names]
+        nrows = len(row_names)
+    ncols = cols[-1] + 1 if n else 0
+    dead = [r in skip_rows for r in range(nrows)]
+    live = [0] * ncols
+    of_row: list[list[int]] = [[] for _ in range(nrows)]
+    for r, c in zip(rows, cols):
+        if not dead[r]:
+            live[c] += 1
+            of_row[r].append(c)
+    heap = [c for c in range(ncols) if live[c] == 1]
+    heapq.heapify(heap)
+    pivots, units = [], []
+    while heap:
+        c0 = heapq.heappop(heap)
+        if live[c0] != 1:
+            continue
+        k = next(k for k in range(n) if cols[k] == c0 and not dead[rows[k]])
+        if not (p or vals[k] in (1, -1)):
+            continue
+        dead[rows[k]] = True
+        for c in of_row[rows[k]]:
+            live[c] -= 1
+            if live[c] == 1:
+                heapq.heappush(heap, c)
+        pivots.append(vals[k] % p if p else abs(vals[k]))
+        units.append(c0)
+    columns_left: dict[int, dict[int, int]] = {}
+    rows_left: dict[int, set[int]] = {}
+    for c in range(ncols):
+        if live[c]:
+            columns_left[c] = {}
+            for r, cc, v in zip(rows, cols, vals):
+                if cc == c and not dead[r]:
+                    columns_left[c][r] = v % p if p else v
+                    rows_left.setdefault(r, set()).add(c)
+    return pivots, units, columns_left, rows_left, names
 
 
 def dense_rank_mod_p_oracle(entries, nrows, ncols, p) -> int:

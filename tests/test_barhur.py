@@ -16,6 +16,7 @@ from helpers import (
     homology_by_dense_oracles,
     homology_by_full_differentials,
     placements_by_filter,
+    run_optimised,
     uct_ranks,
 )
 from pmq.barhur import (
@@ -372,18 +373,20 @@ def test_conjugate_gradings_share_one_plan(fresh_plans):
 
 
 def test_a_cell_position_is_one_int_in_both_differentials():
-    # a cell's position keys d_n's column and d_(n+1)'s rows as the same
-    # int object, not one int per entry
+    # a cell's position is one int object wherever d_(n+1) names it as a
+    # row, not one int per entry; d_n names it as a column by where its
+    # entries start, with no per-entry column list
     q = sym_geodesic_pmq(3)
     cx = build_relative_complex(q, Completion(q).of_labels(["231", "231"]))
+    assert Matrix.__slots__ == ("rows", "vals", "starts", "nrows")
     shared = 0
-    for n in cx.differentials:
-        if n + 1 in cx.differentials:
-            first = {c: c for c in cx.differentials[n].cols}
-            for r in cx.differentials[n + 1].rows:
-                if r in first:
-                    assert first[r] is r, (n, r)
-                    shared += r > 256   # past the interpreter's small-int cache
+    for n, d in cx.differentials.items():
+        assert not hasattr(d, "__dict__")
+        assert len(d.starts) == cx.sizes[n] + 1 and d.nrows == cx.sizes[n - 1]
+        first = {}
+        for r in d.rows:
+            assert first.setdefault(r, r) is r, (n, r)
+            shared += r > 256   # past the interpreter's small-int cache
     assert shared
 
 
@@ -470,19 +473,55 @@ def test_stored_matrices_are_mappings_in_write_order(make, max_norm):
     assert seen > 10
 
 
-def test_boundary_squared_check_refuses_entries_out_of_column_order():
-    # the stored-matrix check finds each column of d_n as a run of its
-    # lists; the same entries in another order are refused, not misread
-    q = sym_geodesic_pmq(3)
-    cx = build_relative_complex(q, Completion(q).of_labels(["213", "132", "213"]))
-    n = min(n for n in cx.differentials if n + 1 in cx.differentials)
-    d = cx.differentials[n]
-    entries = dict(d.items())
-    for part in (d.rows, d.cols, d.vals):
-        part.reverse()
-    assert d == entries
-    with pytest.raises(ValueError, match="not in column order"):
-        cx.check_boundary_squared()
+def test_malformed_matrices_are_refused_under_optimisation():
+    # each matrix is read by its column starts as written, so lists that
+    # do not make a matrix are refused by an explicit raise, which python -O
+    # keeps, by the elimination and by the stored-matrix check alike
+    run = run_optimised(
+        "import copy, dataclasses\n"
+        "from pmq.barhur import build_relative_complex\n"
+        "from pmq.catalog import sym_geodesic_pmq\n"
+        "from pmq.completion import Completion\n"
+        "from pmq.snf import homology_groups, rank_mod_p, smith_normal_form\n"
+        "q = sym_geodesic_pmq(3)\n"
+        "cx = build_relative_complex(q, Completion(q).of_labels(['213', '132', '213']))\n"
+        "n = min(n for n in cx.differentials if n + 1 in cx.differentials)\n"
+        "def swap_starts(d): d.starts[1], d.starts[2] = d.starts[2], d.starts[1]\n"
+        "def drop_last_start(d): d.starts.pop()\n"
+        "def open_last_column(d): d.rows.append(0); d.vals.append(1)\n"
+        "def start_at_one(d): d.starts[0] = 1\n"
+        "def drop_a_value(d): d.vals.pop()\n"
+        "def row_past(d): d.rows[0] = d.nrows\n"
+        "def row_below(d): d.rows[-1] = -1\n"
+        "cases = [swap_starts, drop_last_start, open_last_column, start_at_one, drop_a_value, row_past, row_below]\n"
+        "for make in cases:\n"
+        "    for degree in (n, n + 1):\n"
+        "        broken = dataclasses.replace(cx, differentials=copy.deepcopy(cx.differentials))\n"
+        "        d = broken.differentials[degree]\n"
+        "        make(d)\n"
+        "        for name, call in [\n"
+        "            ('smith_normal_form', lambda: smith_normal_form(d)),\n"
+        "            ('rank_mod_p', lambda: rank_mod_p(d, 5)),\n"
+        "            ('homology_groups', lambda: homology_groups(broken.differentials, broken.dims())),\n"
+        "            ('check_boundary_squared', broken.check_boundary_squared),\n"
+        "        ]:\n"
+        "            try:\n"
+        "                call()\n"
+        "            except ValueError as e:\n"
+        "                print(make.__name__, degree - n, name, str(e).split()[1])\n"
+        "            else:\n"
+        "                print(make.__name__, degree - n, name, 'passed')\n"
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 7 * 2 * 4
+    assert not [line for line in lines if line.endswith("passed")], lines
+    # each fault is named: the starts, the values, or the rows
+    words = {"swap_starts": "column", "drop_last_start": "column", "open_last_column": "column",
+             "start_at_one": "column", "drop_a_value": "has", "row_past": "rows", "row_below": "rows"}
+    for line in lines:
+        make, _, _, word = line.split()
+        assert word == words[make], line
 
 
 def _items(differentials):

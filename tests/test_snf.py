@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmq.snf
-from helpers import dense_rank_mod_p_oracle, dense_smith_oracle, uct_ranks
+from helpers import coreduction_by_transpose, dense_rank_mod_p_oracle, dense_smith_oracle, uct_ranks
 from pmq.barhur import build_relative_complex
 from pmq.catalog import sym_geodesic_pmq
 from pmq.completion import Completion
@@ -244,19 +244,31 @@ def with_pivot_cols(fn, *args, **kwargs):
     return fn(*args, pivot_cols=pivot_cols, **kwargs), pivot_cols
 
 
-def as_matrix(entries) -> Matrix:
-    """The list form of a dict of entries, in the dict's order."""
-    out = Matrix()
-    for (r, c), v in entries.items():
+def column_order(entries) -> list:
+    """The items of a dict of entries, stably sorted by column."""
+    return sorted(entries.items(), key=lambda item: item[0][1])
+
+
+def as_matrix(entries, extra_rows: int = 0) -> Matrix:
+    """The column-compressed form of a dict of entries with indices from 0:
+    its entries in stable column order, a column closed for each of 0 up to
+    the last one met, and ``extra_rows`` rows past the last one met."""
+    out = Matrix(max((r for r, _ in entries), default=-1) + 1 + extra_rows)
+    at = 0   # the column being written
+    for (r, c), v in column_order(entries):
+        while at < c:
+            out.starts.append(len(out.rows))
+            at += 1
         out.rows.append(r)
-        out.cols.append(c)
         out.vals.append(v)
+    if entries:
+        out.starts.append(len(out.rows))
     return out
 
 
 def test_matrix_values_read_the_list(monkeypatch):
-    # a key lookup scans the lists, so values() looking up each key would
-    # take time quadratic in the number of entries
+    # a key lookup scans the key's column, so values() looking up each key
+    # would take time quadratic in the length of each column
     matrix = as_matrix({(r, c): r - c or 7 for r in range(40) for c in range(40)})
 
     def refuse(self, key):
@@ -269,10 +281,11 @@ def test_matrix_values_read_the_list(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(matrix_strategy, matrix_strategy, st.sets(st.integers(0, 5), max_size=3))
 def test_list_form_reduces_like_the_dict(entries, above, skip):
-    # the same entries in the same order: the same pivots at the same
-    # columns, and the same homology, over Z and F_p
+    # the same entries in the order the dict's stable column sort gives:
+    # the same pivots at the same columns, and the same homology, over Z
+    # and F_p
     matrix = as_matrix(entries)
-    assert matrix == entries and list(matrix.items()) == list(entries.items())
+    assert matrix == entries and list(matrix.items()) == column_order(entries)
     for p in (0, 2, 5):
         assert with_pivot_cols(_eliminate, matrix, p, skip_rows=skip) == with_pivot_cols(
             _eliminate, entries, p, skip_rows=skip
@@ -286,6 +299,57 @@ def test_list_form_reduces_like_the_dict(entries, above, skip):
         assert homology_groups({1: matrix, 2: as_matrix(above)}, dims, mod) == homology_groups(
             {1: entries, 2: above}, dims, mod
         )
+
+
+def canonical_phase_two(columns, rows) -> tuple:
+    """The columns left and rows left of phase 1 with their indices
+    renumbered 0, 1, ... in sorted order, keeping every order: two
+    eliminations that renumber their indices differently, each in sorted
+    order, hand ``_markowitz`` the same matrix exactly when these agree."""
+    col_at = {c: i for i, c in enumerate(sorted(columns))}
+    row_at = {r: i for i, r in enumerate(sorted(rows))}
+    return (
+        [(col_at[c], [(row_at[r], v) for r, v in column.items()]) for c, column in columns.items()],
+        [(row_at[r], sorted(col_at[c] for c in held)) for r, held in rows.items()],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(lambda size: st.dictionaries(
+        st.tuples(st.integers(0, size), st.integers(0, size)),
+        st.sampled_from([1, -1, 1, -1, 2, -2, 3, 5, 0]),
+        max_size=3 * size,
+    )),
+    st.sets(st.integers(-1, 11), max_size=4),
+    st.sampled_from([0, 2, 5]),
+    st.integers(0, 3),
+    st.booleans(),
+)
+# pairing column 2 leaves columns 0 and 1 with one entry each, so the
+# smaller goes first
+@example({(0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 1): 1, (0, 2): 1}, set(), 0, 0, True)
+def test_one_sweep_pairs_as_the_heap_over_every_column(entries, skip, p, extra_rows, as_list):
+    # phase 1 in one sweep over the columns, indexing only the columns it
+    # defers, pairs the columns the heap over every column paired, in the
+    # same order, and leaves the Markowitz loop the same columns
+    reference = coreduction_by_transpose(entries, p, skip)
+    pivots, units, columns, rows, names = reference
+    handed = []
+
+    def spy(rows_left, cols_left, p, pivots, pivot_cols):
+        handed.append((list(pivots), len(pivot_cols), canonical_phase_two(rows_left, cols_left)))
+        _markowitz(rows_left, cols_left, p, pivots, pivot_cols)
+
+    matrix = as_matrix(entries, extra_rows) if as_list else entries
+    pmq.snf._markowitz = spy
+    try:
+        got = with_pivot_cols(_eliminate, matrix, p, skip_rows=skip)
+    finally:
+        pmq.snf._markowitz = _markowitz
+    assert handed == [(pivots, len(units), canonical_phase_two(columns, rows))]
+    _markowitz(columns, rows, p, pivots, units)
+    assert got == (pivots, [names[c] for c in units] if names else units)
 
 
 @settings(max_examples=150, deadline=None)
