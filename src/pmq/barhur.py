@@ -34,16 +34,11 @@ column, units elsewhere, is such a grid.  So the cells are the states of
 b's class times the placements of their length, built column by column
 (each a nonempty row set, a branch cut once the rows not yet met outnumber
 the cells left), not filtered from every cell subset.  The basis keeps
-that construction order: by bidegree, then by placement, then by state,
-so each placement's cells sit at consecutive positions of their degree.
-The build holds them as (placement, state) blocks and never writes a
-grid: a placement's positions follow from the number of states of its
-length.  Grids are made on demand, when ``GradedComplex.basis`` is first
-read or by ``enumerate_arrays``, through one enumeration walking the same
-blocks in the same order; a grid column depends only on the state and on
-which state positions the placement puts in it, so each such column
-pattern is tabulated once over the states of a length and a placement's
-grids are its columns' tables zipped together.
+that construction order (``_basis_order``): by bidegree, then by length as
+``class_states`` lists them, then by placement, then by state, so each
+placement's cells sit at consecutive positions of their degree.  The
+library holds them as (placement, state) blocks and never writes a grid:
+a placement's positions follow from the number of states of its length.
 
 Faces act on the two factors separately: the face of the cell (placement
 P, state s) is the cell (P', t(s)).  The face placement P' and the sign
@@ -94,8 +89,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, islice
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .completion import Completion, HatElem, Seq
 from .core import FinitePmq, map_violation
@@ -103,12 +97,9 @@ from .errors import PreconditionError, StructureError
 from .properties import property_report
 from .snf import Matrix, homology_groups, is_prime
 
-Grid = tuple[tuple[int, ...], ...]   # inner columns, each a tuple of entries
-
 __all__ = [
     "BisimplexArray",
     "GradedComplex",
-    "enumerate_arrays",
     "build_relative_complex",
     "homology",
     "poincare_report",
@@ -261,63 +252,14 @@ def _placements(width: int, height: int, length: int) -> tuple[tuple[int, ...], 
     return tuple(sorted(out))
 
 
-def _blocks(lengths: Iterable[int]) -> Iterator[tuple[tuple[int, int], int, tuple[int, ...]]]:
-    """(bidegree, length, placement) of each block of cells of a grading
-    whose class has states of the given ``lengths`` (the keys of
-    ``Completion.class_states``), in basis order: bidegrees ascending,
-    then lengths in the order given, then placements as in
-    ``_placements``.  A block's cells are the states of
-    its length written on its placement, in their group's order.  A state
-    of length L >= 1 fits a width x height grid with width, height <= L and
-    width * height >= L; the unit grading's one state is the empty grid."""
-    by_shape: dict[tuple[int, int], list[int]] = {}   # bidegree -> its lengths, in the order given
-    for length in lengths:
-        shapes = [(0, 0)] if not length else [
-            (width, height) for width in range(1, length + 1)
-            for height in range(-(-length // width), length + 1)
-        ]
-        for shape in shapes:
-            by_shape.setdefault(shape, []).append(length)
-    for shape in sorted(by_shape):
-        for length in by_shape[shape]:
-            for cells in _placements(*shape, length):
-                yield shape, length, cells
-
-
-def _cells_of_grading(
-    q: FinitePmq, states: Mapping[int, Sequence[Seq]]
-) -> dict[tuple[int, int], list[tuple[tuple[int, ...], list[Grid]]]]:
-    """Admissible non-degenerate inner grids by bidegree, for the grading
-    whose class has ``states``: the blocks of ``_blocks``, in its order, as
-    (placement, grids) with one grid per state of the placement's length.
-
-    A grid column depends only on the state and on its pattern: which state
-    position, if any, each of its rows holds.  So each pattern's column is
-    tabulated once over the states of a length, with one ``itemgetter``,
-    and a placement's grids are its columns' tables zipped together;
-    grids of one length share their column tuples."""
-    out: dict[tuple[int, int], list[tuple[tuple[int, ...], list[Grid]]]] = {}
-    # index `length` of a padded state reads the unit
-    padded = {length: [state + (q.unit,) for state in group] for length, group in states.items()}
-    # length -> pattern -> column per state
-    tables: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {length: {} for length in states}
-    for (width, height), length, cells in _blocks(states):
-        if not length:   # the unit grading: the empty grid
-            out[(0, 0)] = [((), [()])]
-            continue
-        where = dict(zip(cells, range(length)))
-        known = tables[length]
-        columns = []
-        for start in range(0, width * height, height):
-            pattern = tuple(where.get(c, length) for c in range(start, start + height))
-            column = known.get(pattern)
-            if column is None:
-                read = map(itemgetter(*pattern), padded[length])
-                # a one-row getter returns the entry: zip wraps it
-                column = known[pattern] = list(read if height > 1 else zip(read))
-            columns.append(column)
-        out.setdefault((width, height), []).append((cells, list(zip(*columns))))
-    return out
+def _shapes(length: int) -> list[tuple[int, int]]:
+    """The bidegrees (width, height) with a placement of ``length`` cells:
+    width, height <= length and width * height >= length.  The unit
+    grading's one state, of length 0, is the empty grid."""
+    if not length:
+        return [(0, 0)]
+    return [(width, height) for width in range(1, length + 1)
+            for height in range(-(-length // width), length + 1)]
 
 
 def _require_grading_over(q: FinitePmq, b: HatElem) -> None:
@@ -325,21 +267,6 @@ def _require_grading_over(q: FinitePmq, b: HatElem) -> None:
     q, so the two must be the same PMQ; identity is tested first."""
     if b.completion.pmq is not q and b.completion.pmq != q:
         raise PreconditionError("grading is not in the completion of this PMQ", failed="grading")
-
-
-def enumerate_arrays(q: FinitePmq, b: HatElem) -> list[BisimplexArray]:
-    """Every admissible non-degenerate array with total grading b, each a
-    state of b's class placed on cells meeting every inner row and column;
-    bidegrees are bounded by the norm of b in each direction.  Bidegrees
-    come in ascending order, each in the construction order of the
-    complex's basis: placement by placement, states in class order."""
-    _require_grading_over(q, b)
-    comp = b.completion
-    return [
-        BisimplexArray.from_inner(comp, grid)
-        for group in _cells_of_grading(q, comp.class_states(b)).values()
-        for _, grids in group for grid in grids
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +283,10 @@ class GradedComplex:
     ``snf.Matrix``: flat row and value lists, column by column in
     ascending column order, each column's faces in index order, the start
     of each column among them (``starts``, one per cell of degree n, then
-    the end), and ``nrows``, the number of cells of degree n-1.  The
-    build holds the cells as (placement, state) blocks and writes no grid;
-    ``basis[n]``, made on its first read and kept in ``_grids``, lists
-    (p, q, grid) in construction order (bidegrees ascending, then
-    placements, then the states of the grading's class on each, as
-    ``Completion.class_states`` lists them).
+    the end), and ``nrows``, the number of cells of degree n-1.  Rows
+    and columns number the cells of a degree in basis order (see the
+    module docstring), which ``sizes`` and ``differentials`` determine
+    with the grading; no grid is kept.
     """
 
     pmq: FinitePmq
@@ -369,23 +294,9 @@ class GradedComplex:
     sizes: dict[int, int]
     differentials: dict[int, Matrix]
     mod: int = 0
-    _grids: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def dims(self) -> dict[int, int]:
         return dict(self.sizes)
-
-    @property
-    def basis(self) -> dict[int, list[tuple[int, int, Grid]]]:
-        if self._grids is not None:
-            return self._grids
-        out: dict[int, list[tuple[int, int, Grid]]] = {}
-        b = self.grading
-        for (p, qq), group in _cells_of_grading(self.pmq, b.completion.class_states(b)).items():
-            out.setdefault(p + qq, []).extend((p, qq, grid) for _, grids in group for grid in grids)
-        if {n: len(cells) for n, cells in out.items()} != self.sizes:
-            raise AssertionError("grids differ from the built cells")
-        self._grids = out
-        return out
 
     def check_boundary_squared(self) -> bool:
         """Whether every composite d_n∘d_(n+1) is zero over Z, whatever
@@ -546,9 +457,9 @@ def _plan(lengths: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple]:
       sorted tuple of (sign product, recipe of f, recipe of g).
     * ``meets``: the distinct pairs of recipe indices of two faces of one
       placement on one face block, the only faces that can coincide."""
-    degrees: dict[int, dict[tuple, list]] = {}   # degree -> (shape, length) -> placements
-    for shape, length, placed in _blocks(lengths):
-        degrees.setdefault(sum(shape), {}).setdefault((shape, length), []).append(placed)
+    degrees: dict[int, list[tuple]] = {}   # degree -> its (shape, length) runs, ascending
+    for shape, length in sorted((shape, length) for length in lengths for shape in _shapes(length)):
+        degrees.setdefault(sum(shape), []).append((shape, length))
     where: dict[tuple, int] = {}   # (shape, placement) -> block index, in the degree below
     recipes: dict[tuple, int] = {}   # recipe -> its index in ``listed``
     listed: list[tuple] = []
@@ -563,9 +474,9 @@ def _plan(lengths: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple]:
     out = []
     for n in sorted(degrees):
         here, at, runs = [], {}, []   # the blocks of degree n, ``where`` for them, its runs
-        for (shape, length), placements in degrees[n].items():
+        for shape, length in degrees[n]:
             first = len(here)
-            for placed in placements:
+            for placed in _placements(*shape, length):
                 signs, recipe_ids, face_blocks = [], [], []
                 for sign, face_shape, face_placed, recipe in _placement_faces(*shape, placed):
                     if len(face_placed) not in lengths:
@@ -597,6 +508,16 @@ def _plan(lengths: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple]:
     return tuple(out), tuple(listed), tuple(groups), tuple(meets)
 
 
+def _basis_order(degrees: Sequence[tuple], states: Mapping[int, Sequence[Seq]]) -> list[tuple]:
+    """A plan's ``degrees`` (``_plan``) with each degree's runs in basis
+    order for the grading whose class has ``states``: by bidegree, then by
+    length as ``states`` lists them.  The plan orders one bidegree's runs
+    by length, while ``Completion.class_states`` lists the lengths in the
+    order of its sorted states, so the two can differ."""
+    rank = {length: k for k, length in enumerate(states)}
+    return [(n, sorted(runs, key=lambda run: (run[0], rank[run[1]]))) for n, runs in degrees]
+
+
 def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     """(sizes, differentials, cancels) of the grading whose class has
     ``states``: the number of cells per degree, the differentials, and
@@ -606,11 +527,10 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     table[s] on the face placement of P.  The placements and their faces
     come from ``_plan``; a build tabulates one face table per plan recipe
     over the states of its length.  Blocks take the next positions of
-    their degree in basis order (the plan's runs of one bidegree in
-    ``states`` order), kept as one list per block: each position is one
-    int object, which every row of d_(n+1) naming the cell shares, and
-    the face of the cell at a block's list [s] is at the face block's
-    list [table[s]].  Each entry is one face's sign, appended to the row
+    their degree in basis order (``_basis_order``), kept as one list per
+    block: each position is one int object, which every row of d_(n+1)
+    naming the cell shares, and the face of the cell at a block's list
+    [s] is at the face block's list [table[s]].  Each entry is one face's sign, appended to the row
     and value lists of a ``snf.Matrix``, column by column in basis order,
     faces in index order, and each column is closed by appending its end
     to ``starts``; ``nrows`` is the size of degree n-1, so ``snf`` reads
@@ -625,19 +545,18 @@ def _assemble(q: FinitePmq, states: Mapping[int, Sequence[Seq]]):
     if any(any(t is not None and t == u for t, u in zip(tables[r], tables[r_other])) for r, r_other in meets):
         raise AssertionError("two faces of one cell coincide")
     cancels = _groups_cancel(tables, groups)
-    rank = {length: k for k, length in enumerate(states)}   # order of the lengths on one bidegree
-    # degrees in the order the basis meets them, as ``GradedComplex.basis``
-    # lists them: by their first bidegree
+    # degrees keyed by their first bidegree, the order in which the basis
+    # meets them and in which ``dims()`` has always listed them
     sizes = dict.fromkeys(n for n, _ in sorted(degrees, key=lambda degree: degree[1][0][0]))
     differentials: dict[int, Matrix] = {}
     below: list = []   # the position list of each block of the degree below
-    for n, runs in degrees:
+    for n, runs in _basis_order(degrees, states):
         entries = Matrix(sizes.get(n - 1) or 0)   # degree n - 1, if there is one, is built
         written = entries.rows
         add_row, add_val, close = written.append, entries.vals.append, entries.starts.append
         here: list = [None] * sum(len(blocks) for *_, blocks in runs)
         start = 0
-        for _, length, first, blocks in sorted(runs, key=lambda run: (run[0], rank[run[1]])):
+        for _, length, first, blocks in runs:
             size = len(states[length])
             for b, (signs, recipe_ids, face_blocks) in enumerate(blocks, first):
                 here[b] = list(range(start, start := start + size))
@@ -805,18 +724,46 @@ def chain_map_commutes(
     True exactly when the zero-rules agree on both sides there; gradings
     whose arrays have faces that fall out of the source PMQ but not out of
     the target one make it fail, which mirrors the fact that the induced map
-    of pairs does not exist in general; a non-map raises first."""
+    of pairs does not exist in general; a non-map raises first.
+
+    f sends the cell (P, s) to (P, f∘s), and f∘s is in the class of f(b).
+    If f∘s holds no unit, it is a state of f(b)'s class of the same
+    length, and (P, f∘s) is a target cell: in basis order it sits at the
+    start of the run (bidegree of P, length) plus i times the number of
+    target states of that length plus the index of f∘s among them, where
+    P is the run's i-th placement (runs of one bidegree and length list
+    the same placements on both sides).  If f sends an entry of s to the
+    unit, the answer is False, though other cells of s may still have
+    cell images: on the one-row placement, of bidegree (length, 1), each
+    entry of s is alone in its column, so that cell's image has a unit
+    column, is degenerate, and is no cell."""
     hat_map, _ = induced_array_map(qa, qb, mapping)
-    ca = build_relative_complex(qa, b)
-    cb = build_relative_complex(qb, hat_map(b))
-    index_b = {grid: pos for cells in cb.basis.values() for pos, (_, _, grid) in enumerate(cells)}
-    # the position of each cell's image in the target basis
-    f = {
-        n: [index_b.get(tuple(tuple(mapping[x] for x in col) for col in grid)) for _, _, grid in cells]
-        for n, cells in ca.basis.items()
-    }
-    if any(None in images for images in f.values()):
-        return False
+    image = hat_map(b)
+    ca, cb = build_relative_complex(qa, b), build_relative_complex(qb, image)
+    states_a, states_b = b.completion.class_states(b), image.completion.class_states(image)
+    moved = {}   # length -> the index of f∘s among the target states of that length, per state s
+    for length, group in states_a.items():
+        index_b = {state: k for k, state in enumerate(states_b.get(length, ()))}
+        moved[length] = [index_b.get(tuple(mapping[x] for x in state)) for state in group]
+        if None in moved[length]:
+            return False
+
+    def runs(states):
+        """(degree, bidegree, length) -> (position of the first cell, number
+        of placements) of each run, in basis order."""
+        out = {}
+        for n, in_order in _basis_order(_plan(tuple(sorted(states)))[0], states):
+            start = 0
+            for shape, length, _, blocks in in_order:
+                out[n, shape, length] = start, len(blocks)
+                start += len(blocks) * len(states[length])
+        return out
+
+    runs_b = runs(states_b)
+    f: dict[int, list[int]] = {}   # the position of each cell's image in the target basis
+    for (n, shape, length), (_, placed) in runs(states_a).items():
+        start, size = runs_b[n, shape, length][0], len(states_b[length])
+        f.setdefault(n, []).extend(start + i * size + t for i in range(placed) for t in moved[length])
     for n, images in f.items():
         sources: dict[int, list[int]] = {}
         for c, t in enumerate(images):

@@ -4,9 +4,10 @@ Used by the mutation tests: when the validator rejects a structure naming
 an axiom and a witness, the named axiom is re-evaluated here directly from
 the tables, so a wrong axiom name cannot slip through.
 
-Also the generate-and-filter enumerations of array grids and of cell
-placements, the references the constructed basis of ``pmq.barhur`` and its
-placements are compared with, the complex re-sorted by grid (the order the
+Also the grids of a complex's basis in basis order, which ``pmq.barhur``
+never writes, and the generate-and-filter enumerations of array grids and
+of cell placements, the references those grids and the placements are
+compared with, the complex re-sorted by grid (the order the
 frozen digests of the face-table gate were taken in), the differentials
 assembled from the faces of ``BisimplexArray``, the reference for its fast
 face assembly, and the chain-map check on those differentials, the
@@ -43,7 +44,7 @@ import sys
 from collections import deque
 from itertools import combinations
 
-from pmq.barhur import BisimplexArray, build_relative_complex
+from pmq.barhur import BisimplexArray, _placements, build_relative_complex
 from pmq.completion import Completion
 from pmq.core import FinitePmq
 from pmq.free import (
@@ -202,8 +203,45 @@ def columns_by_norm(q: FinitePmq, height: int, max_norm: int) -> dict[int, list[
     return pools
 
 
+def basis_of(cx) -> dict:
+    """The cells of the complex ``cx`` as grids, which ``pmq.barhur`` never
+    writes: {n: [(p, q, grid)]}, each grid a tuple of inner columns.  Each
+    degree lists its bidegrees ascending, on each the lengths of the
+    grading's states as ``Completion.class_states`` lists them, for each
+    length its placements (``pmq.barhur._placements``), and on each
+    placement the states of that length in class order, written on its
+    cells column-major, units elsewhere.  Degrees are keyed by their first
+    bidegree.  Asserts that the degrees and their sizes are ``cx.sizes``,
+    in the same key order."""
+    b = cx.grading
+    states = b.completion.class_states(b)
+    unit = cx.pmq.unit
+    top = max(states)   # no bidegree is wider or higher than the longest state
+    # one column object per (length, pattern, state index), where a pattern
+    # names the state position on each row of a column, ``length`` for a
+    # unit: a pickle memoises shared objects, and the frozen digests were
+    # taken on grids that shared their columns so
+    columns: dict = {}
+    out: dict = {}
+    for width, height in sorted((w, h) for w in range(top + 1) for h in range(top + 1)):
+        for length, group in states.items():
+            for placed in _placements(width, height, length):
+                where = dict(zip(placed, range(length)))
+                patterns = [tuple(where.get(c, length) for c in range(i * height, (i + 1) * height))
+                            for i in range(width)]
+                for k, state in enumerate(group):
+                    padded = state + (unit,)
+                    grid = tuple(
+                        columns.setdefault((length, pattern, k), tuple(padded[j] for j in pattern))
+                        for pattern in patterns
+                    )
+                    out.setdefault(width + height, []).append((width, height, grid))
+    assert [(n, len(cells)) for n, cells in out.items()] == list(cx.sizes.items())
+    return out
+
+
 def grids_by_filter(q: FinitePmq, comp, b) -> dict:
-    """Reference for the grids of ``pmq.barhur._cells_of_grading`` by
+    """Reference for the grids of ``basis_of`` by
     generate and filter: place columns of norm >= 1 side by side until the
     norm of b is used, keep the grids that hit every row, and keep those
     whose column-major reading has class b."""
@@ -311,8 +349,8 @@ def chain_map_by_array_faces(qa: FinitePmq, qb: FinitePmq, mapping, b) -> bool:
     against the entrywise images of its faces in d_a, summed.  False when a
     cell's image is not a target cell."""
     comp_a, comp_b = Completion(qa), Completion(qb)
-    basis_a = build_relative_complex(qa, b).basis
-    basis_b = build_relative_complex(qb, comp_b.of_sequence([mapping[x] for x in b.word])).basis
+    basis_a = basis_of(build_relative_complex(qa, b))
+    basis_b = basis_of(build_relative_complex(qb, comp_b.of_sequence([mapping[x] for x in b.word])))
     where = {grid: pos for cells in basis_b.values() for pos, (_, _, grid) in enumerate(cells)}
     image = {}
     for cells in basis_a.values():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    basis_of,
     chain_map_by_array_faces,
     differentials_by_array_faces,
     fuks_count,
@@ -23,12 +24,10 @@ from pmq.barhur import (
     BisimplexArray,
     GradedComplex,
     _assemble,
-    _cells_of_grading,
     _placements,
     _plan,
     build_relative_complex,
     chain_map_commutes,
-    enumerate_arrays,
     homology,
     induced_faces_commute,
     poincare_report,
@@ -62,6 +61,14 @@ def random_array(comp, rng, p, q, support=3, max_entry_norm=2):
         length = rng.randint(1, max_entry_norm)
         grid[i][j] = comp.of_sequence(tuple(rng.choice(positives) for _ in range(length)))
     return BisimplexArray(comp, tuple(tuple(col) for col in grid))
+
+
+def arrays_of(q, b):
+    """Every admissible non-degenerate array of grading b: the cells of its
+    complex (``basis_of``) in unit borders, in basis order."""
+    comp = b.completion
+    cells = basis_of(build_relative_complex(q, b)).values()
+    return [BisimplexArray.from_inner(comp, grid) for degree in cells for _, _, grid in degree]
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +153,7 @@ def test_grading_conserved_on_enumerated_arrays(comp3):
     q = comp3.pmq
     for labels in (["231"], ["213", "132"]):
         b = comp3.of_labels(labels)
-        for arr in enumerate_arrays(q, b):
+        for arr in arrays_of(q, b):
             assert arr.total_grading() == b
             for i in range(arr.p + 1):
                 if arr.p >= 1:
@@ -161,7 +168,7 @@ def test_grading_conserved_on_enumerated_arrays(comp3):
 def test_faces_of_nondegenerate_admissible_stay_nondegenerate(comp3):
     q = comp3.pmq
     b = comp3.of_labels(["231", "132"])
-    for arr in enumerate_arrays(q, b):
+    for arr in arrays_of(q, b):
         assert not arr.is_degenerate() and arr.is_admissible()
         for i in range(arr.p + 1):
             if arr.p >= 1:
@@ -174,7 +181,7 @@ def test_faces_of_nondegenerate_admissible_stay_nondegenerate(comp3):
 def test_enumerate_unit_grading():
     q = natural_truncation(2)
     comp = Completion(q)
-    arrays = enumerate_arrays(q, comp.unit())
+    arrays = arrays_of(q, comp.unit())
     assert len(arrays) == 1
     assert (arrays[0].p, arrays[0].q) == (0, 0)
 
@@ -182,7 +189,7 @@ def test_enumerate_unit_grading():
 def test_enumerate_five_arrays_for_grading_two():
     q = natural_truncation(2)
     comp = Completion(q)
-    arrays = enumerate_arrays(q, comp.of_labels(["2"]))
+    arrays = arrays_of(q, comp.of_labels(["2"]))
     shapes = sorted((a.p, a.q) for a in arrays)
     assert shapes == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 2)]
 
@@ -190,7 +197,7 @@ def test_enumerate_five_arrays_for_grading_two():
 def test_enumerate_single_transposition_class():
     q = sym_geodesic_pmq(3)
     comp = Completion(q)
-    arrays = enumerate_arrays(q, comp.of_labels(["213"]))
+    arrays = arrays_of(q, comp.of_labels(["213"]))
     assert len(arrays) == 1 and (arrays[0].p, arrays[0].q) == (1, 1)
 
 
@@ -209,19 +216,11 @@ def test_grids_by_construction_match_generate_and_filter(make, max_norm):
     q = make()
     comp = Completion(q)
     for b in comp.classes_up_to(max_norm):
-        states = comp.class_states(b)
-        cells = _cells_of_grading(q, states)
-        grids = {shape: sorted(grid for _, grids in group for grid in grids) for shape, group in cells.items()}
-        assert grids == grids_by_filter(q, comp, b), b.labels()
-        # a placement's k-th grid is the k-th state of its length written
-        # on it, units elsewhere
-        for group in cells.values():
-            for placed, grids in group:
-                assert len(grids) == len(states[len(placed)])
-                for grid, state in zip(grids, states[len(placed)]):
-                    flat = [x for col in grid for x in col]
-                    assert tuple(flat[c] for c in placed) == state
-                    assert flat.count(q.unit) == len(flat) - len(placed)
+        grids: dict = {}
+        for cells in basis_of(build_relative_complex(q, b)).values():
+            for p, qq, grid in cells:
+                grids.setdefault((p, qq), []).append(grid)
+        assert {shape: sorted(g) for shape, g in grids.items()} == grids_by_filter(q, comp, b), b.labels()
 
 
 @pytest.mark.parametrize(
@@ -233,13 +232,12 @@ def test_basis_is_in_construction_order(make, max_norm):
     # basis[n] runs through its bidegrees in ascending order, each
     # bidegree's placements in _placements order (lengths as class_states
     # lists them), and each placement's cells through the states of its
-    # length in class_states order; enumerate_arrays keeps that order
+    # length in class_states order
     q = make()
     comp = Completion(q)
     for b in comp.classes_up_to(max_norm):
         states = comp.class_states(b)
-        basis = build_relative_complex(q, b).basis
-        for n, cells in basis.items():
+        for n, cells in basis_of(build_relative_complex(q, b)).items():
             read = []   # (p, q, placement, state) of each cell, off its grid
             for p, qq, grid in cells:
                 flat = [x for col in grid for x in col]
@@ -253,44 +251,6 @@ def test_basis_is_in_construction_order(make, max_norm):
                 for placed in _placements(p, qq, length)
                 for state in group
             ], (b.labels(), n)
-        inner = [
-            (arr.p, arr.q, tuple(tuple(h.in_base() for h in col[1:-1]) for col in arr.columns[1:-1]))
-            for arr in enumerate_arrays(q, b)
-        ]
-        by_bidegree = sorted((cell for cells in basis.values() for cell in cells), key=lambda c: c[:2])
-        assert inner == by_bidegree, b.labels()
-
-
-@pytest.mark.parametrize(
-    "make,max_norm",
-    [(lambda: sym_geodesic_pmq(3), 4), (lambda: natural_truncation(3), 3)],
-    ids=["S3", "natural3"],
-)
-def test_basis_grids_are_made_only_when_read(make, max_norm):
-    # building a complex and reducing it write no grid; the basis, once
-    # read, has the built sizes, and its cells are enumerate_arrays' arrays
-    # degree by degree, in the same order
-    q = make()
-    comp = Completion(q)
-    for b in comp.classes_up_to(max_norm):
-        cx = build_relative_complex(q, b)
-        homology(cx)
-        assert cx._grids is None, b.labels()
-        assert {n: len(cells) for n, cells in cx.basis.items()} == cx.dims()
-        assert cx._grids is cx.basis
-        arrays = {}
-        for arr in enumerate_arrays(q, b):
-            grid = tuple(tuple(h.in_base() for h in col[1:-1]) for col in arr.columns[1:-1])
-            arrays.setdefault(arr.p + arr.q, []).append((arr.p, arr.q, grid))
-        assert cx.basis == arrays, b.labels()
-
-
-def test_basis_refuses_grids_that_differ_from_the_built_cells():
-    q = sym_geodesic_pmq(3)
-    cx = build_relative_complex(q, Completion(q).of_labels(["213", "132", "213"]))
-    cx.sizes[min(cx.sizes)] += 1
-    with pytest.raises(AssertionError, match="grids differ from the built cells"):
-        cx.basis
 
 
 @pytest.fixture
@@ -323,7 +283,7 @@ def test_warm_placement_memo_builds_the_same_complex(fresh_plans):
     warm = build_relative_complex(q, b)
     info = _plan.cache_info()
     assert misses and info.misses == misses and info.hits >= misses
-    assert warm.basis == cold.basis
+    assert list(warm.sizes.items()) == list(cold.sizes.items())
     assert list(warm.differentials) == list(cold.differentials)
     for n, d in cold.differentials.items():
         assert list(warm.differentials[n].items()) == list(d.items())
@@ -433,7 +393,7 @@ def test_fast_faces_match_array_faces(make, max_norm, extra):
         for mod in (0, 2):
             # the stored entries are the integer signs whatever the modulus
             cx = build_relative_complex(q, b, mod)
-            want = differentials_by_array_faces(comp, cx.basis)
+            want = differentials_by_array_faces(comp, basis_of(cx))
             assert _items(cx.differentials) == _items(want), (b.labels(), mod)
 
 
@@ -453,7 +413,7 @@ def test_stored_matrices_are_mappings_in_write_order(make, max_norm):
     seen = 0
     for b in comp.classes_up_to(max_norm):
         cx = build_relative_complex(q, b)
-        want = differentials_by_array_faces(comp, cx.basis)
+        want = differentials_by_array_faces(comp, basis_of(cx))
         assert list(cx.differentials) == list(want)
         for n, d in cx.differentials.items():
             assert type(d) is Matrix
@@ -550,7 +510,7 @@ def test_fast_faces_match_array_faces_in_any_declaration_order(case_and_order, m
     comp = Completion(q)
     for b in comp.classes_up_to(top):
         cx = build_relative_complex(q, b, mod)
-        want = differentials_by_array_faces(comp, cx.basis)
+        want = differentials_by_array_faces(comp, basis_of(cx))
         assert _items(cx.differentials) == _items(want), (b.labels(), mod)
 
 
@@ -610,10 +570,10 @@ def test_cell_counts_match_inclusion_exclusion(d, max_norm):
     for b in comp.classes_up_to(max_norm):
         if b.is_unit:
             continue
-        built = {
-            k: sum(len(grids) for _, grids in g)
-            for k, g in _cells_of_grading(q, comp.class_states(b)).items()
-        }
+        built: dict = {}
+        for cells in basis_of(build_relative_complex(q, b)).values():
+            for p, qq, _ in cells:
+                built[p, qq] = built.get((p, qq), 0) + 1
         assert built == predicted_cells(comp, b), b.labels()
 
 
@@ -869,6 +829,14 @@ def _inclusions(top):
             yield qa, qb, mapping, b
 
 
+def _pointed_collapse(top):
+    # a -> 1 and b -> b, from the pointed set {1, a, b} onto {1, b}
+    qa, qb = pointed_set_pmq({"a": 1, "b": 1}), pointed_set_pmq({"b": 1})
+    mapping = [qb.index(label) if label in qb.labels else qb.unit for label in qa.labels]
+    for b in Completion(qa).classes_up_to(top):
+        yield qa, qb, mapping, b
+
+
 def _from_s3(qb, labels):
     # the map sending the k-th element of S_3 to the k-th of ``labels``
     q = sym_geodesic_pmq(3)
@@ -895,8 +863,14 @@ def _from_s3(qb, labels):
         (lambda: _from_s3(unit_pmq(), "111111"), 15,
          ["132", "213", "321", "231", "312", "132 132", "213 213", "321 321",
           "132 231", "132 312", "213 231", "132 132 132", "213 213 213", "321 321 321"]),
+        # a -> 1 collapses one non-unit only: some cells of a state with an
+        # a have cell images (4 of the 72 of "a b b"), but its cell on the
+        # one-row placement does not, as the a is alone in its column
+        (lambda: _pointed_collapse(4), 15,
+         ["a", "a a", "a b", "a a a", "a a b", "a b b", "a a a a", "a a a b", "a a b b", "a b b b"]),
     ],
-    ids=["S3-conjugations", "S4-conjugations", "natural-inclusions", "S3-norm-map", "S3-to-unit"],
+    ids=["S3-conjugations", "S4-conjugations", "natural-inclusions", "S3-norm-map", "S3-to-unit",
+         "pointed-collapse"],
 )
 def test_chain_map_check_matches_array_face_oracle(make, count, failing):
     # the check on whole stored differentials against both sides built
@@ -1004,7 +978,7 @@ def test_face_table_gate_agrees_with_stored_matrices(case):
         cx = GradedComplex(q, b, sizes, differentials)
         stored = cx.check_boundary_squared()
         assert cancels is stored is True, b.labels()
-        h.update(pickle.dumps(grid_ordered(cx.basis, differentials), protocol=4))
+        h.update(pickle.dumps(grid_ordered(basis_of(cx), differentials), protocol=4))
     assert h.hexdigest() == digest
 
 
@@ -1165,12 +1139,11 @@ def test_grading_must_lie_over_the_same_pmq():
     # from the PMQ argument: a mismatch would mix two sets of tables
     q = sym_geodesic_pmq(3)
     b = Completion(q).of_labels(["213", "213"])
-    for build in (build_relative_complex, enumerate_arrays):
-        with pytest.raises(PreconditionError) as err:
-            build(transposition_quandle(3), b)
-        assert err.value.failed == "grading"
+    with pytest.raises(PreconditionError) as err:
+        build_relative_complex(transposition_quandle(3), b)
+    assert err.value.failed == "grading"
     # an equal PMQ built separately is the same PMQ
     copy = sym_geodesic_pmq(3)
     assert copy is not q
-    assert enumerate_arrays(copy, b) == enumerate_arrays(q, b)
+    assert basis_of(build_relative_complex(copy, b)) == basis_of(build_relative_complex(q, b))
     assert build_relative_complex(copy, b).differentials == build_relative_complex(q, b).differentials
